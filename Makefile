@@ -1,6 +1,6 @@
 .PHONY: all build test bench-smoke check check-all check-diff check-snap \
 	check-modes check-orch check-toggle check-sched check-race \
-	check-rehost clean
+	check-rehost perf-check clean
 
 all: build
 
@@ -81,6 +81,15 @@ check-rehost: build
 	./_build/default/bin/embsan_cli.exe check --oracle rehost-transparency \
 	  --seed 1 --execs 250
 	./_build/default/bench/main.exe rehost
+
+# The fuzzing benchmark's output checks on its two workloads (seed 1,
+# 1 s budget, so each runs its minimum of two passes over 16 campaigns):
+# every run of one campaign seed must print the same deterministic counts
+# and every confirmed reproducer must be re-detected on a fresh instance.
+# Exits non-zero on a failed check; the timings it prints are not gated.
+perf-check:
+	bash perfbench/run.sh --workload linux-kasan-d --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload rehost-irq --seed 1 --seconds 1 --trace 0
 
 check: build test bench-smoke check-diff check-snap check-modes check-toggle \
 	check-sched check-race check-orch check-rehost

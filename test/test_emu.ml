@@ -423,6 +423,71 @@ let coverage_kcov () =
   ignore (Machine.run m ~max_insns:1000);
   Alcotest.(check int) "two kcov records" 2 cov.blocks_seen
 
+(* Reference signature: a scan of the whole bitmap.  [Coverage.signature]
+   reads only the touched list and must agree with it. *)
+let scan_signature (cov : Coverage.t) =
+  let acc = ref [] in
+  for i = Coverage.bitmap_size - 1 downto 0 do
+    let v = Bytes.get_uint8 cov.bitmap i in
+    if v > 0 then begin
+      let bucket =
+        if v = 1 then 1
+        else if v = 2 then 2
+        else if v = 3 then 3
+        else if v <= 7 then 4
+        else if v <= 15 then 5
+        else if v <= 31 then 6
+        else if v <= 127 then 7
+        else 8
+      in
+      acc := (i, bucket) :: !acc
+    end
+  done;
+  !acc
+
+let rec strictly_ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a < b && strictly_ascending rest
+  | _ -> true
+
+(* Random record batches separated by resets, on a 2-hart map: harts -1,
+   2 and 3 are out of range, pcs come from the whole int range or from a
+   small pool (so edges repeat into higher buckets), and a batch may hit
+   one edge 257+ times so its counter saturates at 255. *)
+let coverage_matches_scan =
+  let open QCheck2 in
+  let hart = Gen.int_range (-1) 3 in
+  let pc = Gen.(oneof [ int; map (fun x -> x * 8) (int_bound 64) ]) in
+  let batch =
+    Gen.(
+      pair
+        (list_size (int_bound 300) (pair hart pc))
+        (opt (triple hart pc (int_range 257 600))))
+  in
+  Test.make ~name:"touched list matches full scan" ~count:200
+    Gen.(list_size (int_range 1 6) batch)
+    (fun batches ->
+      let cov = Coverage.create ~harts:2 in
+      List.for_all
+        (fun (hits, hot) ->
+          List.iter (fun (hart, pc) -> Coverage.record cov ~hart ~pc) hits;
+          Option.iter
+            (fun (hart, pc, n) ->
+              for _ = 1 to n do
+                Coverage.record cov ~hart ~pc
+              done)
+            hot;
+          let s = Coverage.signature cov in
+          let saturated = Bytes.exists (fun c -> c = '\255') cov.bitmap in
+          let ok =
+            s = scan_signature cov
+            && strictly_ascending s
+            && Coverage.edge_count cov = List.length s
+            && (hot = None || saturated)
+          in
+          Coverage.reset_edges cov;
+          ok && Bytes.for_all (fun c -> c = '\000') cov.bitmap)
+        batches)
+
 let deadlock_detected () =
   let open Asm in
   let m, _ = assemble_and_load [ unit_ [ Label "main"; Ins Nop; halt ] [] ] in
@@ -1195,5 +1260,6 @@ let () =
         [
           Alcotest.test_case "tcg blocks" `Quick coverage_tcg;
           Alcotest.test_case "kcov hypercall" `Quick coverage_kcov;
+          QCheck_alcotest.to_alcotest coverage_matches_scan;
         ] );
     ]

@@ -243,6 +243,52 @@ let campaign_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "same findings and coverage" true (a = b)
 
+(* Golden values for two short seeded campaigns.  The determinism tests
+   above compare two runs of one build; these pins also catch a change
+   that reorders or rebuckets the coverage signature, which would shift
+   corpus admission and every count downstream of it.  One kcov firmware
+   and one Tardis (per-block) firmware. *)
+let campaign_golden_trajectories () =
+  let check name ~counts ~found =
+    let fw = Option.get (Firmware_db.find name) in
+    let cfg =
+      {
+        (Campaign.default_config fw) with
+        max_execs = 500;
+        seed = 1;
+        stop_when_all_found = false;
+      }
+    in
+    let r = Campaign.run cfg in
+    Alcotest.(check (list int))
+      (name ^ " coverage, corpus, insns, crashes")
+      counts
+      [ r.r_coverage; r.r_corpus; r.r_insns; r.r_crashes ];
+    Alcotest.(check (list (triple string int bool)))
+      (name ^ " found bugs, first exec, confirmed")
+      found
+      (List.sort compare
+         (List.map
+            (fun (f : Campaign.found) -> (f.f_bug.b_id, f.f_exec, f.f_confirmed))
+            r.r_found))
+  in
+  check "OpenWRT-bcm63xx" ~counts:[ 214; 54; 3251271; 0 ]
+    ~found:
+      [
+        ("linux/ahc_queue_scb", 1, true);
+        ("linux/bcm2835_dma_start", 23, true);
+        ("linux/brcm_fweh_beacon", 14, false);
+        ("linux/btrfs_scan_device", 48, true);
+        ("linux/hci_remote_name_evt", 106, true);
+      ];
+  check "InfiniTime" ~counts:[ 930; 177; 3464097; 0 ]
+    ~found:
+      [
+        ("freertos/lfs_cache_read", 50, true);
+        ("freertos/spi_dma_transfer", 1, true);
+        ("freertos/st7789_flush", 101, false);
+      ]
+
 let campaign_seed_variation () =
   let fw = small_fw () in
   let execs seed =
@@ -391,6 +437,8 @@ let () =
         [
           Alcotest.test_case "finds and confirms bugs" `Slow campaign_finds_bugs;
           Alcotest.test_case "deterministic" `Slow campaign_deterministic;
+          Alcotest.test_case "golden trajectories" `Slow
+            campaign_golden_trajectories;
           Alcotest.test_case "seed variation" `Slow campaign_seed_variation;
           Alcotest.test_case "Tardis mode on closed firmware" `Slow
             tardis_mode_needs_no_guest_support;
