@@ -38,12 +38,14 @@
      injections of [total_insns], both engine-invariant, so the engines
      must stay in lockstep with the layer armed — the property that
      makes rehost seeds meaningful corpus entries;
-   - restore-transparency: between sync points [mb] is checkpointed, run
-     for a throwaway chunk (scribbling on RAM, registers, devices and
-     counters), then reverted by [Snap.restore] — the revert must be
-     architecturally invisible.  Exercised under all four engine/probe
-     configurations (Fast/Baseline x probed/unprobed), since restore
-     interacts with the translation cache and the probe site table.
+   - restore-transparency: between sync points [mb] is checkpointed, then
+     twice run for a throwaway chunk (scribbling on RAM, registers,
+     devices and counters) and reverted by [Snap.restore] — the reverts
+     must be architecturally invisible.  The first restore of the
+     checkpoint flushes the translation cache and the second revalidates
+     it, so both paths run under all four engine/probe configurations
+     (Fast/Baseline x probed/unprobed), since restore interacts with the
+     translation cache and the probe site table.
 
    Chunked [Machine.run] is a sound sync mechanism because both engines
    stop at the first block boundary past the deadline and block
@@ -289,13 +291,17 @@ let restore_transparency ~cfg (p : Progen.t) =
       no_op_probes mb
     end;
     lockstep ~name:"restore-transparency" ~cfg p ma mb ~between:(fun mb ->
-        (* checkpoint, run a throwaway chunk so guest RAM, registers,
-           device state and counters all move, then revert; the next sync
-           comparison sees whether anything of the detour survived *)
+        (* checkpoint, then twice run a throwaway chunk so guest RAM,
+           registers, device state and counters all move, and revert: the
+           first restore flushes the translation cache, the second keeps
+           it.  The next sync comparison sees whether anything of either
+           detour survived *)
         let s = Embsan_snap.Snap.capture mb in
-        let chunk = Rng.range rng 1 cfg.sync in
-        ignore (Machine.run mb ~max_insns:chunk : Machine.stop);
-        ignore (Embsan_snap.Snap.restore s : int))
+        for _ = 1 to 2 do
+          let chunk = Rng.range rng 1 cfg.sync in
+          ignore (Machine.run mb ~max_insns:chunk : Machine.stop);
+          ignore (Embsan_snap.Snap.restore s : int)
+        done)
   in
   let rec go = function
     | [] -> assert false

@@ -51,14 +51,29 @@ let code_name = function
   | Global_redzone -> "global-redzone"
   | Freed -> "freed"
 
+(* Snapshot of both planes (immutable once taken). *)
+type state = { s_kasan : Bytes.t; s_kcsan_epoch : Bytes.t }
+
+(* Dirty chunks make restoring the latest snapshot cost what the exec
+   wrote: every write below marks the chunks of the granules it touches,
+   and [restore] of the state the planes were last synced with copies back
+   only those chunks.  Only this module writes the planes, which is what
+   keeps [dirty] exact ([t] is private). *)
 type t = {
   base : int; (* guest RAM base *)
   limit : int;
   kasan : Bytes.t; (* one byte per granule *)
   kcsan_epoch : Bytes.t; (* sampling state plane for KCSAN *)
+  dirty : Bytes.t; (* one byte per chunk; non-zero = written since sync *)
+  mutable synced : state option;
+      (* the state the planes equal outside the dirty chunks *)
 }
 
 let granule = 8
+
+(* 512 granules per chunk: one dirty byte per 4 KiB guest page. *)
+let chunk_shift = 9
+let chunk = 1 lsl chunk_shift
 
 let create ~ram_base ~ram_size =
   let granules = (ram_size + granule - 1) / granule in
@@ -67,45 +82,58 @@ let create ~ram_base ~ram_size =
     limit = ram_base + ram_size;
     kasan = Bytes.make granules '\000';
     kcsan_epoch = Bytes.make granules '\000';
+    dirty = Bytes.make ((granules + chunk - 1) lsr chunk_shift) '\000';
+    synced = None;
   }
 
 let covers t addr = addr >= t.base && addr < t.limit
 let index t addr = (addr - t.base) / granule
 
+(* Mark the chunks of granules [first, last] written. *)
+let touch t first last =
+  let c = first lsr chunk_shift in
+  Bytes.fill t.dirty c ((last lsr chunk_shift) - c + 1) '\001'
+
 let get t addr = code_of_byte (Bytes.get_uint8 t.kasan (index t addr))
 
-let set_raw t addr byte = Bytes.set_uint8 t.kasan (index t addr) byte
-
 (** Poison [addr, addr+size) with [code]; granule-rounded outward on the
-    tail like the kernel implementation. *)
+    tail like the kernel implementation, clamped to the end of RAM. *)
 let poison t ~addr ~size code =
   if size > 0 && covers t addr then begin
     let b = byte_of_code code in
     let first = index t addr in
     let last = index t (min (addr + size - 1) (t.limit - 1)) in
+    touch t first last;
     Bytes.fill t.kasan first (last - first + 1) (Char.chr b)
   end
 
 (** Mark [addr, addr+size) addressable; a non-multiple-of-8 tail becomes a
-    partial granule. *)
+    partial granule.  A range that runs past the end of RAM is clamped:
+    every granule from [addr]'s to the last becomes addressable. *)
 let unpoison t ~addr ~size =
   if size > 0 && covers t addr then begin
-    let full = size / granule in
     let first = index t addr in
+    let clamped = addr + size > t.limit in
+    let full =
+      if clamped then Bytes.length t.kasan - first else size / granule
+    in
+    let tail = if clamped then 0 else size mod granule in
+    let written = if tail = 0 then full else full + 1 in
+    touch t first (first + written - 1);
     Bytes.fill t.kasan first full '\000';
-    let tail = size mod granule in
-    if tail <> 0 then set_raw t (addr + (full * granule)) tail
+    if tail <> 0 then Bytes.set_uint8 t.kasan (first + full) tail
   end
 
 type verdict = Valid | Invalid of code
 
 (** Validate an access of [size] (1/2/4) bytes at [addr].  Accesses outside
     guest RAM are not the shadow's business (MMIO and fault logic handle
-    them). *)
+    them), and neither is the part of an access that runs past its end. *)
 let check t ~addr ~size =
   if not (covers t addr) then Valid
   else begin
     let last = addr + size - 1 in
+    let last = if last < t.limit then last else t.limit - 1 in
     let sh = Bytes.get_uint8 t.kasan (index t last) in
     if sh = 0 then
       (* fast path: access may still start in a different, poisoned granule *)
@@ -121,19 +149,50 @@ let check t ~addr ~size =
 
 (* --- Snapshot support --------------------------------------------------------- *)
 
-type state = { s_kasan : Bytes.t; s_kcsan_epoch : Bytes.t }
+let sync t s =
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+  t.synced <- Some s
 
 (** Deep copy of both shadow planes for the snapshot service. *)
 let save t =
-  { s_kasan = Bytes.copy t.kasan; s_kcsan_epoch = Bytes.copy t.kcsan_epoch }
+  let s =
+    { s_kasan = Bytes.copy t.kasan; s_kcsan_epoch = Bytes.copy t.kcsan_epoch }
+  in
+  sync t s;
+  s
 
+(* Restoring the synced state (the latest [save], or the state last
+   restored) copies back only the dirty chunks; any other state is a full
+   copy of both planes. *)
 let restore t (s : state) =
   if
     Bytes.length s.s_kasan <> Bytes.length t.kasan
     || Bytes.length s.s_kcsan_epoch <> Bytes.length t.kcsan_epoch
   then invalid_arg "Shadow.restore: size mismatch";
-  Bytes.blit s.s_kasan 0 t.kasan 0 (Bytes.length t.kasan);
-  Bytes.blit s.s_kcsan_epoch 0 t.kcsan_epoch 0 (Bytes.length t.kcsan_epoch)
+  let n = Bytes.length t.kasan in
+  (match t.synced with
+  | Some synced when synced == s ->
+      (* a restore typically finds a chunk or two among ~1024, so the
+         dirty bytes are scanned a word at a time *)
+      let d = t.dirty in
+      let nd = Bytes.length d in
+      let w = ref 0 in
+      while !w < nd do
+        if !w + 8 > nd || Bytes.get_int64_ne d !w <> 0L then
+          for c = !w to min (!w + 8) nd - 1 do
+            if Bytes.unsafe_get d c <> '\000' then begin
+              let off = c lsl chunk_shift in
+              let len = min chunk (n - off) in
+              Bytes.blit s.s_kasan off t.kasan off len;
+              Bytes.blit s.s_kcsan_epoch off t.kcsan_epoch off len
+            end
+          done;
+        w := !w + 8
+      done
+  | _ ->
+      Bytes.blit s.s_kasan 0 t.kasan 0 n;
+      Bytes.blit s.s_kcsan_epoch 0 t.kcsan_epoch 0 n);
+  sync t s
 
 (* --- KCSAN plane -------------------------------------------------------------- *)
 
@@ -142,6 +201,7 @@ let restore t (s : state) =
 let kcsan_bump t addr =
   if covers t addr then begin
     let i = index t addr in
+    Bytes.unsafe_set t.dirty (i lsr chunk_shift) '\001';
     let v = Bytes.get_uint8 t.kcsan_epoch i in
     Bytes.set_uint8 t.kcsan_epoch i ((v + 1) land 0xFF);
     v

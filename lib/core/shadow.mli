@@ -24,11 +24,21 @@ val code_of_byte : int -> code
 
 val code_name : code -> string
 
-type t = {
+(** Snapshot of both shadow planes (deep copy); a saved [state] is immune
+    to later mutation of the live shadow and survives repeated restores. *)
+type state
+
+(** The planes, readable anywhere but written only through this module:
+    every write marks its chunks in [dirty] (one byte per 512 granules,
+    i.e. per 4 KiB guest page), which is what lets {!restore} copy back
+    only what changed since [synced]. *)
+type t = private {
   base : int;
   limit : int;
   kasan : Bytes.t;
   kcsan_epoch : Bytes.t;
+  dirty : Bytes.t;
+  mutable synced : state option;
 }
 
 val granule : int
@@ -42,25 +52,29 @@ val covers : t -> int -> bool
 val get : t -> int -> code
 
 (** Poison [addr, addr+size) with [code]; granule-rounded outward on the
-    tail like the kernel implementation. *)
+    tail like the kernel implementation, clamped to the end of RAM. *)
 val poison : t -> addr:int -> size:int -> code -> unit
 
 (** Mark [addr, addr+size) addressable; a non-multiple-of-8 tail becomes a
-    partial granule. *)
+    partial granule.  A range that runs past the end of RAM is clamped:
+    every granule from [addr]'s to the last becomes addressable. *)
 val unpoison : t -> addr:int -> size:int -> unit
 
 type verdict = Valid | Invalid of code
 
 (** Validate an access of [size] (1/2/4) bytes at [addr]; accesses outside
-    guest RAM are [Valid] (MMIO and fault logic own them). *)
+    guest RAM are [Valid] (MMIO and fault logic own them), and only the
+    bytes of an access up to the end of RAM are checked. *)
 val check : t -> addr:int -> size:int -> verdict
 
 (** Bump and return the KCSAN sampling counter of [addr]'s granule. *)
 val kcsan_bump : t -> int -> int
 
-(** Snapshot of both shadow planes (deep copy); a saved [state] is immune
-    to later mutation of the live shadow and survives repeated restores. *)
-type state
-
+(** Deep-copy both planes; the copy becomes the synced state. *)
 val save : t -> state
+
+(** Revert both planes to [state], which becomes the synced state.
+    Restoring the synced state (the latest {!save}, or the state last
+    restored) copies back only the dirty chunks; any other state costs a
+    full copy of both planes. *)
 val restore : t -> state -> unit

@@ -6,7 +6,9 @@
 type t = {
   mutable translations : int;  (* blocks translated (misses + stale) *)
   mutable cache_hits : int;  (* hashtable lookups that found a live block *)
-  mutable cache_misses : int;  (* lookups that had to (re)translate *)
+  mutable cache_misses : int;
+      (* lookups that found no live block: translated, or revived after
+         [Machine.revalidate_tcg] *)
   mutable chained : int;  (* control transfers served by a chain link *)
   (* [flushes_load] counts the unavoidable flush on [load_image];
      [flushes_invalidate] counts everything else ([flush_tcg],

@@ -4,7 +4,9 @@
 type t = {
   mutable translations : int;  (** blocks translated (misses + stale) *)
   mutable cache_hits : int;  (** lookups that found a live block *)
-  mutable cache_misses : int;  (** lookups that had to (re)translate *)
+  mutable cache_misses : int;
+      (** lookups that found no live block: translated, or revived after
+          [Machine.revalidate_tcg] *)
   mutable chained : int;  (** transfers served by a chain link *)
   mutable flushes_load : int;  (** [load_image] flushes *)
   mutable flushes_invalidate : int;

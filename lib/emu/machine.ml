@@ -65,10 +65,15 @@ let pp_stop fmt = function
    stays hot, its chained successors are fused into [b_super], a block
    whose ops are the concatenation of freshly translated constituents
    with guard ops at the boundaries ([b_blocks] counts constituents, and
-   is the fused block's cost against the per-turn chain budget). *)
+   is the fused block's cost against the per-turn chain budget).
+
+   A block kept stale by {!revalidate_tcg} is revived on its next lookup
+   rather than retranslated: its generation catches up and its hotness,
+   links and superblock are reset, so it behaves exactly like a fresh
+   translation. *)
 type block = {
   b_base : int; (* guest pc this block was translated from *)
-  b_gen : int;
+  mutable b_gen : int; (* caught up by [lookup_block] when revived *)
   b_ops : (Cpu.t -> unit) array;
   b_insns : int;
   b_cost : int;
@@ -117,7 +122,12 @@ type t = {
   mutable engine : engine;
   mutable superblocks : bool; (* substitute fused blocks when available *)
   mutable super_threshold : int; (* execs before fusing; power of two *)
-  mutable tcg_gen : int; (* bumped by flush_tcg; invalidates chain links *)
+  mutable tcg_gen : int;
+      (* bumped by flush_tcg and revalidate_tcg; invalidates chain links *)
+  mutable suspects : (int * string) list;
+      (* (base, source bytes) of blocks translated, while dirty tracking
+         was on, from a page written since the last snapshot capture or
+         restore: the blocks revalidate_tcg must check against RAM *)
   mutable deadline : int; (* current run_slice deadline, for fused guards *)
   mutable total_insns : int;
   mutable cost : int; (* modeled guest cycles, Cost_model weights *)
@@ -179,6 +189,7 @@ let create ?(harts = 2) ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
         superblocks = true;
         super_threshold = 64;
         tcg_gen = 0;
+        suspects = [];
         deadline = max_int;
         total_insns = 0;
         cost = 0;
@@ -197,19 +208,40 @@ let add_device t dev =
 
 let flush_raw t =
   Hashtbl.reset t.block_cache;
+  t.suspects <- [];
   (* chained links and fused superblocks inside still-referenced blocks
      survive the hashtable reset; bumping the generation invalidates
      them *)
   t.tcg_gen <- t.tcg_gen + 1
 
-(* Explicit invalidation (self-modifying code, engine switch, snapshot
-   restore).  Instrumentation toggles do NOT come through here any more:
-   probe subscribe/unsubscribe, dirty tracking and cmplog all patch live
-   sites, which is what keeps [flushes_invalidate] at ~0 under a
-   probe-toggle storm (the toggle-storm oracle pins this). *)
+(* Explicit invalidation (self-modifying code, engine switch, a first or
+   full snapshot restore, a changed suspect).  Instrumentation toggles do
+   NOT come through here any more: probe subscribe/unsubscribe, dirty
+   tracking and cmplog all patch live sites, which is what keeps
+   [flushes_invalidate] at ~0 under a probe-toggle storm (the
+   toggle-storm oracle pins this). *)
 let flush_tcg t =
   flush_raw t;
   t.stats.flushes_invalidate <- t.stats.flushes_invalidate + 1
+
+(* Called after a snapshot restore has reverted RAM.  Every cached block
+   was translated either from a page not written since the last capture
+   or restore -- whose bytes the revert left as they were -- or from a
+   written page, in which case it is a suspect whose source bytes were
+   recorded.  So the cache is still exact unless some suspect's bytes
+   differ from RAM now, which is the only case that flushes.  Otherwise
+   the generation bump makes every block stale, and [lookup_block]
+   revives each one as if freshly translated: a warm cache replays
+   exactly like a flushed one, without the retranslation. *)
+let revalidate_tcg t =
+  let changed (base, src) =
+    Ram.read_string t.ram ~addr:base ~len:(String.length src) <> src
+  in
+  if List.exists changed t.suspects then flush_tcg t
+  else begin
+    t.suspects <- [];
+    t.tcg_gen <- t.tcg_gen + 1
+  end
 
 let set_engine t engine =
   if t.engine <> engine then begin
@@ -435,7 +467,18 @@ let collect_block t base =
       (List.rev acc, pc + Insn.size)
     else collect (pc + Insn.size) acc (n + 1)
   in
-  collect base [] 0
+  let ((_, end_pc) as block) = collect base [] 0 in
+  (* a block spans at most two pages; one written since the last capture
+     or restore makes it a suspect for [revalidate_tcg] *)
+  let ram = t.ram in
+  let page addr = (addr - Ram.base ram) lsr Ram.page_shift in
+  let written addr =
+    Ram.page_is_dirty ram ~channel:Ram.snap_channel (page addr)
+  in
+  if Ram.track_dirty ram && (written base || written (end_pc - 1)) then
+    t.suspects <-
+      (base, Ram.read_string ram ~addr:base ~len:(end_pc - base)) :: t.suspects;
+  block
 
 (* Translate one basic block starting at [base] for the fast engine.
    Instrumentation points compile to *patchable sites*: each op that can
@@ -1040,7 +1083,19 @@ let lookup_block t pc =
   | Some b when b.b_gen = t.tcg_gen ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
       b
-  | Some _ | None ->
+  | Some b ->
+      (* kept by [revalidate_tcg] (a flush empties the table): revive it
+         in O(1) with the dynamic state of a fresh translation *)
+      t.stats.cache_misses <- t.stats.cache_misses + 1;
+      b.b_gen <- t.tcg_gen;
+      b.b_execs <- 0;
+      b.b_super <- None;
+      b.l0_pc <- min_int;
+      b.l0 <- None;
+      b.l1_pc <- min_int;
+      b.l1 <- None;
+      b
+  | None ->
       t.stats.cache_misses <- t.stats.cache_misses + 1;
       let b = translate t pc in
       Hashtbl.replace t.block_cache pc b;

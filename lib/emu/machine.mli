@@ -67,7 +67,13 @@ type t = {
   mutable engine : engine;
   mutable superblocks : bool;  (** substitute fused blocks when available *)
   mutable super_threshold : int;  (** execs before fusing; power of two *)
-  mutable tcg_gen : int;  (** bumped by flush_tcg; invalidates chain links *)
+  mutable tcg_gen : int;
+      (** bumped by {!flush_tcg} and {!revalidate_tcg}; invalidates chain
+          links *)
+  mutable suspects : (int * string) list;
+      (** (base, source bytes) of the blocks translated, while dirty
+          tracking was on, from a page written since the last snapshot
+          capture or restore; {!revalidate_tcg} checks them *)
   mutable deadline : int;  (** current run_slice deadline, for fused guards *)
   mutable total_insns : int;
   mutable cost : int;  (** modeled guest cycles ({!Cost_model} weights) *)
@@ -113,11 +119,22 @@ val create :
 val add_device : t -> Device.t -> unit
 
 (** Explicitly flush the translation cache and invalidate all chained
-    successor links and superblocks (self-modifying code, snapshot
-    restore).  Instrumentation toggles never flush: probe
-    subscribe/unsubscribe, dirty tracking and cmplog all patch live
+    successor links and superblocks (self-modifying code, the first or a
+    [~full] snapshot restore).  Instrumentation toggles never flush:
+    probe subscribe/unsubscribe, dirty tracking and cmplog all patch live
     sites.  Counted in [stats.flushes_invalidate]. *)
 val flush_tcg : t -> unit
+
+(** Keep the translation cache across a snapshot restore that reverted
+    RAM through the dirty-page path.  Flushes (as {!flush_tcg}) only if
+    some [suspects] block's source bytes differ from RAM now; otherwise
+    every block goes stale and its next lookup revives it in O(1) with
+    the hotness, chain links and superblock of a fresh translation, so
+    execution is identical to a flushed cache.  Sound only if, since the
+    last flush, dirty tracking stayed on and every snapshot capture or
+    restore left RAM as it is now -- which is why [Snap.restore] flushes
+    instead on a snapshot's first restore and on a [~full] one. *)
+val revalidate_tcg : t -> unit
 
 (** Switch execution engines; flushes the translation cache when the mode
     actually changes (blocks of the two engines are not interchangeable). *)

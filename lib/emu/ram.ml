@@ -99,14 +99,26 @@ let revert_dirty t ~channel ~from =
   let others = Char.unsafe_chr (lnot mask land 0xFF) in
   let reverted = ref 0 in
   let total = Bytes.length t.bytes in
-  for p = 0 to Bytes.length t.dirty - 1 do
-    if Char.code (Bytes.unsafe_get t.dirty p) land mask <> 0 then begin
-      let off = p lsl page_shift in
-      let len = min page_size (total - off) in
-      Bytes.blit from off t.bytes off len;
-      Bytes.unsafe_set t.dirty p others;
-      incr reverted
-    end
+  (* a restore typically finds a few pages among ~1024, so the bitmap is
+     scanned a word (eight pages) at a time *)
+  let word_mask = Int64.mul 0x0101_0101_0101_0101L (Int64.of_int mask) in
+  let n = Bytes.length t.dirty in
+  let w = ref 0 in
+  while !w < n do
+    if
+      !w + 8 > n
+      || Int64.logand (Bytes.get_int64_ne t.dirty !w) word_mask <> 0L
+    then
+      for p = !w to min (!w + 8) n - 1 do
+        if Char.code (Bytes.unsafe_get t.dirty p) land mask <> 0 then begin
+          let off = p lsl page_shift in
+          let len = min page_size (total - off) in
+          Bytes.blit from off t.bytes off len;
+          Bytes.unsafe_set t.dirty p others;
+          incr reverted
+        end
+      done;
+    w := !w + 8
   done;
   !reverted
 

@@ -4,9 +4,10 @@
    (full copy at capture), per-hart architectural state, device state (via
    the {!Device.t} save/restore hooks) and, optionally, the host-side
    sanitizer runtime (shadow planes, KASAN/KCSAN/kmemleak tables, report
-   sink).  Restore is O(pages touched): capture arms {!Ram} dirty-page
-   tracking on the snapshot channel, and restore reverts only the pages
-   written since.
+   sink).  Restore costs what was written since: capture arms {!Ram}
+   dirty-page tracking on the snapshot channel, and restore reverts only
+   the pages written since, the shadow planes copy back only their dirty
+   chunks, and the translation cache is revalidated instead of flushed.
 
    Single-active-snapshot discipline: capture clears the snapshot dirty
    channel, so only the *most recent* capture of a machine can be restored
@@ -18,9 +19,13 @@
    What is deliberately NOT captured: probe subscribers and site state, trap
    handlers, device callbacks (mailbox on_ready/on_complete), the
    translation cache and engine statistics — all host-side wiring or
-   caches whose contents are semantically transparent.  Restore calls
-   {!Machine.flush_tcg} because translations of guest code pages that were
-   modified and then reverted would otherwise survive with stale bodies. *)
+   caches whose contents are semantically transparent.  Translations of
+   guest code that was modified and then reverted must not survive with
+   stale bodies: the first restore of a snapshot, and every full one,
+   calls {!Machine.flush_tcg} (blocks translated before it have unknown
+   provenance); every later restore calls {!Machine.revalidate_tcg},
+   which flushes only if a block translated from a page written since
+   the last capture or restore no longer matches RAM. *)
 
 open Embsan_emu
 
@@ -44,6 +49,7 @@ type t = {
   entry : int;
   rehost : string option; (* rehost-hook state (memo table, pending IRQs) *)
   runtime : (Embsan_core.Runtime.t * Embsan_core.Runtime.state) option;
+  mutable restored : bool; (* a restore of this snapshot has flushed *)
 }
 
 let save_hart (cpu : Cpu.t) =
@@ -88,6 +94,7 @@ let capture ?runtime (machine : Machine.t) =
         (fun (rh : Machine.rehost) -> rh.Machine.rh_save ())
         machine.Machine.rehost;
     runtime = Option.map (fun rt -> (rt, Embsan_core.Runtime.save rt)) runtime;
+    restored = false;
   }
 
 (** Number of RAM pages currently dirty since the last capture (the data
@@ -99,13 +106,14 @@ let dirty_pages (machine : Machine.t) =
     reverted page-wise in O(pages written since capture); [~full:true]
     forces a whole-RAM revert instead (required when [t] is not the most
     recent capture of this machine).  Returns the number of pages
-    reverted.  The translation cache is flushed — stale translations of
-    reverted guest code must not survive. *)
+    reverted.  The first and every full restore flush the translation
+    cache; later ones revalidate it. *)
 let restore ?(full = false) t =
   let m = t.machine in
   let ram = m.Machine.ram in
+  let full = full || not (Ram.track_dirty ram) in
   let pages =
-    if full || not (Ram.track_dirty ram) then begin
+    if full then begin
       Bytes.blit t.ram_image 0 ram.Ram.bytes 0 (Bytes.length t.ram_image);
       (* every page may have changed: mark all pages dirty for the other
          channels, then clear our own bit *)
@@ -138,5 +146,7 @@ let restore ?(full = false) t =
   Option.iter
     (fun (rt, st) -> Embsan_core.Runtime.restore rt st)
     t.runtime;
-  Machine.flush_tcg m;
+  if full || not t.restored then Machine.flush_tcg m
+  else Machine.revalidate_tcg m;
+  t.restored <- true;
   pages

@@ -5,8 +5,9 @@
     rehost-hook state (MMIO memo table and pending interrupts, via the
     {!Embsan_emu.Machine.rehost} save/restore closures) and (optionally)
     the host-side sanitizer runtime; {!restore} reverts in
-    O(pages written since capture) using {!Embsan_emu.Ram} dirty-page
-    tracking.  Single-active-snapshot discipline: only the most recent
+    O(state written since capture): {!Embsan_emu.Ram} dirty pages, the
+    shadow planes' dirty chunks, and a translation cache that is kept
+    when no block translated from a written page changed.  Single-active-snapshot discipline: only the most recent
     capture of a machine restores through the dirty-page fast path; older
     snapshots need [restore ~full:true].  Host-side wiring — probe
     subscribers, trap handlers, device callbacks, the fuzzer's
@@ -25,6 +26,10 @@ val capture : ?runtime:Embsan_core.Runtime.t -> Embsan_emu.Machine.t -> t
 val dirty_pages : Embsan_emu.Machine.t -> int
 
 (** Revert machine (and captured runtime) to the snapshot; returns pages
-    reverted.  Flushes the translation cache.  [~full:true] forces a
-    whole-RAM revert (required for non-latest snapshots). *)
+    reverted.  [~full:true] forces a whole-RAM revert (required for
+    non-latest snapshots).  The first restore of a snapshot and every
+    full one flush the translation cache; every later restore calls
+    {!Embsan_emu.Machine.revalidate_tcg}, which keeps it unless a block
+    translated from a page written since the last capture or restore no
+    longer matches RAM. *)
 val restore : ?full:bool -> t -> int

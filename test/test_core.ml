@@ -197,6 +197,145 @@ let shadow_partial_roundtrip =
         | _ -> false
         | exception Invalid_argument _ -> true)
 
+(* Guest-fed ranges and accesses at the end of RAM clamp to the plane
+   instead of indexing past it.  Each of these raised [Invalid_argument]
+   before the clamp. *)
+let shadow_clamps_at_ram_end () =
+  let limit = base + 0x1_0000 in
+  let s = mk_shadow () in
+  let valid addr size = Shadow.check s ~addr ~size = Shadow.Valid in
+  Shadow.poison s ~addr:(limit - 0x200) ~size:0x200 Shadow.Heap_redzone;
+  Shadow.unpoison s ~addr:(limit - 0x10) ~size:0x100;
+  Alcotest.(check bool) "clamped range unpoisoned" true
+    (valid (limit - 0x10) 4 && valid (limit - 4) 4);
+  Alcotest.(check bool) "granule before it still poisoned" false
+    (valid (limit - 0x11) 1);
+  Shadow.poison s ~addr:(limit - 8) ~size:8 Shadow.Freed;
+  Shadow.unpoison s ~addr:(limit - 4) ~size:13;
+  Alcotest.(check bool) "tail past RAM: last granule addressable" true
+    (valid (limit - 4) 4);
+  Shadow.unpoison s ~addr:(base + 0x8000) ~size:0x7fff_ffff;
+  Alcotest.(check bool) "huge size unpoisons to the end" true
+    (valid (base + 0x8000) 4 && valid (limit - 0x200) 4 && valid (limit - 1) 1);
+  Alcotest.(check bool) "granules below untouched" true (valid (base + 0x7ff8) 8);
+  Alcotest.(check bool) "access straddling the end" true
+    (valid (limit - 2) 4);
+  Shadow.poison s ~addr:(limit - 8) ~size:8 Shadow.Freed;
+  (match Shadow.check s ~addr:(limit - 2) ~size:4 with
+  | Shadow.Invalid Shadow.Freed -> ()
+  | _ -> Alcotest.fail "straddling access into a freed granule")
+
+(* End to end: a guest [lw] that straddles the end of RAM is the fault
+   logic's business with or without EmbSan-D KASAN attached; the probed
+   access check must not raise out of [Machine.run]. *)
+let lw_past_ram_end_faults () =
+  let limit = base + 0x1_0000 in
+  let text =
+    Asm.
+      [
+        Label "main";
+        li Reg.t0 (Embsan_emu.Devices.mailbox_base + 0x28);
+        li Reg.t1 1;
+        store Insn.W32 Reg.t0 Reg.t1 0 (* ready doorbell: sanitizers on *);
+        li Reg.t0 (limit - 2);
+        load Insn.W32 Reg.a0 Reg.t0 0;
+        halt;
+      ]
+  in
+  let img =
+    Asm.assemble ~arch:Arch.Arm_ev ~text_base:base ~entry:"main"
+      [ { Asm.unit_name = "t"; text; data = [] } ]
+  in
+  let run ~kasan =
+    let m =
+      Machine.create ~harts:1 ~ram_base:base ~ram_size:0x1_0000
+        ~arch:Arch.Arm_ev ()
+    in
+    Machine.load_image m img;
+    Machine.boot m;
+    if kasan then
+      ignore
+        (Runtime.attach
+           ~spec:(Distiller.distill [ Api_spec.kasan () ])
+           ~mode:Runtime.D m
+          : Runtime.t);
+    Machine.run m ~max_insns:100
+  in
+  List.iter
+    (fun kasan ->
+      match run ~kasan with
+      | Machine.Fault (acc, "access beyond RAM") ->
+          Alcotest.(check int) "faulting address" (limit - 2) acc.addr
+      | s -> Alcotest.failf "kasan=%b: got %a" kasan Machine.pp_stop s)
+    [ false; true ]
+
+(* Restoring the latest save copies back only the dirty chunks; restoring
+   any other state copies everything.  Either way both planes must equal
+   the full copy taken at save time, whatever mix of poison, unpoison and
+   KCSAN bumps ran in between -- ranges straddling chunk boundaries and
+   the end of RAM included. *)
+let shadow_restore_qcheck =
+  let open QCheck2 in
+  let size = 0x1_0000 in
+  let off =
+    Gen.(
+      oneof
+        [
+          int_range 0 (size - 1);
+          (* around a chunk (4 KiB) boundary, below base and past the end *)
+          map2 (fun c d -> (c * 4096) + d) (int_range 0 16) (int_range (-24) 24);
+          map (fun d -> size - d) (int_range 1 64);
+        ])
+  in
+  let len = Gen.(oneof [ int_range 1 64; int_range 1 9000; pure 0x7fff_ffff ]) in
+  let code =
+    Gen.oneofl Shadow.[ Heap_redzone; Stack_redzone; Global_redzone; Freed ]
+  in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, map3 (fun a n c -> `Poison (a, n, c)) off len code);
+          (3, map2 (fun a n -> `Unpoison (a, n)) off len);
+          (3, map (fun a -> `Bump a) off);
+          (1, pure `Save);
+          (2, pure `Restore_latest);
+          (1, map (fun k -> `Restore_older k) nat);
+        ])
+  in
+  Test.make ~name:"dirty-chunk restore equals a full copy" ~count:300
+    Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+      let s = mk_shadow () in
+      (* newest first: the state and full copies of both planes *)
+      let saved = ref [] in
+      let ok = ref true in
+      let restore (st, kasan, kcsan) =
+        Shadow.restore s st;
+        ok :=
+          !ok
+          && Bytes.equal s.Shadow.kasan kasan
+          && Bytes.equal s.Shadow.kcsan_epoch kcsan
+      in
+      List.iter
+        (function
+          | `Poison (a, n, c) -> Shadow.poison s ~addr:(base + a) ~size:n c
+          | `Unpoison (a, n) -> Shadow.unpoison s ~addr:(base + a) ~size:n
+          | `Bump a -> ignore (Shadow.kcsan_bump s (base + a) : int)
+          | `Save ->
+              let st = Shadow.save s in
+              saved :=
+                (st, Bytes.copy s.Shadow.kasan, Bytes.copy s.Shadow.kcsan_epoch)
+                :: !saved
+          | `Restore_latest -> (
+              match !saved with latest :: _ -> restore latest | [] -> ())
+          | `Restore_older k -> (
+              match !saved with
+              | [] -> ()
+              | l -> restore (List.nth l (k mod List.length l))))
+        ops;
+      !ok)
+
 (* --- Host KASAN -------------------------------------------------------------------- *)
 
 let mk_kasan () =
@@ -1051,6 +1190,11 @@ let () =
           Alcotest.test_case "encoding byte round-trip" `Quick
             shadow_byte_roundtrip;
           QCheck_alcotest.to_alcotest shadow_partial_roundtrip;
+          Alcotest.test_case "clamps at the end of RAM" `Quick
+            shadow_clamps_at_ram_end;
+          Alcotest.test_case "guest lw past RAM end faults under KASAN" `Quick
+            lw_past_ram_end_faults;
+          QCheck_alcotest.to_alcotest shadow_restore_qcheck;
         ] );
       ( "kasan",
         [

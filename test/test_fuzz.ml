@@ -289,6 +289,36 @@ let campaign_golden_trajectories () =
         ("freertos/st7789_flush", 101, false);
       ]
 
+(* Golden values for a seeded rehost campaign: mmio-suite with model-free
+   rehosting and IRQ injection restores the post-boot snapshot before
+   every exec, so this pins the per-exec restore path (the goldens above
+   only restore after crashes).  The reproducer's rehost seed is pinned
+   too. *)
+let campaign_golden_rehost () =
+  let fw = Firmware_db.mmio_suite_fw in
+  let cfg =
+    {
+      (Campaign.default_config fw) with
+      max_execs = 500;
+      seed = 1;
+      stop_when_all_found = false;
+      use_rehost = true;
+      use_irq = true;
+    }
+  in
+  let r = Campaign.run cfg in
+  Alcotest.(check (list int))
+    "coverage, corpus, insns, crashes" [ 203; 67; 1866467; 0 ]
+    [ r.r_coverage; r.r_corpus; r.r_insns; r.r_crashes ];
+  Alcotest.(check (list (pair (triple string int bool) (option int))))
+    "found bugs, first exec, confirmed, rehost seed"
+    [ (("mmio-suite/irq_uaf", 95, true), Some 827339329) ]
+    (List.sort compare
+       (List.map
+          (fun (f : Campaign.found) ->
+            ((f.f_bug.b_id, f.f_exec, f.f_confirmed), f.f_rehost))
+          r.r_found))
+
 let campaign_seed_variation () =
   let fw = small_fw () in
   let execs seed =
@@ -449,5 +479,7 @@ let () =
             cmplog_solves_magic_gate;
           Alcotest.test_case "cmplog campaign deterministic" `Slow
             cmplog_campaign_deterministic;
+          Alcotest.test_case "golden rehost trajectory" `Slow
+            campaign_golden_rehost;
         ] );
     ]

@@ -10,6 +10,9 @@ module Report = Embsan_core.Report
 module Embsan = Embsan_core.Embsan
 module Replay = Embsan_guest.Replay
 module Firmware_db = Embsan_guest.Firmware_db
+module Rng = Embsan_fuzz.Rng
+module Prog = Embsan_fuzz.Prog
+module Rehost = Embsan_rehost.Rehost
 
 (* --- per-device round-trips ------------------------------------------------ *)
 
@@ -225,6 +228,151 @@ let runtime_state_restores () =
   Alcotest.(check (list string)) "re-trigger reports again" first
     (report_titles ())
 
+(* --- translation cache across restores ---------------------------------- *)
+
+(* The per-exec restore path (mmio-suite under rehosting with IRQ
+   injection): one instance keeps its translations across restores, the
+   other flushes after each one, as every restore used to.  Reviving a
+   kept block must be indistinguishable from retranslating it, exec by
+   exec, while translating a small fraction of the blocks. *)
+let warm_cache_replays_like_cold () =
+  let fw = Firmware_db.mmio_suite_fw in
+  let instance () =
+    let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.kasan_only) in
+    let cov = Coverage.create ~harts:2 in
+    Coverage.attach_tcg cov inst.Replay.machine;
+    let ctl = Rehost.create inst.Replay.machine in
+    (inst, cov, ctl, Snap.capture ?runtime:inst.Replay.rt inst.Replay.machine)
+  in
+  (* one exec as the campaign runs it: restore, arm the rehost seed's MMIO
+     and IRQ streams, replay *)
+  let exec ~cold (inst, cov, ctl, snap) (prog, seed) =
+    let m = inst.Replay.machine in
+    ignore (Snap.restore snap : int);
+    if cold then Machine.flush_tcg m;
+    let root = Rng.create ~seed in
+    let mr = Rng.split_stream root ~shard:0 ~stream:"mmio" in
+    let ir = Rng.split_stream root ~shard:0 ~stream:"irq" in
+    Rehost.arm ctl
+      ~irq:(fun n -> Rng.below ir n)
+      ~mmio:(fun () -> Rng.next mr);
+    Coverage.reset_edges cov;
+    let o = Replay.replay inst (Prog.to_reproducer prog) in
+    ( o.Replay.o_insns,
+      Coverage.signature cov,
+      List.map Report.title o.Replay.o_reports,
+      o.Replay.o_crash )
+  in
+  let rng = Rng.create ~seed:1 in
+  let inputs =
+    List.init 500 (fun _ ->
+        let prog = Prog.gen rng fw.Firmware_db.fw_syscalls in
+        (prog, Rng.next rng land 0x3FFF_FFFF))
+  in
+  let warm = instance () and cold = instance () in
+  let translations (inst, _, _, _) =
+    inst.Replay.machine.Machine.stats.Engine_stats.translations
+  in
+  let warm0 = translations warm and cold0 = translations cold in
+  List.iteri
+    (fun i input ->
+      if exec ~cold:false warm input <> exec ~cold:true cold input then
+        Alcotest.failf "exec %d: the warm cache diverged from the flushed one" i)
+    inputs;
+  let warm_n = translations warm - warm0 and cold_n = translations cold - cold0 in
+  if warm_n * 20 >= cold_n then
+    Alcotest.failf "warm cache translated %d blocks, flushed %d (want < 5%%)"
+      warm_n cold_n
+
+(* Code written after capture.  A block translated before the write runs
+   stale until the restore reverts the write, and is then reused without
+   retranslation.  A block translated from the written bytes is a suspect:
+   the restore finds its bytes changed and flushes.  Either way the next
+   run matches a fresh machine. *)
+let self_modifying_code () =
+  let open Embsan_isa in
+  let text =
+    Asm.
+      [
+        Label "main";
+        call "f";
+        mv Reg.t0 Reg.a0;
+        la Reg.t1 "sel";
+        load Insn.W32 Reg.t2 Reg.t1 0;
+        beqz Reg.t2 "done";
+        call "g";
+        Ins (Insn.Alu (Insn.Add, Reg.t0, Reg.t0, Reg.a1));
+        Label "done";
+        mv Reg.a0 Reg.t0;
+        halt;
+        Label "f";
+        li Reg.a0 5;
+        ret;
+        Label "g";
+        li Reg.a1 7;
+        ret;
+      ]
+  in
+  let data = Asm.[ Label "sel"; Words [ 0 ] ] in
+  let img =
+    Asm.assemble ~arch:Arch.Arm_ev ~text_base:ram_base ~entry:"main"
+      [ { Asm.unit_name = "t"; text; data } ]
+  in
+  let sym = Image.symbol_addr_exn img in
+  let boot () =
+    let m = make_machine () in
+    Machine.load_image m img;
+    Machine.boot m;
+    m
+  in
+  let poke m ~addr insn =
+    String.iteri
+      (fun i c ->
+        Machine.write_mem m ~addr:(addr + i) ~width:1 ~value:(Char.code c))
+      (Codec.encode Arch.Arm_ev insn)
+  in
+  let set_sel m = Machine.write_mem m ~addr:(sym "sel") ~width:4 ~value:1 in
+  let run m =
+    let stop = Machine.run m ~max_insns:1000 in
+    (stop, m.Machine.total_insns, Array.copy m.Machine.harts.(0).Cpu.regs)
+  in
+  let fresh prepare =
+    let m = boot () in
+    prepare m;
+    run m
+  in
+  let m = boot () in
+  let snap = Snap.capture m in
+  ignore (Snap.restore snap : int) (* the first restore flushes *);
+  Alcotest.(check bool) "first run" true (run m = fresh ignore);
+  (* f is cached: overwrite its code, and the restore reverts the bytes f
+     was translated from, so f is kept *)
+  poke m ~addr:(sym "f") (Insn.Li (Reg.a0, 9));
+  let translations = m.Machine.stats.Engine_stats.translations in
+  let flushes = m.Machine.stats.Engine_stats.flushes_invalidate in
+  ignore (Snap.restore snap : int);
+  Alcotest.(check bool) "reverted code: as fresh" true (run m = fresh ignore);
+  Alcotest.(check int) "blocks reused" translations
+    m.Machine.stats.Engine_stats.translations;
+  Alcotest.(check int) "no flush" flushes
+    m.Machine.stats.Engine_stats.flushes_invalidate;
+  (* g was never run: it is translated from the written bytes *)
+  ignore (Snap.restore snap : int);
+  set_sel m;
+  poke m ~addr:(sym "g") (Insn.Li (Reg.a1, 30));
+  (match run m with
+  | Machine.Halted 35, _, _ -> ()
+  | s, _, _ -> Alcotest.failf "patched g: %a" Machine.pp_stop s);
+  ignore (Snap.restore snap : int);
+  Alcotest.(check int) "changed suspect flushes" (flushes + 1)
+    m.Machine.stats.Engine_stats.flushes_invalidate;
+  set_sel m;
+  let after = run m in
+  Alcotest.(check bool) "after the flush: as fresh" true (after = fresh set_sel);
+  match after with
+  | Machine.Halted 12, _, _ -> ()
+  | s, _, _ -> Alcotest.failf "original g: %a" Machine.pp_stop s
+
 let () =
   Alcotest.run "embsan_snap"
     [
@@ -242,6 +390,10 @@ let () =
             restore_cost_is_o_touched;
           Alcotest.test_case "stale snapshot needs ~full" `Quick
             full_restore_for_stale_snapshot;
+          Alcotest.test_case "warm cache replays like a flushed one" `Quick
+            warm_cache_replays_like_cold;
+          Alcotest.test_case "self-modifying code after capture" `Quick
+            self_modifying_code;
         ] );
       ( "runtime",
         [
