@@ -241,14 +241,17 @@ let opt_json = function Some s -> sample_json s | None -> "null"
 (* Ratio-based regression floors, derived from the PR-4 BENCH_emu.json
    (baseline 23.7M, fast 105.9M, kasan 22.2M, kcsan 86.5M insns/sec on the
    reference host).  Ratios are host-independent; the margins absorb
-   normal machine-to-machine noise but not a real regression. *)
+   normal machine-to-machine noise but not a real regression.  The KASAN
+   floor is 1.1x since armed mem sites stopped allocating ("fire, then
+   fast"): six runs on a 2-vCPU AMD EPYC measured 1.18-1.74x, where the
+   record-allocating probed path had measured 0.97-1.03x. *)
 let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_ratio
     ~super_ratio ~patched_flushes ~gate_solved =
   [
     ("speedup_fast_vs_baseline >= 3.0", speedup >= 3.0);
     ("chain_rate >= 0.90", chain_rate >= 0.90);
-    ( "kasan_probed >= 0.60 x baseline",
-      match kasan_ratio with None -> true | Some r -> r >= 0.60 );
+    ( "kasan_probed >= 1.1 x baseline",
+      match kasan_ratio with None -> true | Some r -> r >= 1.1 );
     ( "kcsan_probed >= 2.0 x baseline",
       match kcsan_ratio with None -> true | Some r -> r >= 2.0 );
     ("patched toggles >= 1.0 x legacy throughput", toggle_ratio >= 1.0);

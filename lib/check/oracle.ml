@@ -9,9 +9,10 @@
      granularity (16 chained blocks vs 1 block per hart turn) differs by
      design, so multi-hart interleavings are not comparable;
    - probe-transparency: the fast engine with no-op probes on all four
-     probe kinds vs no probes.  Probes steer translated code through the
-     event-building probed paths, none of which may leak into guest state
-     (paper section 3.3's transparency claim);
+     probe kinds vs no probes.  Armed sites fire their subscribers
+     (rewinding the retired-insn counter around the call) before the
+     access, none of which may leak into guest state (paper section 3.3's
+     transparency claim);
    - flush-anytime: random [flush_tcg] between sync points must be
      invisible;
    - subscription-churn: alternately subscribing and clearing probes
@@ -89,8 +90,11 @@ let machine_of ?(harts = 1) (p : Progen.t) =
       Cpu.set cpu Reg.a0 (Cpu.get cpu Reg.a0 lxor 0x5A5A));
   m
 
+let ignore_mem ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ =
+  ()
+
 let no_op_probes (m : Machine.t) =
-  Probe.on_mem m.probes (fun _ -> ());
+  Probe.on_mem m.probes ignore_mem;
   Probe.on_call m.probes (fun _ -> ());
   Probe.on_ret m.probes (fun _ -> ());
   Probe.on_block m.probes (fun _ -> ())
@@ -189,7 +193,7 @@ let toggle_storm ~cfg (p : Progen.t) =
       | 3 ->
           let s =
             match Rng.below rng 4 with
-            | 0 -> Probe.subscribe_mem mb.Machine.probes (fun _ -> ())
+            | 0 -> Probe.subscribe_mem mb.Machine.probes ignore_mem
             | 1 -> Probe.subscribe_call mb.Machine.probes (fun _ -> ())
             | 2 -> Probe.subscribe_ret mb.Machine.probes (fun _ -> ())
             | _ -> Probe.subscribe_block mb.Machine.probes (fun _ -> ())

@@ -73,20 +73,25 @@ let restore t (s : state) =
   t.alloc_events <- s.s_alloc_events;
   t.free_events <- s.s_free_events
 
+(* The dedup key comes first: a repeat of a known bug only bumps its hit
+   count, so [detail] (which may scan the allocation table) is built for
+   new findings only. *)
 let report t ~kind ~addr ~size ~is_write ~pc ~hart ~detail =
-  ignore
-    (Report.add t.sink
-       {
-         kind;
-         sanitizer = "kasan";
-         addr;
-         size;
-         is_write;
-         pc;
-         hart;
-         location = t.symbolize pc;
-         detail;
-       })
+  let location = t.symbolize pc in
+  if not (Report.bump t.sink (Report.key kind ~location ~pc)) then
+    ignore
+      (Report.add t.sink
+         {
+           kind;
+           sanitizer = "kasan";
+           addr;
+           size;
+           is_write;
+           pc;
+           hart;
+           location;
+           detail = detail ();
+         })
 
 (* --- State maintenance ------------------------------------------------------- *)
 
@@ -119,10 +124,10 @@ let on_free t ~ptr ~pc ~hart =
         end
     | Some _ ->
         report t ~kind:Report.Double_free ~addr:ptr ~size:0 ~is_write:true ~pc
-          ~hart ~detail:"block already freed"
+          ~hart ~detail:(fun () -> "block already freed")
     | None ->
         report t ~kind:Report.Invalid_free ~addr:ptr ~size:0 ~is_write:true ~pc
-          ~hart ~detail:"pointer was never allocated"
+          ~hart ~detail:(fun () -> "pointer was never allocated")
 
 let on_register_global t ~addr ~size =
   let rz = t.redzone in
@@ -164,7 +169,7 @@ let on_access t ~addr ~size ~is_write ~pc ~hart =
   t.access_checks <- t.access_checks + 1;
   if addr < 0x1000 then
     report t ~kind:Report.Null_deref ~addr ~size ~is_write ~pc ~hart
-      ~detail:"dereference in the first page"
+      ~detail:(fun () -> "dereference in the first page")
   else
     match Shadow.check t.shadow ~addr ~size with
     | Shadow.Valid -> ()
@@ -177,9 +182,9 @@ let on_access t ~addr ~size ~is_write ~pc ~hart =
           | Addressable -> assert false
         in
         report t ~kind ~addr ~size ~is_write ~pc ~hart
-          ~detail:
-            (Printf.sprintf "shadow: %s; %s" (Shadow.code_name code)
-               (describe_owner t addr))
+          ~detail:(fun () ->
+            Printf.sprintf "shadow: %s; %s" (Shadow.code_name code)
+              (describe_owner t addr))
 
 (* --- Plugin ------------------------------------------------------------------ *)
 

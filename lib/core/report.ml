@@ -35,10 +35,13 @@ type t = {
   detail : string; (* free-form: allocation info, racing pc, ... *)
 }
 
-(** Deduplication key: bug class at a location, like syzbot's crash titles. *)
-let dedup_key r =
-  Printf.sprintf "%s:%s" (kind_name r.kind)
-    (match r.location with Some l -> l | None -> Printf.sprintf "pc_0x%x" r.pc)
+(** Deduplication key: bug class at a location, like syzbot's crash titles.
+    [pc] stands in for an unsymbolized [location]. *)
+let key kind ~location ~pc =
+  Printf.sprintf "%s:%s" (kind_name kind)
+    (match location with Some l -> l | None -> Printf.sprintf "pc_0x%x" pc)
+
+let dedup_key r = key r.kind ~location:r.location ~pc:r.pc
 
 let title r =
   Printf.sprintf "%s: %s in %s"
@@ -68,18 +71,25 @@ type sink = {
 let create_sink ?(limit = 10_000) () =
   { reports = []; seen = Hashtbl.create 64; limit }
 
-(** Add a report; returns [true] if it is a new (non-duplicate) bug. *)
-let add sink r =
-  let key = dedup_key r in
+(** Count one more hit of the bug with dedup key [key]; [false], and no
+    change, when no such bug has been seen yet. *)
+let bump sink key =
   match Hashtbl.find_opt sink.seen key with
   | Some n ->
       Hashtbl.replace sink.seen key (n + 1);
-      false
-  | None ->
-      Hashtbl.replace sink.seen key 1;
-      if List.length sink.reports < sink.limit then
-        sink.reports <- r :: sink.reports;
       true
+  | None -> false
+
+(** Add a report; returns [true] if it is a new (non-duplicate) bug. *)
+let add sink r =
+  let key = dedup_key r in
+  if bump sink key then false
+  else begin
+    Hashtbl.replace sink.seen key 1;
+    if List.length sink.reports < sink.limit then
+      sink.reports <- r :: sink.reports;
+    true
+  end
 
 let unique_reports sink = List.rev sink.reports
 let count sink = Hashtbl.length sink.seen

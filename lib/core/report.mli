@@ -26,7 +26,11 @@ type t = {
   detail : string;  (** free-form: allocation info, racing pc, ... *)
 }
 
-(** Deduplication key: bug class at a location, like syzbot's crash titles. *)
+(** Deduplication key of a [kind] bug at a symbolized [location] (or, when
+    unsymbolized, at [pc]), like syzbot's crash titles. *)
+val key : bug_kind -> location:string option -> pc:int -> string
+
+(** [key] of a report. *)
 val dedup_key : t -> string
 
 (** One-line title, e.g. ["KASAN: use-after-free in tc_filter_stats"]. *)
@@ -46,6 +50,11 @@ val create_sink : ?limit:int -> unit -> sink
 
 (** Add a report; returns [true] iff it is a new (non-duplicate) bug. *)
 val add : sink -> t -> bool
+
+(** [bump sink key] counts one more hit of an already-seen bug and returns
+    [true]; for an unseen [key] it returns [false] and changes nothing.
+    Lets a sanitizer skip building the report of a known bug. *)
+val bump : sink -> string -> bool
 
 (** Unique reports in arrival order. *)
 val unique_reports : sink -> t list

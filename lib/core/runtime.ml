@@ -227,10 +227,10 @@ let on_ready t () =
 
 let install_mem_probes t =
   let s =
-    Probe.subscribe_mem t.machine.probes (fun (ev : Probe.mem_event) ->
+    Probe.subscribe_mem t.machine.probes
+      (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value:_ ->
         if t.ready then
-          dispatch_access t ~pc:ev.pc ~addr:ev.addr ~size:ev.size
-            ~is_write:ev.is_write ~is_atomic:ev.is_atomic ~hart:ev.hart)
+          dispatch_access t ~pc ~addr ~size ~is_write ~is_atomic ~hart)
   in
   t.subs <- t.subs @ [ s ]
 

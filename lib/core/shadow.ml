@@ -135,16 +135,15 @@ let check t ~addr ~size =
     let last = addr + size - 1 in
     let last = if last < t.limit then last else t.limit - 1 in
     let sh = Bytes.get_uint8 t.kasan (index t last) in
-    if sh = 0 then
-      (* fast path: access may still start in a different, poisoned granule *)
-      if index t addr = index t last then Valid
-      else begin
-        let sh0 = Bytes.get_uint8 t.kasan (index t addr) in
-        if sh0 = 0 then Valid else Invalid (code_of_byte sh0)
-      end
-    else if sh < 8 then
-      if last land (granule - 1) < sh then Valid else Invalid (Partial sh)
-    else Invalid (code_of_byte sh)
+    if sh >= 8 || (sh <> 0 && last land (granule - 1) >= sh) then
+      Invalid (code_of_byte sh)
+    else if index t addr = index t last then Valid
+    else begin
+      (* the last granule is fine up to [last], but the access may start
+         in a different, poisoned granule *)
+      let sh0 = Bytes.get_uint8 t.kasan (index t addr) in
+      if sh0 = 0 then Valid else Invalid (code_of_byte sh0)
+    end
   end
 
 (* --- Snapshot support --------------------------------------------------------- *)

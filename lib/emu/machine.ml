@@ -11,7 +11,12 @@
      [Ram.track_dirty], [Cmplog.enabled]) at run time.  Toggling any of
      them is an O(1) mutation observed by already-translated code on its
      next dispatch -- no retranslation, no flush (Icicle's
-     "instrumentation without recompilation");
+     "instrumentation without recompilation").  An armed load/store site
+     is "fire, then fast": it computes the address, fires the mem
+     subscribers (labelled arguments, no event record) with the
+     retired-insn counter rewound to the instruction, then runs the same
+     width-specialized access the unarmed site runs -- so probing adds
+     one subscriber call per access and no allocation;
    - block chaining: each translated block caches up to two successor
      links (generation-tagged), so straight-line code and loops transfer
      control without touching the block hashtable;
@@ -403,6 +408,22 @@ let slow_write t ~hart ~pc ~addr ~size ~over value =
           rewound t ~over (fun () -> rh.rh_write ~pc ~addr ~size ~value)
       | _ -> Ram.check t.ram { hart; pc; addr; size; is_write = true })
 
+(* The armed mem site's subscriber call: the counter is rewound by [over]
+   (see {!rewound}) only around the subscribers, inline rather than
+   through a closure, and restored on return and on a raise (KCSAN stalls
+   with [Retry_at]).  The access itself runs afterwards in the op's fast
+   closure, whose device, rehost and fault slow paths rewind by the same
+   [over]. *)
+let fire_mem_rewound t ~over ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value =
+  t.total_insns <- t.total_insns - over;
+  match
+    Probe.fire_mem t.probes ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value
+  with
+  | () -> t.total_insns <- t.total_insns + over
+  | exception e ->
+      t.total_insns <- t.total_insns + over;
+      raise e
+
 (* Debug accessors used by the sanitizer runtime and tests. *)
 let read_mem t ~addr ~width =
   bus_read t { hart = -1; pc = 0; addr; size = width; is_write = false }
@@ -484,13 +505,12 @@ let collect_block t base =
    Instrumentation points compile to *patchable sites*: each op that can
    be instrumented captures the machine's shared probe/cmplog/dirty state
    records and checks the armed condition (one field load and branch) at
-   run time, dispatching to a probed or an uninstrumented closure both
-   built here.  Toggling a probe therefore patches every translated block
-   at once, with zero flushes; the unarmed path still bounds-checks
-   straight into RAM bytes with no callback and no allocation, exactly
-   like an uninstrumented TCG template.  Ops do not touch the
-   retired-insn/cost counters; those are charged per-block by the run
-   loop.
+   run time.  Toggling a probe therefore patches every translated block
+   at once, with zero flushes.  Memory ops bounds-check straight into RAM
+   bytes with no allocation, exactly like an uninstrumented TCG template,
+   armed or not: an armed site only adds the subscriber call before the
+   access (see {!fire_mem_rewound}).  Ops do not touch the retired-insn/
+   cost counters; those are charged per-block by the run loop.
 
    [pad_insns] supports superblock formation: a constituent re-translated
    into a fused block sits [pad_insns] retired instructions before the
@@ -526,7 +546,9 @@ let translate_fast ?(pad_insns = 0) t base =
   (* [idx] is the op's position in the block; memory ops turn it into the
      [over] rewind distance so device reads and probe callbacks observe
      exact per-instruction counters despite the batched block pre-charge
-     (see {!rewound}). *)
+     (see {!rewound}).  The armed mem site of each memory op fires the
+     subscribers, then runs the op's [fast] closure: a subscriber must not
+     write hart registers, since [fast] re-reads them. *)
   let op_of idx (pc, insn) : Cpu.t -> unit =
     match (insn : Insn.t) with
     | Nop | Fence -> fun _cpu -> ()
@@ -614,25 +636,6 @@ let translate_fast ?(pad_insns = 0) t base =
     | Load (w, signed, rd, rs1, imm) ->
         let size = Insn.width_bytes w in
         let over = pad_insns + n_insns - 1 - idx in
-        (* probed path, taken when the mem site is armed at run time *)
-        let probed cpu =
-          rewound t ~over (fun () ->
-              let addr = Word32.add (Cpu.get cpu rs1) imm in
-              Probe.fire_mem p
-                {
-                  hart = cpu.id;
-                  pc;
-                  addr;
-                  size;
-                  is_write = false;
-                  is_atomic = false;
-                  value = 0;
-                };
-              let raw =
-                bus_read t { hart = cpu.id; pc; addr; size; is_write = false }
-              in
-              Cpu.set cpu rd (load_result w signed raw))
-        in
         (* allocation-free fast path, width-specialized at translate time *)
         let d = ri rd and a = ri rs1 in
         let set (r : int array) v = if d <> 0 then Array.unsafe_set r d v in
@@ -673,28 +676,14 @@ let translate_fast ?(pad_insns = 0) t base =
         in
         (* the patchable site: one subscriber-array load and branch *)
         fun cpu ->
-          if Array.length p.Probe.mem = 0 then fast cpu else probed cpu
+          if Array.length p.Probe.mem <> 0 then
+            fire_mem_rewound t ~over ~hart:cpu.id ~pc
+              ~addr:((Array.unsafe_get cpu.Cpu.regs a + imm) land 0xFFFF_FFFF)
+              ~size ~is_write:false ~is_atomic:false ~value:0;
+          fast cpu
     | Store (w, rs1, rs2, imm) ->
         let size = Insn.width_bytes w in
         let over = pad_insns + n_insns - 1 - idx in
-        let probed cpu =
-          rewound t ~over (fun () ->
-              let addr = Word32.add (Cpu.get cpu rs1) imm in
-              let value = Cpu.get cpu rs2 in
-              Probe.fire_mem p
-                {
-                  hart = cpu.id;
-                  pc;
-                  addr;
-                  size;
-                  is_write = true;
-                  is_atomic = false;
-                  value;
-                };
-              bus_write t
-                { hart = cpu.id; pc; addr; size; is_write = true }
-                value)
-        in
         (* dirty marking consults [ram.track_dirty] at run time: the
            dirty-track site of the store template *)
         let a = ri rs1 and v = ri rs2 in
@@ -742,34 +731,16 @@ let translate_fast ?(pad_insns = 0) t base =
                     (Array.unsafe_get r v)
         in
         fun cpu ->
-          if Array.length p.Probe.mem = 0 then fast cpu else probed cpu
+          if Array.length p.Probe.mem <> 0 then begin
+            let r = cpu.Cpu.regs in
+            fire_mem_rewound t ~over ~hart:cpu.id ~pc
+              ~addr:((Array.unsafe_get r a + imm) land 0xFFFF_FFFF)
+              ~size ~is_write:true ~is_atomic:false
+              ~value:(Array.unsafe_get r v)
+          end;
+          fast cpu
     | Amo (op, rd, rs1, rs2) ->
         let over = pad_insns + n_insns - 1 - idx in
-        let probed cpu =
-          rewound t ~over (fun () ->
-              let addr = Cpu.get cpu rs1 in
-              Probe.fire_mem p
-                {
-                  hart = cpu.id;
-                  pc;
-                  addr;
-                  size = 4;
-                  is_write = true;
-                  is_atomic = true;
-                  value = Cpu.get cpu rs2;
-                };
-              let acc : Fault.access =
-                { hart = cpu.id; pc; addr; size = 4; is_write = true }
-              in
-              let old = bus_read t { acc with is_write = false } in
-              let next =
-                match op with
-                | Amo_add -> Word32.add old (Cpu.get cpu rs2)
-                | Amo_swap -> Cpu.get cpu rs2
-              in
-              bus_write t acc next;
-              Cpu.set cpu rd old)
-        in
         let d = ri rd and a = ri rs1 and v = ri rs2 in
         let is_add = match op with Amo_add -> true | Amo_swap -> false in
         let fast cpu =
@@ -799,7 +770,13 @@ let translate_fast ?(pad_insns = 0) t base =
           end
         in
         fun cpu ->
-          if Array.length p.Probe.mem = 0 then fast cpu else probed cpu
+          if Array.length p.Probe.mem <> 0 then begin
+            let r = cpu.Cpu.regs in
+            fire_mem_rewound t ~over ~hart:cpu.id ~pc
+              ~addr:(Array.unsafe_get r a) ~size:4 ~is_write:true
+              ~is_atomic:true ~value:(Array.unsafe_get r v)
+          end;
+          fast cpu
     | Branch (c, rs1, rs2, imm) ->
         let a = ri rs1 and b = ri rs2 in
         let taken = Word32.add pc imm and ft = pc + Insn.size in
@@ -945,16 +922,8 @@ let translate_baseline t base =
           tick_mem cpu;
           let addr = Word32.add (Cpu.get cpu rs1) imm in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes
-              {
-                hart = cpu.id;
-                pc;
-                addr;
-                size;
-                is_write = false;
-                is_atomic = false;
-                value = 0;
-              };
+            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size ~is_write:false
+              ~is_atomic:false ~value:0;
           let raw =
             bus_read t { hart = cpu.id; pc; addr; size; is_write = false }
           in
@@ -966,32 +935,16 @@ let translate_baseline t base =
           let addr = Word32.add (Cpu.get cpu rs1) imm in
           let value = Cpu.get cpu rs2 in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes
-              {
-                hart = cpu.id;
-                pc;
-                addr;
-                size;
-                is_write = true;
-                is_atomic = false;
-                value;
-              };
+            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size ~is_write:true
+              ~is_atomic:false ~value;
           bus_write t { hart = cpu.id; pc; addr; size; is_write = true } value
     | Amo (op, rd, rs1, rs2) ->
         fun cpu ->
           tick_mem cpu;
           let addr = Cpu.get cpu rs1 in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes
-              {
-                hart = cpu.id;
-                pc;
-                addr;
-                size = 4;
-                is_write = true;
-                is_atomic = true;
-                value = Cpu.get cpu rs2;
-              };
+            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size:4 ~is_write:true
+              ~is_atomic:true ~value:(Cpu.get cpu rs2);
           let acc : Fault.access =
             { hart = cpu.id; pc; addr; size = 4; is_write = true }
           in

@@ -7,7 +7,10 @@
     table ({!Probe.t} subscriber arrays, [Ram.track_dirty],
     [Cmplog.enabled]) at run time, so toggling instrumentation is an O(1)
     mutation observed by already-translated code -- no retranslation, no
-    flush.
+    flush.  An armed load/store/AMO site is "fire, then fast": it fires
+    the mem subscribers with the retired-insn counter exact for the
+    instruction, then runs the unarmed site's allocation-free access (see
+    {!Probe.mem_fn} for the subscriber contract).
 
     The fast engine chains translated blocks (generation-tagged successor
     links), fuses hot chains into superblocks, specializes

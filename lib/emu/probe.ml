@@ -13,17 +13,27 @@
    Subscribers are stored in arrays, appended in registration order.
    Registration is rare and cold; dispatch is the hot path, so a site's
    armed check is one array-length load and [fire_*] special-cases the
-   common one-sanitizer case into a direct closure call. *)
+   common one-sanitizer case into a direct closure call.
 
-type mem_event = {
-  hart : int;
-  pc : int;
-  addr : int;
-  size : int;
-  is_write : bool;
-  is_atomic : bool; (* AMO instructions: marked accesses for KCSAN *)
-  value : int; (* value being written (stores); 0 for loads (pre-access) *)
-}
+   Mem subscribers take the access as labelled arguments rather than an
+   event record, so an armed load/store site allocates nothing: it fires
+   the subscribers and then runs the same width-specialized access as an
+   unarmed site ("fire, then fast").  A mem subscriber therefore sees the
+   access before it happens and may raise (e.g. [Fault.Retry_at] to stall
+   the hart), but must not write hart registers: the access re-reads its
+   operands after the call. *)
+
+(* [is_atomic]: AMO instructions, marked accesses for KCSAN.  [value]: the
+   value being written (stores, AMOs); 0 for loads (pre-access). *)
+type mem_fn =
+  hart:int ->
+  pc:int ->
+  addr:int ->
+  size:int ->
+  is_write:bool ->
+  is_atomic:bool ->
+  value:int ->
+  unit
 
 type call_event = { c_hart : int; c_pc : int; c_target : int }
 
@@ -32,7 +42,7 @@ type ret_event = { r_hart : int; r_pc : int; r_target : int; r_retval : int }
 type block_event = { b_hart : int; b_pc : int }
 
 type t = {
-  mutable mem : (mem_event -> unit) array;
+  mutable mem : mem_fn array;
   mutable calls : (call_event -> unit) array;
   mutable rets : (ret_event -> unit) array;
   mutable blocks : (block_event -> unit) array;
@@ -103,12 +113,13 @@ let has_blocks t = Array.length t.blocks > 0
    overwhelmingly common configuration, and a direct closure call beats a
    generic iteration. *)
 
-let fire_mem t ev =
+let fire_mem t ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value =
   let a = t.mem in
-  if Array.length a = 1 then (Array.unsafe_get a 0) ev
+  if Array.length a = 1 then
+    (Array.unsafe_get a 0) ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value
   else
     for i = 0 to Array.length a - 1 do
-      (Array.unsafe_get a i) ev
+      (Array.unsafe_get a i) ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value
     done
 
 let fire_call t ev =

@@ -7,7 +7,14 @@ type event =
   | Block of { bt_hart : int; bt_pc : int }
   | Call of { ct_hart : int; ct_pc : int; ct_target : int; ct_args : int array }
   | Return of { rt_hart : int; rt_pc : int; rt_retval : int }
-  | Mem of Probe.mem_event
+  | Mem of {
+      mt_hart : int;
+      mt_pc : int;
+      mt_addr : int;
+      mt_size : int;
+      mt_is_write : bool;
+      mt_value : int;
+    }
 
 type t = {
   ring : event array;
@@ -46,7 +53,19 @@ let attach ?(capacity = 256) ?(mem = false) ?(blocks = true) (m : Machine.t) =
              ct_args = args }));
   Probe.on_ret m.probes (fun (ev : Probe.ret_event) ->
       push t (Return { rt_hart = ev.r_hart; rt_pc = ev.r_pc; rt_retval = ev.r_retval }));
-  if mem then Probe.on_mem m.probes (fun ev -> push t (Mem ev));
+  if mem then
+    Probe.on_mem m.probes
+      (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic:_ ~value ->
+        push t
+          (Mem
+             {
+               mt_hart = hart;
+               mt_pc = pc;
+               mt_addr = addr;
+               mt_size = size;
+               mt_is_write = is_write;
+               mt_value = value;
+             }));
   t
 
 (** Events currently in the ring, oldest first. *)
@@ -69,11 +88,11 @@ let pp_event ?(symbolize = fun _ -> None) fmt = function
            (Array.to_list (Array.map (Printf.sprintf "0x%x") ct_args)))
   | Return { rt_hart; rt_retval; _ } ->
       Fmt.pf fmt "hart%d  ret    -> 0x%x" rt_hart rt_retval
-  | Mem ev ->
-      Fmt.pf fmt "hart%d  %s%d  %s%s" ev.hart
-        (if ev.is_write then "st" else "ld")
-        ev.size (Word32_hex.hex ev.addr)
-        (if ev.is_write then Printf.sprintf " <- 0x%x" ev.value else "")
+  | Mem { mt_hart; mt_addr; mt_size; mt_is_write; mt_value; _ } ->
+      Fmt.pf fmt "hart%d  %s%d  %s%s" mt_hart
+        (if mt_is_write then "st" else "ld")
+        mt_size (Word32_hex.hex mt_addr)
+        (if mt_is_write then Printf.sprintf " <- 0x%x" mt_value else "")
 
 let pp ?symbolize fmt t =
   Fmt.pf fmt "@[<v>%a@]"

@@ -336,6 +336,51 @@ let shadow_restore_qcheck =
         ops;
       !ok)
 
+(* [check] against a byte-wise reference over the same plane, after random
+   poison/unpoison: an access is valid iff every byte of it, clamped to
+   the end of RAM, is addressable (granule code 0, or a partial code
+   covering the byte's offset).  A two-granule access whose last granule
+   is partial and covers its tail used to pass without the first granule
+   being read. *)
+let shadow_check_bytewise_qcheck =
+  let open QCheck2 in
+  let size = 0x1_0000 in
+  let off =
+    Gen.(oneof [ int_range 0 255; map (fun d -> size - d) (int_range 1 64) ])
+  in
+  let code =
+    Gen.oneofl Shadow.[ Heap_redzone; Stack_redzone; Global_redzone; Freed ]
+  in
+  let op =
+    Gen.(
+      oneof
+        [
+          map3 (fun a n c -> `Poison (a, n, c)) off (int_range 1 40) code;
+          map2 (fun a n -> `Unpoison (a, n)) off (int_range 1 40);
+        ])
+  in
+  let access = Gen.(pair off (oneofl [ 1; 2; 4 ])) in
+  Test.make ~name:"check agrees with a byte-wise reference" ~count:300
+    Gen.(pair (list_size (int_range 1 12) op) (list_size (int_range 1 40) access))
+    (fun (ops, accesses) ->
+      let s = mk_shadow () in
+      List.iter
+        (function
+          | `Poison (a, n, c) -> Shadow.poison s ~addr:(base + a) ~size:n c
+          | `Unpoison (a, n) -> Shadow.unpoison s ~addr:(base + a) ~size:n)
+        ops;
+      (* [b] is an offset from the (granule-aligned) RAM base *)
+      let addressable b =
+        let k = Bytes.get_uint8 s.Shadow.kasan (b / 8) in
+        k = 0 || (k < 8 && b land 7 < k)
+      in
+      List.for_all
+        (fun (a, n) ->
+          let last = min (a + n - 1) (size - 1) in
+          let rec all b = b > last || (addressable b && all (b + 1)) in
+          (Shadow.check s ~addr:(base + a) ~size:n = Shadow.Valid) = all a)
+        accesses)
+
 (* --- Host KASAN -------------------------------------------------------------------- *)
 
 let mk_kasan () =
@@ -1195,6 +1240,7 @@ let () =
           Alcotest.test_case "guest lw past RAM end faults under KASAN" `Quick
             lw_past_ram_end_faults;
           QCheck_alcotest.to_alcotest shadow_restore_qcheck;
+          QCheck_alcotest.to_alcotest shadow_check_bytewise_qcheck;
         ] );
       ( "kasan",
         [

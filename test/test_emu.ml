@@ -15,6 +15,14 @@ let unit_ text data = { Asm.unit_name = "t"; text; data }
 
 let check_stop = Alcotest.testable Machine.pp_stop ( = )
 
+(* A mem subscriber that ignores the access it is told about and runs
+   [f]. *)
+let on_each_mem f ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_
+    ~value:_ =
+  f ()
+
+let ignore_mem = on_each_mem ignore
+
 let run_halt_code () =
   let open Asm in
   let m, _ = assemble_and_load [ unit_ [ Label "main"; li Reg.a0 42; halt ] [] ] in
@@ -78,23 +86,45 @@ let power_device_halts () =
   let m, _ = assemble_and_load [ unit_ text [] ] in
   Alcotest.check check_stop "power code" (Machine.Halted 7) (Machine.run m ~max_insns:100)
 
+(* With a mem subscriber armed the access runs after the subscriber call,
+   so a faulting access reaches the fault through the armed site: on both
+   engines the stop (fault record included) must be [stop], the unarmed
+   fast engine's. *)
+let armed_stops_agree ?harts text stop =
+  List.iter
+    (fun engine ->
+      let m, _ = assemble_and_load ?harts [ unit_ text [] ] in
+      Machine.set_engine m engine;
+      Probe.on_mem m.probes ignore_mem;
+      Alcotest.check check_stop
+        (match engine with
+        | Machine.Fast -> "armed fast, same stop"
+        | Machine.Baseline -> "armed baseline, same stop")
+        stop
+        (Machine.run m ~max_insns:100))
+    [ Machine.Fast; Machine.Baseline ]
+
 let null_deref_faults () =
   let open Asm in
   let text = [ Label "main"; li Reg.t0 0; load W32 Reg.t1 Reg.t0 4; halt ] in
   let m, _ = assemble_and_load [ unit_ text [] ] in
-  match Machine.run m ~max_insns:100 with
+  let stop = Machine.run m ~max_insns:100 in
+  (match stop with
   | Machine.Fault (acc, reason) ->
       Alcotest.(check int) "addr" 4 acc.addr;
       Alcotest.(check string) "reason" "null pointer dereference" reason
-  | s -> Alcotest.failf "expected fault, got %a" Machine.pp_stop s
+  | s -> Alcotest.failf "expected fault, got %a" Machine.pp_stop s);
+  armed_stops_agree text stop
 
 let oob_ram_faults () =
   let open Asm in
   let text = [ Label "main"; li Reg.t0 0x7FFF_0000; store W32 Reg.t0 Reg.t0 0; halt ] in
   let m, _ = assemble_and_load [ unit_ text [] ] in
-  match Machine.run m ~max_insns:100 with
+  let stop = Machine.run m ~max_insns:100 in
+  (match stop with
   | Machine.Fault (acc, _) -> Alcotest.(check bool) "is write" true acc.is_write
-  | s -> Alcotest.failf "expected fault, got %a" Machine.pp_stop s
+  | s -> Alcotest.failf "expected fault, got %a" Machine.pp_stop s);
+  armed_stops_agree text stop
 
 let unhandled_trap_stops () =
   let open Asm in
@@ -131,18 +161,21 @@ let mem_probe_events () =
   in
   let m, img = assemble_and_load [ unit_ text [ Label "buf"; Words [ 0; 0 ] ] ] in
   let events = ref [] in
-  Probe.on_mem m.probes (fun ev -> events := ev :: !events);
+  Probe.on_mem m.probes
+    (fun ~hart:_ ~pc:_ ~addr ~size ~is_write ~is_atomic:_ ~value ->
+      events := (is_write, addr, size, value) :: !events);
   ignore (Machine.run m ~max_insns:100);
   let buf = Image.symbol_addr_exn img "buf" in
   match List.rev !events with
-  | [ st; ld ] ->
-      Alcotest.(check bool) "store first" true st.is_write;
-      Alcotest.(check int) "store addr" (buf + 2) st.addr;
-      Alcotest.(check int) "store size" 1 st.size;
-      Alcotest.(check int) "store value" 0xAB st.value;
-      Alcotest.(check bool) "load" false ld.is_write;
-      Alcotest.(check int) "load addr" buf ld.addr;
-      Alcotest.(check int) "load size" 4 ld.size
+  | [ (st_write, st_addr, st_size, st_value); (ld_write, ld_addr, ld_size, _) ]
+    ->
+      Alcotest.(check bool) "store first" true st_write;
+      Alcotest.(check int) "store addr" (buf + 2) st_addr;
+      Alcotest.(check int) "store size" 1 st_size;
+      Alcotest.(check int) "store value" 0xAB st_value;
+      Alcotest.(check bool) "load" false ld_write;
+      Alcotest.(check int) "load addr" buf ld_addr;
+      Alcotest.(check int) "load size" 4 ld_size
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
 let probe_subscription_patches_live_blocks () =
@@ -158,7 +191,7 @@ let probe_subscription_patches_live_blocks () =
   ignore (Machine.run m ~max_insns:100);
   let translations0 = m.stats.translations in
   let count = ref 0 in
-  Probe.on_mem m.probes (fun _ -> incr count);
+  Probe.on_mem m.probes (on_each_mem (fun () -> incr count));
   Machine.boot m;
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check int) "event after subscription" 1 !count;
@@ -174,9 +207,10 @@ let probe_unsubscribe_idempotent () =
   in
   let m, _ = assemble_and_load [ unit_ text [ Label "buf"; Words [ 1 ] ] ] in
   let order = ref [] in
-  let _s1 = Probe.subscribe_mem m.probes (fun _ -> order := 1 :: !order) in
-  let s2 = Probe.subscribe_mem m.probes (fun _ -> order := 2 :: !order) in
-  let _s3 = Probe.subscribe_mem m.probes (fun _ -> order := 3 :: !order) in
+  let tag n = on_each_mem (fun () -> order := n :: !order) in
+  let _s1 = Probe.subscribe_mem m.probes (tag 1) in
+  let s2 = Probe.subscribe_mem m.probes (tag 2) in
+  let _s3 = Probe.subscribe_mem m.probes (tag 3) in
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check (list int)) "all fire in order" [ 1; 2; 3 ] (List.rev !order);
   Probe.unsubscribe s2;
@@ -307,13 +341,14 @@ let stall_and_retry () =
   let side_cell = Image.symbol_addr_exn img "side_cell" in
   let stalled = ref false in
   let side_value_during_stall = ref (-1) in
-  Probe.on_mem m.probes (fun ev ->
-      if ev.addr = cell && ev.is_write && not !stalled then begin
+  Probe.on_mem m.probes
+    (fun ~hart:_ ~pc ~addr ~size:_ ~is_write ~is_atomic:_ ~value:_ ->
+      if addr = cell && is_write && not !stalled then begin
         stalled := true;
         m.harts.(0).stall_until <- m.total_insns + 200;
-        raise (Fault.Retry_at ev.pc)
+        raise (Fault.Retry_at pc)
       end
-      else if ev.addr = cell && ev.is_write then
+      else if addr = cell && is_write then
         side_value_during_stall := Machine.read_mem m ~addr:side_cell ~width:4);
   ignore (Machine.run m ~max_insns:10_000);
   Alcotest.(check bool) "stall happened" true !stalled;
@@ -640,7 +675,8 @@ let probe_registration_order () =
   let m, _ = make () in
   let order = ref [] in
   List.iter
-    (fun tag -> Probe.on_mem m.probes (fun _ -> order := tag :: !order))
+    (fun tag ->
+      Probe.on_mem m.probes (on_each_mem (fun () -> order := tag :: !order)))
     [ 1; 2; 3 ];
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check (list int)) "mem fire order" [ 1; 2; 3 ] (List.rev !order);
@@ -684,7 +720,7 @@ let chained_blocks_observe_probe_patch () =
   Alcotest.(check bool) "chains formed" true (m.stats.chained > 0);
   let translations0 = m.stats.translations in
   let count = ref 0 in
-  Probe.on_mem m.probes (fun _ -> incr count);
+  Probe.on_mem m.probes (on_each_mem (fun () -> incr count));
   Machine.boot m;
   ignore (Machine.run m ~max_insns:1000);
   (* 10 iterations x (load + store) + final load = 21 accesses *)
@@ -701,7 +737,7 @@ let toggle_storm_is_flush_free () =
   ignore (Machine.run m ~max_insns:1000);
   let translations0 = m.stats.translations in
   for _ = 1 to 50 do
-    let s = Probe.subscribe_mem m.probes (fun _ -> ()) in
+    let s = Probe.subscribe_mem m.probes ignore_mem in
     Probe.unsubscribe s;
     Machine.set_dirty_tracking m true;
     Machine.set_dirty_tracking m true (* no-op toggle: must also be free *);
@@ -940,6 +976,88 @@ let cmplog_agreement_gradient () =
     (Cmplog.agreement 0x1111_11EF 0xDEAD_BEEF);
   Alcotest.(check int) "none" 0 (Cmplog.agreement 1 2)
 
+(* [iters] iterations of a W32 store, a load and a call to an AMO plus a
+   W8 store, then a final load: 4 * [iters] + 1 memory accesses.  Halts
+   with [iters], the AMO's count. *)
+let access_loop iters =
+  let open Asm in
+  let text =
+    [
+      Label "main";
+      la Reg.t0 "buf";
+      addi Reg.s1 Reg.t0 4;
+      li Reg.t1 0;
+      li Reg.t2 iters;
+      li Reg.t3 1;
+      Label "loop";
+      store W32 Reg.t0 Reg.t1 0;
+      load W32 Reg.t4 Reg.t0 0;
+      call "bump";
+      addi Reg.t1 Reg.t1 1;
+      bltu Reg.t1 Reg.t2 "loop";
+      load W32 Reg.a0 Reg.t0 4;
+      halt;
+      Label "bump";
+      Ins (Amo (Amo_add, Reg.s0, Reg.s1, Reg.t3));
+      store W8 Reg.t0 Reg.t4 8;
+      ret;
+    ]
+  in
+  unit_ text [ Label "buf"; Words [ 0; 0; 0 ] ]
+
+(* Probe callbacks observe the retired-insn counter: the fast engine
+   pre-charges a whole (super)block, so each armed mem site rewinds the
+   counter to its own instruction around the subscriber call.  The access
+   loop, run 300 times so hot chains fuse, must hand the subscriber the
+   same (pc, total_insns) stream on the fast engine with and without
+   superblocks and on the per-instruction baseline. *)
+let probe_counters_exact () =
+  let run engine ~super =
+    let m, _ = assemble_and_load ~harts:1 [ access_loop 300 ] in
+    Machine.set_engine m engine;
+    Machine.set_superblocks m super;
+    let events = ref [] in
+    Probe.on_mem m.probes
+      (fun ~hart:_ ~pc ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ ->
+        events := (pc, m.Machine.total_insns) :: !events);
+    let stop = Machine.run m ~max_insns:100_000 in
+    (stop, List.rev !events, m.stats.super_execs)
+  in
+  let stop_b, events_b, _ = run Machine.Baseline ~super:false in
+  let stop_off, events_off, _ = run Machine.Fast ~super:false in
+  let stop_on, events_on, super_execs = run Machine.Fast ~super:true in
+  Alcotest.check check_stop "loop completes" (Machine.Halted 300) stop_b;
+  Alcotest.check check_stop "same stop, superblocks off" stop_b stop_off;
+  Alcotest.check check_stop "same stop, superblocks on" stop_b stop_on;
+  Alcotest.(check int) "four accesses per iteration, plus the last load"
+    ((4 * 300) + 1) (List.length events_b);
+  Alcotest.(check bool) "superblocks executed" true (super_execs > 0);
+  let stream = Alcotest.(list (pair int int)) in
+  Alcotest.check stream "fast, superblocks off = baseline" events_b events_off;
+  Alcotest.check stream "fast, superblocks on = baseline" events_b events_on
+
+(* An armed mem site fires its subscribers and then runs the unarmed
+   site's access, so probing allocates nothing on the fast engine: the
+   access loop's 400001 probed accesses allocate no more minor-heap words
+   than the same run unarmed. *)
+let armed_site_allocates_nothing () =
+  let run ~armed =
+    let m, _ = assemble_and_load ~harts:1 [ access_loop 100_000 ] in
+    let events = ref 0 in
+    if armed then Probe.on_mem m.probes (on_each_mem (fun () -> incr events));
+    let w0 = Gc.minor_words () in
+    let stop = Machine.run m ~max_insns:10_000_000 in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.check check_stop "loop completes" (Machine.Halted 100_000) stop;
+    Alcotest.(check int) "events" (if armed then 400_001 else 0) !events;
+    words
+  in
+  let unarmed = run ~armed:false in
+  let armed = run ~armed:true in
+  if armed -. unarmed > 1000. then
+    Alcotest.failf "armed run allocated %.0f minor words, unarmed %.0f" armed
+      unarmed
+
 (* A deterministic two-hart workload mixing AMO, calls/rets, loads/stores
    and branches; both harts increment a shared counter 200 times and halt
    with its final value once both are done. *)
@@ -988,7 +1106,7 @@ let run_differential ~probed =
   Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "w1")
     ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
   if probed then begin
-    Probe.on_mem m.probes (fun _ -> ());
+    Probe.on_mem m.probes ignore_mem;
     Probe.on_call m.probes (fun _ -> ());
     Probe.on_ret m.probes (fun _ -> ());
     Probe.on_block m.probes (fun _ -> ())
@@ -997,10 +1115,9 @@ let run_differential ~probed =
   (stop, fingerprint m)
 
 let differential_probe_semantics () =
-  (* probed (slow path, events constructed and dispatched) and unprobed
-     (allocation-free fast path) execution must be architecturally
-     identical: same stop, registers, pcs, RAM, retired-insn counts and
-     modeled cost *)
+  (* probed (subscribers fired before each access) and unprobed execution
+     must be architecturally identical: same stop, registers, pcs, RAM,
+     retired-insn counts and modeled cost *)
   let stop_off, fp_off = run_differential ~probed:false in
   let stop_on, fp_on = run_differential ~probed:true in
   Alcotest.check check_stop "same stop reason" stop_off stop_on;
@@ -1082,9 +1199,11 @@ let straddling_store_fault () =
     [ Label "main"; li Reg.t0 (lim - 2); store W32 Reg.t0 Reg.t0 0; halt ]
   in
   let m, _ = assemble_and_load ~harts:1 [ unit_ text [] ] in
-  match Machine.run m ~max_insns:100 with
+  let stop = Machine.run m ~max_insns:100 in
+  (match stop with
   | Machine.Fault (acc, "access beyond RAM") when acc.addr = lim - 2 -> ()
-  | s -> Alcotest.failf "expected straddle fault, got %a" Machine.pp_stop s
+  | s -> Alcotest.failf "expected straddle fault, got %a" Machine.pp_stop s);
+  armed_stops_agree ~harts:1 text stop
 
 let ram_width_contracts () =
   let ram = Ram.create ~base:0x1_0000 ~size:0x100 in
@@ -1126,7 +1245,7 @@ let timer_mid_block_precise () =
   let run_engine engine ~probed =
     let m, _ = assemble_and_load ~harts:1 [ unit_ text [] ] in
     Machine.set_engine m engine;
-    if probed then Probe.on_mem m.probes (fun _ -> ());
+    if probed then Probe.on_mem m.probes ignore_mem;
     Machine.run m ~max_insns:1000
   in
   let fast = run_engine Machine.Fast ~probed:false in
@@ -1203,6 +1322,10 @@ let () =
           Alcotest.test_case "call/ret events" `Quick call_ret_probes;
           Alcotest.test_case "registration order" `Quick
             probe_registration_order;
+          Alcotest.test_case "callbacks see exact counters" `Quick
+            probe_counters_exact;
+          Alcotest.test_case "armed site allocates nothing" `Quick
+            armed_site_allocates_nothing;
         ] );
       ( "engine",
         [
