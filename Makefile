@@ -86,14 +86,17 @@ check-rehost: build
 # 1 s budget, so each runs its minimum of two passes over 16 campaigns):
 # every run of one campaign seed must print the same deterministic counts
 # and every confirmed reproducer must be re-detected on a fresh instance.
-# The traced run then checks what every per-layer figure relies on: the
+# The traced runs then check what every per-layer figure relies on: the
 # traced loop reproduces the untraced counts, and the traced layer spans
-# cover at least 95% of the loop's wall time (trace.span_share).
+# cover at least 95% of the loop's wall time (trace.span_share).  Both
+# workloads are traced: EmbSan-D probe sites on linux-kasan-d, EmbSan-C
+# callout trap sites on rehost-irq.
 # Exits non-zero on a failed check; the timings it prints are not gated.
 perf-check:
 	bash perfbench/run.sh --workload linux-kasan-d --seed 1 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload rehost-irq --seed 1 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload linux-kasan-d --seed 1 --seconds 1 --trace 1
+	bash perfbench/run.sh --workload rehost-irq --seed 1 --seconds 1 --trace 1
 
 check: build test bench-smoke check-diff check-snap check-modes check-toggle \
 	check-sched check-race check-orch check-rehost

@@ -242,16 +242,18 @@ let opt_json = function Some s -> sample_json s | None -> "null"
    (baseline 23.7M, fast 105.9M, kasan 22.2M, kcsan 86.5M insns/sec on the
    reference host).  Ratios are host-independent; the margins absorb
    normal machine-to-machine noise but not a real regression.  The KASAN
-   floor is 1.1x since armed mem sites stopped allocating ("fire, then
-   fast"): six runs on a 2-vCPU AMD EPYC measured 1.18-1.74x, where the
-   record-allocating probed path had measured 0.97-1.03x. *)
+   floor is 1.5x since probed accesses run translate-time specialized
+   sites (an exempt site only counts; KASAN's decides most accesses from
+   one shadow byte): on a 2-vCPU AMD EPYC they measured a median of 1.8x
+   over 18 runs alternating with other builds (1.48-2.04x on a loaded
+   host), where the per-event dispatch they replaced measured 1.3-1.4x. *)
 let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_ratio
     ~super_ratio ~patched_flushes ~gate_solved =
   [
     ("speedup_fast_vs_baseline >= 3.0", speedup >= 3.0);
     ("chain_rate >= 0.90", chain_rate >= 0.90);
-    ( "kasan_probed >= 1.1 x baseline",
-      match kasan_ratio with None -> true | Some r -> r >= 1.1 );
+    ( "kasan_probed >= 1.5 x baseline",
+      match kasan_ratio with None -> true | Some r -> r >= 1.5 );
     ( "kcsan_probed >= 2.0 x baseline",
       match kcsan_ratio with None -> true | Some r -> r >= 2.0 );
     ("patched toggles >= 1.0 x legacy throughput", toggle_ratio >= 1.0);

@@ -90,12 +90,16 @@ let machine_of ?(harts = 1) (p : Progen.t) =
       Cpu.set cpu Reg.a0 (Cpu.get cpu Reg.a0 lxor 0x5A5A));
   m
 
-let ignore_mem ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ =
-  ()
+(* Armed subscribers that do nothing: every site runs a call. *)
+let ignore_mem =
+  Probe.every_mem
+    (fun ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ -> ())
+
+let ignore_call = Probe.every_call ignore
 
 let no_op_probes (m : Machine.t) =
   Probe.on_mem m.probes ignore_mem;
-  Probe.on_call m.probes (fun _ -> ());
+  Probe.on_call m.probes ignore_call;
   Probe.on_ret m.probes (fun _ -> ());
   Probe.on_block m.probes (fun _ -> ())
 
@@ -194,7 +198,7 @@ let toggle_storm ~cfg (p : Progen.t) =
           let s =
             match Rng.below rng 4 with
             | 0 -> Probe.subscribe_mem mb.Machine.probes ignore_mem
-            | 1 -> Probe.subscribe_call mb.Machine.probes (fun _ -> ())
+            | 1 -> Probe.subscribe_call mb.Machine.probes ignore_call
             | 2 -> Probe.subscribe_ret mb.Machine.probes (fun _ -> ())
             | _ -> Probe.subscribe_block mb.Machine.probes (fun _ -> ())
           in

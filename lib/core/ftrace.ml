@@ -424,8 +424,11 @@ module Plugin = struct
           ~addr:(Cpu.get cpu Reg.a1));
     t
 
-  let access t ~pc ~addr ~size ~is_write ~is_atomic ~hart =
-    on_access t ~pc ~addr ~size ~is_write ~is_atomic ~hart
+  (* marked accesses are excluded from the rules: nothing to do there *)
+  let access t ~pc ~size ~is_write ~is_atomic =
+    if is_atomic then Sanitizer.no_site
+    else fun ~hart ~addr ->
+      on_access t ~pc ~addr ~size ~is_write ~is_atomic:false ~hart
 
   let event _ _ = ()
   let scan _ ~now:_ = 0

@@ -186,6 +186,18 @@ let on_access t ~addr ~size ~is_write ~pc ~hart =
             Printf.sprintf "shadow: %s; %s" (Shadow.code_name code)
               (describe_owner t addr))
 
+(* The specialized check of an access of [size] bytes at [pc].  Above the
+   null page, an access that one shadow byte shows valid
+   ({!Shadow.fits_valid}: MMIO, or one addressable granule) only counts
+   the check; anything else takes [on_access]'s full path, which counts,
+   re-checks and reports. *)
+let site t ~pc ~size ~is_write : Sanitizer.site =
+  let fits_valid = Shadow.fits_valid t.shadow ~size in
+  fun ~hart ~addr ->
+    if addr >= 0x1000 && fits_valid addr then
+      t.access_checks <- t.access_checks + 1
+    else on_access t ~addr ~size ~is_write ~pc ~hart
+
 (* --- Plugin ------------------------------------------------------------------ *)
 
 module Plugin = struct
@@ -207,8 +219,7 @@ module Plugin = struct
   let create (ctx : Sanitizer.ctx) =
     create ~shadow:ctx.shadow ~sink:ctx.sink ~symbolize:ctx.symbolize ()
 
-  let access t ~pc ~addr ~size ~is_write ~is_atomic:_ ~hart =
-    on_access t ~addr ~size ~is_write ~pc ~hart
+  let access t ~pc ~size ~is_write ~is_atomic:_ = site t ~pc ~size ~is_write
 
   let event t = function
     | Sanitizer.Alloc { ptr; size; pc; now = _ } -> on_alloc t ~ptr ~size ~pc

@@ -60,6 +60,12 @@ val on_stack_unpoison : t -> addr:int -> size:int -> unit
 val on_access :
   t -> addr:int -> size:int -> is_write:bool -> pc:int -> hart:int -> unit
 
+(** The specialized check of an access of [size] bytes at [pc] (the
+    plugin's access site): counts and reports exactly as {!on_access}
+    does, but only counts an access above the null page that
+    {!Shadow.fits_valid} shows valid from one shadow byte. *)
+val site : t -> pc:int -> size:int -> is_write:bool -> Sanitizer.site
+
 (** The registry plugin ({!Sanitizer.S} implementation).  Its [Ready]
     event re-establishes live boot-time allocations after the init-routine
     heap poison replays. *)

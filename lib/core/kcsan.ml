@@ -197,12 +197,14 @@ module Plugin = struct
         | `D -> Embsan_emu.Cost_model.kcsan_host_check_d);
     }
 
-  (* marked (atomic) accesses are never data races by definition *)
-  let access p ~pc ~addr ~size ~is_write ~is_atomic ~hart =
-    if not is_atomic then begin
-      Embsan_emu.Machine.add_external_cost p.machine p.check_cost;
-      on_access p.k p.machine ~addr ~size ~is_write ~pc ~hart
-    end
+  (* marked (atomic) accesses are never data races by definition, so
+     their sites have nothing to do *)
+  let access p ~pc ~size ~is_write ~is_atomic =
+    if is_atomic then Sanitizer.no_site
+    else fun ~hart ~addr ->
+      let m = p.machine in
+      m.external_cost <- m.external_cost + p.check_cost;
+      on_access p.k m ~addr ~size ~is_write ~pc ~hart
 
   let event _ _ = ()
   let scan _ ~now:_ = 0

@@ -112,7 +112,7 @@ module Plugin = struct
     create ~sink:ctx.sink ~symbolize:ctx.symbolize ()
 
   (* never planned at P_load/P_store *)
-  let access _ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~hart:_ = ()
+  let access _ ~pc:_ ~size:_ ~is_write:_ ~is_atomic:_ = Sanitizer.no_site
 
   let event t = function
     | Sanitizer.Alloc { ptr; size; pc; now } -> on_alloc t ~ptr ~size ~pc ~now

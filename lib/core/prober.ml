@@ -298,7 +298,8 @@ let probe_binary ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
   (* (hart, return addr, record); head = innermost *)
   let entry_set = Hashtbl.create 64 in
   List.iter (fun a -> Hashtbl.replace entry_set a ()) entries;
-  Probe.on_call m.probes (fun ev ->
+  Probe.on_call m.probes
+  @@ Probe.every_call (fun ev ->
       if Hashtbl.mem entry_set ev.c_target && List.length !records < 100_000
       then begin
         let parent =

@@ -16,7 +16,11 @@
    intercepts ONCE into per-interception-point dispatch plans -- flat
    arrays of handler closures, so the hot path performs no [Dsl.wants]
    list scans and no option matches.  Both backends construct the same
-   typed {!Sanitizer.event}s feeding the same plans.
+   typed {!Sanitizer.event}s feeding the same plans, and bind the same
+   per-instruction {!access_site}s: an EmbSan-D probed load/store/AMO and
+   an EmbSan-C check callout each evaluate once what their instruction
+   fixes (exempt pc, plugins with nothing to do there), and a direct call
+   to anything but an allocator compiles to no call at all.
 
    Host-side work is charged to the machine's external cost counter using
    {!Embsan_emu.Cost_model}, which is what the overhead bench (Figure 2)
@@ -111,7 +115,7 @@ type t = {
   instances : Sanitizer.instance array; (* spec.sanitizers order *)
   (* compiled dispatch plans: one flat closure array per interception
      point, fixed at attach time *)
-  load_plan : Sanitizer.access_fn array;
+  load_plan : Sanitizer.access_fn array; (* site specializers *)
   store_plan : Sanitizer.access_fn array;
   alloc_plan : (Sanitizer.event -> unit) array;
   free_plan : (Sanitizer.event -> unit) array;
@@ -121,10 +125,6 @@ type t = {
   plan_index : (Api_spec.point * string list) list;
   event_units : int; (* per-event cost of this mode's delivery mechanism *)
   mutable ready : bool;
-  mutable active : bool; (* {!set_enabled}: event-delivery gate *)
-  (* D-mode probe subscription handles, kept so {!set_enabled} can detach
-     and re-attach by patching the site table -- never by flushing *)
-  mutable subs : Probe.sub list;
   pending : pending;
   (* pc ranges of intercepted allocator functions: accesses from inside are
      legal metadata traffic and exempt from checks (the compile-time analog
@@ -168,7 +168,11 @@ let pc_exempt t pc =
     !l > 0 && pc < Array.unsafe_get t.exempt_hi (!l - 1)
   end
 
-let charge t units = Machine.add_external_cost t.machine units
+(* [Machine.add_external_cost], written out: access sites charge on every
+   access, and a cross-module call costs more than the addition. *)
+let charge t units =
+  let m = t.machine in
+  m.external_cost <- m.external_cost + units
 
 (* --- Event dispatch ----------------------------------------------------------- *)
 
@@ -178,20 +182,35 @@ let run_event_plan plan ev = Array.iter (fun f -> f ev) plan
    (poison/unpoison and readiness) go to every instance. *)
 let broadcast t ev = Array.iter (fun i -> Sanitizer.event i ev) t.instances
 
-let dispatch_access t ~pc ~addr ~size ~is_write ~is_atomic ~hart =
-  (* [active] gates delivery for EmbSan-C, whose callout traps stay
-     installed while disabled; EmbSan-D unsubscribes its probes outright,
-     so this check is vacuously true there *)
-  if t.active then begin
-    t.mem_events <- t.mem_events + 1;
-    charge t t.event_units;
-    if not (pc_exempt t pc) then begin
-      let plan = if is_write then t.store_plan else t.load_plan in
-      for i = 0 to Array.length plan - 1 do
-        (Array.unsafe_get plan i) ~pc ~addr ~size ~is_write ~is_atomic ~hart
-      done
+(* The plugin sites of one instruction, in plan order. *)
+let run_sites (a : Sanitizer.site array) ~hart ~addr =
+  for i = 0 to Array.length a - 1 do
+    (Array.unsafe_get a i) ~hart ~addr
+  done
+
+(* The access site of one instruction, shared by both backends (an
+   EmbSan-D probed load/store/AMO, an EmbSan-C check callout).  What the
+   instruction fixes is evaluated here, once: an exempt pc compiles to
+   counting only (no plugin call), plugins with nothing to do at this
+   instruction drop out, and a single remaining plugin site is called
+   directly ({!Probe.compose}).  Every access still counts and charges
+   the mode's event cost once the firmware is ready ([ready] is read per
+   access: EmbSan-D probes run through boot). *)
+let access_site t ~pc ~size ~is_write ~is_atomic : Probe.mem_site =
+  let units = t.event_units in
+  let check =
+    if pc_exempt t pc then Sanitizer.no_site
+    else
+      Probe.compose ~none:Sanitizer.no_site ~seq:run_sites
+        (fun (f : Sanitizer.access_fn) -> f ~pc ~size ~is_write ~is_atomic)
+        (if is_write then t.store_plan else t.load_plan)
+  in
+  fun ~hart ~addr ~value:_ ->
+    if t.ready then begin
+      t.mem_events <- t.mem_events + 1;
+      charge t units;
+      if check != Sanitizer.no_site then check ~hart ~addr
     end
-  end
 
 (* --- Init routine ------------------------------------------------------------- *)
 
@@ -225,14 +244,7 @@ let on_ready t () =
 
 (* --- Backends ------------------------------------------------------------------ *)
 
-let install_mem_probes t =
-  let s =
-    Probe.subscribe_mem t.machine.probes
-      (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value:_ ->
-        if t.ready then
-          dispatch_access t ~pc ~addr ~size ~is_write ~is_atomic ~hart)
-  in
-  t.subs <- t.subs @ [ s ]
+let install_mem_probes t = Probe.on_mem t.machine.probes (access_site t)
 
 let install_call_interception t =
   let allocs = Hashtbl.create 16 and frees = Hashtbl.create 16 in
@@ -243,27 +255,34 @@ let install_call_interception t =
       | `Free ptr_arg -> Hashtbl.replace frees f.f_addr ptr_arg)
     t.spec.Dsl.functions;
   if Hashtbl.length allocs > 0 || Hashtbl.length frees > 0 then begin
-    let sc =
-      Probe.subscribe_call t.machine.probes (fun (ev : Probe.call_event) ->
-        match Hashtbl.find_opt allocs ev.c_target with
-        | Some size_arg ->
-            t.intercepted_calls <- t.intercepted_calls + 1;
-            charge t Cost_model.embsan_d_probe;
-            let size = Cpu.get t.machine.harts.(ev.c_hart) Reg.args.(size_arg) in
-            pending_push t.pending ~hart:ev.c_hart ~ra:(ev.c_pc + Insn.size)
-              ~size
-        | None -> (
-            match Hashtbl.find_opt frees ev.c_target with
-            | Some ptr_arg ->
-                t.intercepted_calls <- t.intercepted_calls + 1;
-                charge t Cost_model.embsan_d_probe;
-                let ptr = Cpu.get t.machine.harts.(ev.c_hart) Reg.args.(ptr_arg) in
-                run_event_plan t.free_plan
-                  (Sanitizer.Free { ptr; pc = ev.c_pc; hart = ev.c_hart })
-            | None -> ()))
+    let harts = t.machine.harts in
+    let intercepted () =
+      t.intercepted_calls <- t.intercepted_calls + 1;
+      charge t Cost_model.embsan_d_probe
     in
-    let sr =
-      Probe.subscribe_ret t.machine.probes (fun (ev : Probe.ret_event) ->
+    (* the site of a call at [pc] to [target]: an allocator's pushes the
+       pending frame, a free's runs the free plan, anything else has
+       nothing to do *)
+    let bind ~pc target : Probe.call_site =
+      match (Hashtbl.find_opt allocs target, Hashtbl.find_opt frees target) with
+      | Some size_arg, _ ->
+          fun ~hart ~target:_ ->
+            intercepted ();
+            let size = Cpu.get harts.(hart) Reg.args.(size_arg) in
+            pending_push t.pending ~hart ~ra:(pc + Insn.size) ~size
+      | None, Some ptr_arg ->
+          fun ~hart ~target:_ ->
+            intercepted ();
+            let ptr = Cpu.get harts.(hart) Reg.args.(ptr_arg) in
+            run_event_plan t.free_plan (Sanitizer.Free { ptr; pc; hart })
+      | None, None -> Probe.no_call_site
+    in
+    (* a direct call binds once; an indirect one binds per call *)
+    Probe.on_call t.machine.probes (fun ~pc ~target ->
+        match target with
+        | Some target -> bind ~pc target
+        | None -> fun ~hart ~target -> (bind ~pc target) ~hart ~target);
+    Probe.on_ret t.machine.probes (fun (ev : Probe.ret_event) ->
         match pending_pop t.pending ~hart:ev.r_hart ~ra:ev.r_target with
         | Some size ->
             (* attribute the allocation to its call site, not to the
@@ -277,31 +296,29 @@ let install_call_interception t =
                    now = t.machine.total_insns;
                  })
         | None -> ())
-    in
-    t.subs <- t.subs @ [ sc; sr ]
   end
 
 let install_callout_traps t =
   let m = t.machine in
+  (* a check callout binds, per trap site, the access site of the
+     instruction it checks: the trap number fixes (is_write, size), the
+     trap's pc is the access's *)
   List.iter
     (fun num ->
-      Machine.set_trap_handler m num (fun _m cpu ->
-          t.callouts <- t.callouts + 1;
+      Machine.set_trap_site m num (fun ~pc ->
           match Hypercall.decode_check num with
           | Some (is_write, size) ->
-              dispatch_access t
-                ~pc:(cpu.Cpu.pc - Insn.size)
-                ~addr:(Cpu.get cpu Reg.a0)
-                ~size ~is_write ~is_atomic:false ~hart:cpu.Cpu.id
+              let site = access_site t ~pc ~size ~is_write ~is_atomic:false in
+              fun _m cpu ->
+                t.callouts <- t.callouts + 1;
+                site ~hart:cpu.Cpu.id ~addr:(Cpu.get cpu Reg.a0) ~value:0
           | None -> assert false))
     [ 16; 17; 18; 19; 20; 21 ];
   let update num f =
     Machine.set_trap_handler m num (fun _m cpu ->
-        if t.active then begin
-          t.callouts <- t.callouts + 1;
-          charge t Cost_model.embsan_c_hypercall;
-          f cpu
-        end)
+        t.callouts <- t.callouts + 1;
+        charge t Cost_model.embsan_c_hypercall;
+        f cpu)
   in
   (* the trap sits in the san_* glue called from the allocator, so walk two
      frames up to attribute the event to the kernel function itself *)
@@ -458,8 +475,6 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
         | C -> Cost_model.embsan_c_hypercall
         | D -> Cost_model.embsan_d_probe);
       ready = false;
-      active = true;
-      subs = [];
       pending = pending_create ~harts:(Array.length machine.Machine.harts);
       exempt_lo;
       exempt_hi;
@@ -481,32 +496,6 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
       install_call_interception t;
       machine.mailbox.on_ready <- on_ready t);
   t
-
-(** Pause/resume sanitizer event delivery.  O(1) and flush-free in both
-    modes: EmbSan-D detaches/re-attaches its probe subscriptions by
-    patching the shared site table (zero translation-cache flushes), and
-    EmbSan-C gates its installed callout traps on the [active] flag.
-    No-op when the requested state is current.  While disabled,
-    state-maintenance events are paused too, so long disabled windows can
-    leave shadow state stale -- this is for toggle-style A/B measurement,
-    not partial sanitizing. *)
-let set_enabled t on =
-  if on <> t.active then begin
-    t.active <- on;
-    match t.mode with
-    | C -> ()
-    | D ->
-        if on then begin
-          install_mem_probes t;
-          install_call_interception t
-        end
-        else begin
-          List.iter Probe.unsubscribe t.subs;
-          t.subs <- []
-        end
-  end
-
-let enabled t = t.active
 
 (* --- Introspection ------------------------------------------------------------- *)
 

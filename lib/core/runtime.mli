@@ -7,8 +7,11 @@
     named by the spec from the {!Sanitizer} registry and compiles the
     spec's intercepts once into flat per-interception-point dispatch plans
     (arrays of handler closures), which both backends feed with the same
-    typed {!Sanitizer.event}s.  Host-side work is charged to the machine's
-    external cost counter. *)
+    typed {!Sanitizer.event}s; memory accesses run per-instruction
+    access sites, shared by both backends, built from the load/store
+    plans: an exempt pc compiles to counting only, and plugins whose
+    specializer returns {!Sanitizer.no_site} there drop out.  Host-side
+    work is charged to the machine's external cost counter. *)
 
 type inst_mode = C | D
 
@@ -28,7 +31,7 @@ type t = {
   sink : Report.sink;
   shadow : Shadow.t;
   instances : Sanitizer.instance array;  (** spec.sanitizers order *)
-  load_plan : Sanitizer.access_fn array;
+  load_plan : Sanitizer.access_fn array;  (** site specializers *)
   store_plan : Sanitizer.access_fn array;
   alloc_plan : (Sanitizer.event -> unit) array;
   free_plan : (Sanitizer.event -> unit) array;
@@ -38,9 +41,8 @@ type t = {
   plan_index : (Api_spec.point * string list) list;
   event_units : int;
   mutable ready : bool;
-  mutable active : bool;  (** {!set_enabled}: event-delivery gate *)
-  mutable subs : Embsan_emu.Probe.sub list;
-      (** D-mode probe handles, detached/re-attached by {!set_enabled} *)
+      (** EmbSan-D: set when the firmware signals readiness; access sites
+          count nothing before.  EmbSan-C: set at attach. *)
   pending : pending;
   exempt_lo : int array;  (** sorted disjoint exempt ranges (parallel) *)
   exempt_hi : int array;
@@ -67,17 +69,6 @@ val attach :
   ?tuning:(string * int) list ->
   Embsan_emu.Machine.t ->
   t
-
-(** Pause/resume sanitizer event delivery.  O(1) and flush-free in both
-    modes: EmbSan-D detaches/re-attaches its probe subscriptions by
-    patching the shared site table (zero translation-cache flushes);
-    EmbSan-C gates its installed callout traps.  No-op when the requested
-    state is current.  State-maintenance events pause too, so long
-    disabled windows can leave shadow state stale -- intended for
-    toggle-style A/B measurement, not partial sanitizing. *)
-val set_enabled : t -> bool -> unit
-
-val enabled : t -> bool
 
 (** Sanitizer names in the compiled dispatch plan of [point], in dispatch
     order (the DSL handler order, deduplicated, filtered to instantiated

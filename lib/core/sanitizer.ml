@@ -8,15 +8,15 @@
    The Common Sanitizer Runtime instantiates the plugins a spec selects and
    compiles the spec's intercepts into flat per-point handler arrays; both
    instrumentation backends (EmbSan-C hypercall traps and EmbSan-D
-   translation-time probes) construct the same typed events and feed the
-   same compiled plan.  A new sanitizer is a module implementing {!S} plus
+   translation-time probes) construct the same typed events and bind the
+   same access sites.  A new sanitizer is a module implementing {!S} plus
    an {!Api_spec} header -- no runtime changes (see Ualign). *)
 
 (* --- Typed event vocabulary -------------------------------------------------- *)
 
 (* Cold-path events.  The access check is deliberately NOT a constructor of
    this type: memory events are the hot path and must stay allocation-free,
-   so they dispatch through {!access_fn} closures instead. *)
+   so they run specialized {!site} closures instead. *)
 type event =
   | Alloc of { ptr : int; size : int; pc : int; now : int }
       (** an intercepted allocator returned [ptr] ([now] = retired insns) *)
@@ -38,16 +38,17 @@ let event_name = function
   | Stack_unpoison _ -> "stack_unpoison"
   | Ready -> "ready"
 
-(* Hot-path access check: plain labelled closure, no event record, so a
-   compiled dispatch plan costs one indirect call per plugin per access. *)
-type access_fn =
-  pc:int ->
-  addr:int ->
-  size:int ->
-  is_write:bool ->
-  is_atomic:bool ->
-  hart:int ->
-  unit
+(* Hot-path access check, specialized per instruction: [access_fn] is
+   given what the instruction fixes (pc, width, direction, atomicity) and
+   returns the [site] closure to run on each of its accesses, having
+   evaluated whatever those facts decide -- or [no_site] when the plugin
+   has nothing to do there, which the runtime then drops from the
+   instruction's site.  No event record, no allocation per access. *)
+type site = hart:int -> addr:int -> unit
+
+type access_fn = pc:int -> size:int -> is_write:bool -> is_atomic:bool -> site
+
+let no_site ~hart:_ ~addr:_ = ()
 
 (* --- Plugin interface -------------------------------------------------------- *)
 
@@ -78,9 +79,11 @@ module type S = sig
   val create : ctx -> t
 
   val access : t -> access_fn
-  (** Hot-path handler, called for P_load/P_store plan slots.  Evaluated
-      once at plan-compile time; only meaningful when [points] contains
-      P_load or P_store. *)
+  (** Hot-path site specializer for P_load/P_store plan slots.  Evaluated
+      once at plan-compile time, then once per instruction (and again
+      after a site-generation change); only meaningful when [points]
+      contains P_load or P_store.  The result may depend only on the
+      static arguments and on state fixed at [create]. *)
 
   val event : t -> event -> unit
   (** Cold-path handler: plan-routed alloc/free/global/stack events plus

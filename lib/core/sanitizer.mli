@@ -5,8 +5,8 @@
     arrays of plugin handlers; adding a sanitizer is a module implementing
     {!S} plus an {!Api_spec} header (see {!Ualign}) — no runtime edits. *)
 
-(** Cold-path events.  Access checks are the hot path and dispatch through
-    {!access_fn} closures instead, keeping memory events allocation-free. *)
+(** Cold-path events.  Access checks are the hot path and run specialized
+    {!site} closures instead, keeping memory events allocation-free. *)
 type event =
   | Alloc of { ptr : int; size : int; pc : int; now : int }
       (** an intercepted allocator returned [ptr] ([now] = retired insns) *)
@@ -20,16 +20,19 @@ type event =
 
 val event_name : event -> string
 
-(** Hot-path access check: one indirect call per plugin per memory event,
-    no allocation. *)
-type access_fn =
-  pc:int ->
-  addr:int ->
-  size:int ->
-  is_write:bool ->
-  is_atomic:bool ->
-  hart:int ->
-  unit
+(** A compiled access check for one instruction, run on each of its
+    accesses: one indirect call per plugin, no allocation. *)
+type site = hart:int -> addr:int -> unit
+
+(** Hot-path site specializer: given what the instruction fixes (pc,
+    width, direction, atomicity), the {!site} to run there.  The result
+    may depend only on these arguments and on state fixed when the plugin
+    was created. *)
+type access_fn = pc:int -> size:int -> is_write:bool -> is_atomic:bool -> site
+
+(** What a specializer returns where the plugin has nothing to do; the
+    runtime drops it from the instruction's site. *)
+val no_site : site
 
 type mode = [ `C | `D ]
 
@@ -60,8 +63,9 @@ module type S = sig
   val create : ctx -> t
 
   val access : t -> access_fn
-  (** Hot-path handler; evaluated once at plan-compile time.  Only
-      meaningful when [points] includes P_load or P_store. *)
+  (** Hot-path site specializer; evaluated once at plan-compile time,
+      then per instruction.  Only meaningful when [points] includes
+      P_load or P_store. *)
 
   val event : t -> event -> unit
   (** Cold-path handler; plugins ignore events they do not care about. *)

@@ -63,8 +63,8 @@ module Plugin = struct
   let create (ctx : Sanitizer.ctx) =
     create ~sink:ctx.sink ~symbolize:ctx.symbolize ()
 
-  let access t ~pc ~addr ~size ~is_write ~is_atomic:_ ~hart =
-    on_access t ~addr ~size ~is_write ~pc ~hart
+  let access t ~pc ~size ~is_write ~is_atomic:_ : Sanitizer.site =
+   fun ~hart ~addr -> on_access t ~addr ~size ~is_write ~pc ~hart
 
   let event _ _ = ()
   let scan _ ~now:_ = 0

@@ -11,12 +11,20 @@
      [Ram.track_dirty], [Cmplog.enabled]) at run time.  Toggling any of
      them is an O(1) mutation observed by already-translated code on its
      next dispatch -- no retranslation, no flush (Icicle's
-     "instrumentation without recompilation").  An armed load/store site
-     is "fire, then fast": it computes the address, fires the mem
-     subscribers (labelled arguments, no event record) with the
-     retired-insn counter rewound to the instruction, then runs the same
-     width-specialized access the unarmed site runs -- so probing adds
-     one subscriber call per access and no allocation;
+     "instrumentation without recompilation");
+   - specialized sites: each load/store/AMO, call and trap op caches the
+     closure its subscribers (or the trap table) specialized to what the
+     instruction fixes -- pc, width, direction, atomicity, direct-call
+     target, trap number -- tagged with the site generation
+     ({!Probe.t.gen}) and rebuilt only when that moved.  A site
+     specialized to "nothing to do" makes no call, a mem or call site
+     with no subscriber at all checks only the array length, and a trap
+     costs no table lookup.  An armed load/store site is "fire, then
+     fast": it computes the address, runs its closure (labelled
+     arguments, no event record) with the retired-insn counter rewound to
+     the instruction, then runs the same width-specialized access the
+     unarmed site runs -- so probing adds one call per access and no
+     allocation;
    - block chaining: each translated block caches up to two successor
      links (generation-tagged), so straight-line code and loops transfer
      control without touching the block hashtable;
@@ -122,7 +130,10 @@ type t = {
   probes : Probe.t;
   cmplog : Cmplog.t;
   block_cache : (int, block) Hashtbl.t;
-  trap_handlers : (int, handler) Hashtbl.t;
+  trap_handlers : (int, pc:int -> handler) Hashtbl.t;
+      (* trap number -> handler specializer, bound per trap site; change
+         only through set_trap_site/set_trap_handler/remove_trap_handler,
+         which bump the site generation *)
   stats : Engine_stats.t;
   mutable engine : engine;
   mutable superblocks : bool; (* substitute fused blocks when available *)
@@ -282,9 +293,18 @@ let set_super_threshold t n =
     invalid_arg "Machine.set_super_threshold: power of two >= 2 expected";
   t.super_threshold <- n
 
-let set_trap_handler t num handler = Hashtbl.replace t.trap_handlers num handler
+(* Trap handlers are bound per trap site, like probe subscribers: a
+   translated [trap] caches [spec ~pc] and binds again once the site
+   generation moved, so every change to the table bumps it. *)
+let set_trap_site t num spec =
+  Hashtbl.replace t.trap_handlers num spec;
+  Probe.invalidate t.probes
 
-let remove_trap_handler t num = Hashtbl.remove t.trap_handlers num
+let set_trap_handler t num handler = set_trap_site t num (fun ~pc:_ -> handler)
+
+let remove_trap_handler t num =
+  Hashtbl.remove t.trap_handlers num;
+  Probe.invalidate t.probes
 
 (** Add host-side sanitizer cost units (see {!Cost_model}). *)
 let add_external_cost t units = t.external_cost <- t.external_cost + units
@@ -408,21 +428,41 @@ let slow_write t ~hart ~pc ~addr ~size ~over value =
           rewound t ~over (fun () -> rh.rh_write ~pc ~addr ~size ~value)
       | _ -> Ram.check t.ram { hart; pc; addr; size; is_write = true })
 
-(* The armed mem site's subscriber call: the counter is rewound by [over]
-   (see {!rewound}) only around the subscribers, inline rather than
-   through a closure, and restored on return and on a raise (KCSAN stalls
-   with [Retry_at]).  The access itself runs afterwards in the op's fast
-   closure, whose device, rehost and fault slow paths rewind by the same
-   [over]. *)
-let fire_mem_rewound t ~over ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value =
+(* The armed mem site's call: the counter is rewound by [over] (see
+   {!rewound}) only around the site's specialized closure, inline rather
+   than through a closure, and restored on return and on a raise (KCSAN
+   stalls with [Retry_at]).  The access itself runs afterwards in the op's
+   fast closure, whose device, rehost and fault slow paths rewind by the
+   same [over]. *)
+let fire_mem_rewound t ~over (site : Probe.mem_site) ~hart ~addr ~value =
   t.total_insns <- t.total_insns - over;
-  match
-    Probe.fire_mem t.probes ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value
-  with
+  match site ~hart ~addr ~value with
   | () -> t.total_insns <- t.total_insns + over
   | exception e ->
       t.total_insns <- t.total_insns + over;
       raise e
+
+(* A specialized site cached in a translated op: [s_fn] is what [bind ()]
+   returned under site generation [s_gen] ({!Probe.t.gen}).  [bound]
+   binds again once the generation moved -- a subscriber or trap handler
+   changed -- so the cache never needs a flush. *)
+type 'a site = { mutable s_gen : int; mutable s_fn : 'a; bind : unit -> 'a }
+
+let site (p : Probe.t) bind = { s_gen = p.Probe.gen; s_fn = bind (); bind }
+
+let[@inline] bound (p : Probe.t) s =
+  let g = p.Probe.gen in
+  if s.s_gen <> g then begin
+    s.s_fn <- s.bind ();
+    s.s_gen <- g
+  end;
+  s.s_fn
+
+(* The handler of trap [num] bound to the trap site at [pc]. *)
+let bind_trap t ~pc num : handler =
+  match Hashtbl.find_opt t.trap_handlers num with
+  | Some spec -> spec ~pc
+  | None -> fun _ _ -> raise (Trap_unhandled (pc, num))
 
 (* Debug accessors used by the sanitizer runtime and tests. *)
 let read_mem t ~addr ~width =
@@ -504,11 +544,13 @@ let collect_block t base =
 (* Translate one basic block starting at [base] for the fast engine.
    Instrumentation points compile to *patchable sites*: each op that can
    be instrumented captures the machine's shared probe/cmplog/dirty state
-   records and checks the armed condition (one field load and branch) at
-   run time.  Toggling a probe therefore patches every translated block
-   at once, with zero flushes.  Memory ops bounds-check straight into RAM
+   records and checks its armed condition at run time -- for mem and call
+   ops, that a subscriber exists and then the generation of its cached
+   specialized closure (see {!site}); for trap ops, the generation.
+   Toggling a probe therefore patches every translated block at once,
+   with zero flushes.  Memory ops bounds-check straight into RAM
    bytes with no allocation, exactly like an uninstrumented TCG template,
-   armed or not: an armed site only adds the subscriber call before the
+   armed or not: an armed site only adds its closure's call before the
    access (see {!fire_mem_rewound}).  Ops do not touch the retired-insn/
    cost counters; those are charged per-block by the run loop.
 
@@ -674,12 +716,23 @@ let translate_fast ?(pad_insns = 0) t base =
                 in
                 set r (if signed then Word32.sext raw 8 else raw land 0xFF)
         in
-        (* the patchable site: one subscriber-array load and branch *)
+        (* the patchable site: with no subscriber, one length check (an
+           empty array specializes to no site); otherwise a generation
+           check, then the specialized closure unless the subscribers have
+           nothing to do here *)
+        let s =
+          site p (fun () ->
+              Probe.mem_site p ~pc ~size ~is_write:false ~is_atomic:false)
+        in
         fun cpu ->
-          if Array.length p.Probe.mem <> 0 then
-            fire_mem_rewound t ~over ~hart:cpu.id ~pc
-              ~addr:((Array.unsafe_get cpu.Cpu.regs a + imm) land 0xFFFF_FFFF)
-              ~size ~is_write:false ~is_atomic:false ~value:0;
+          if Array.length p.Probe.mem <> 0 then begin
+            let f = bound p s in
+            if f != Probe.no_site then
+              fire_mem_rewound t ~over f ~hart:cpu.id
+                ~addr:
+                  ((Array.unsafe_get cpu.Cpu.regs a + imm) land 0xFFFF_FFFF)
+                ~value:0
+          end;
           fast cpu
     | Store (w, rs1, rs2, imm) ->
         let size = Insn.width_bytes w in
@@ -730,13 +783,19 @@ let translate_fast ?(pad_insns = 0) t base =
                   slow_write t ~hart:cpu.id ~pc ~addr ~size:1 ~over
                     (Array.unsafe_get r v)
         in
+        let s =
+          site p (fun () ->
+              Probe.mem_site p ~pc ~size ~is_write:true ~is_atomic:false)
+        in
         fun cpu ->
           if Array.length p.Probe.mem <> 0 then begin
-            let r = cpu.Cpu.regs in
-            fire_mem_rewound t ~over ~hart:cpu.id ~pc
-              ~addr:((Array.unsafe_get r a + imm) land 0xFFFF_FFFF)
-              ~size ~is_write:true ~is_atomic:false
-              ~value:(Array.unsafe_get r v)
+            let f = bound p s in
+            if f != Probe.no_site then begin
+              let r = cpu.Cpu.regs in
+              fire_mem_rewound t ~over f ~hart:cpu.id
+                ~addr:((Array.unsafe_get r a + imm) land 0xFFFF_FFFF)
+                ~value:(Array.unsafe_get r v)
+            end
           end;
           fast cpu
     | Amo (op, rd, rs1, rs2) ->
@@ -769,12 +828,18 @@ let translate_fast ?(pad_insns = 0) t base =
             if d <> 0 then Array.unsafe_set r d (Word32.wrap old)
           end
         in
+        let s =
+          site p (fun () ->
+              Probe.mem_site p ~pc ~size:4 ~is_write:true ~is_atomic:true)
+        in
         fun cpu ->
           if Array.length p.Probe.mem <> 0 then begin
-            let r = cpu.Cpu.regs in
-            fire_mem_rewound t ~over ~hart:cpu.id ~pc
-              ~addr:(Array.unsafe_get r a) ~size:4 ~is_write:true
-              ~is_atomic:true ~value:(Array.unsafe_get r v)
+            let f = bound p s in
+            if f != Probe.no_site then begin
+              let r = cpu.Cpu.regs in
+              fire_mem_rewound t ~over f ~hart:cpu.id
+                ~addr:(Array.unsafe_get r a) ~value:(Array.unsafe_get r v)
+            end
           end;
           fast cpu
     | Branch (c, rs1, rs2, imm) ->
@@ -798,13 +863,21 @@ let translate_fast ?(pad_insns = 0) t base =
         let target = Word32.add pc imm in
         let link = pc + Insn.size in
         let d = ri rd in
-        if Reg.equal rd Reg.ra then (fun cpu ->
-          (* call site: armed check after the architectural effects so the
-             event observes the post-transfer state, as before *)
-          Cpu.set cpu rd link;
-          cpu.pc <- target;
-          if Array.length p.Probe.calls > 0 then
-            Probe.fire_call p { c_hart = cpu.id; c_pc = pc; c_target = target })
+        if Reg.equal rd Reg.ra then begin
+          (* call site, specialized on its static target: the site runs
+             after the architectural effects so it observes the
+             post-transfer state *)
+          let s =
+            site p (fun () -> Probe.call_site p ~pc ~target:(Some target))
+          in
+          fun cpu ->
+            Cpu.set cpu rd link;
+            cpu.pc <- target;
+            if Array.length p.Probe.calls <> 0 then begin
+              let f = bound p s in
+              if f != Probe.no_call_site then f ~hart:cpu.id ~target
+            end
+        end
         else fun cpu ->
           if d <> 0 then Array.unsafe_set cpu.Cpu.regs d link;
           cpu.Cpu.pc <- target
@@ -812,12 +885,17 @@ let translate_fast ?(pad_insns = 0) t base =
         let is_call = Reg.equal rd Reg.ra in
         let is_ret = Reg.equal rd Reg.zero && Reg.equal rs1 Reg.ra in
         let link = pc + Insn.size in
-        if is_call then (fun cpu ->
-          let target = Word32.add (Cpu.get cpu rs1) imm in
-          Cpu.set cpu rd link;
-          cpu.pc <- target;
-          if Array.length p.Probe.calls > 0 then
-            Probe.fire_call p { c_hart = cpu.id; c_pc = pc; c_target = target })
+        if is_call then begin
+          let s = site p (fun () -> Probe.call_site p ~pc ~target:None) in
+          fun cpu ->
+            let target = Word32.add (Cpu.get cpu rs1) imm in
+            Cpu.set cpu rd link;
+            cpu.pc <- target;
+            if Array.length p.Probe.calls <> 0 then begin
+              let f = bound p s in
+              if f != Probe.no_call_site then f ~hart:cpu.id ~target
+            end
+        end
         else if is_ret then (fun cpu ->
           let target = Word32.add (Cpu.get cpu rs1) imm in
           Cpu.set cpu rd link;
@@ -839,11 +917,11 @@ let translate_fast ?(pad_insns = 0) t base =
             cpu.Cpu.pc <- target
     | Trap num ->
         let next_pc = pc + Insn.size in
+        (* the handler bound to this site, through the one trap table *)
+        let s = site p (fun () -> bind_trap t ~pc num) in
         fun cpu ->
           cpu.pc <- next_pc;
-          (match Hashtbl.find_opt t.trap_handlers num with
-          | Some handler -> handler t cpu
-          | None -> raise (Trap_unhandled (pc, num)))
+          (bound p s) t cpu
   in
   let ops = List.mapi op_of insns in
   let costs = List.map (fun (_, i) -> Cost_model.insn_cost i) insns in
@@ -884,7 +962,9 @@ let translate_fast ?(pad_insns = 0) t base =
    block, no chaining.  It is the reference for the semantics-equivalence
    tests and the measured "baseline" row of BENCH_emu.json.  Probe state
    is consulted at run time here too (the site-table contract applies to
-   both engines), so baseline blocks also survive probe toggles. *)
+   both engines), so baseline blocks also survive probe toggles; it asks
+   the specializers (and the trap table) afresh on every event instead of
+   caching their answer. *)
 let translate_baseline t base =
   let tick_alu cpu =
     cpu.Cpu.insns <- cpu.Cpu.insns + 1;
@@ -922,8 +1002,8 @@ let translate_baseline t base =
           tick_mem cpu;
           let addr = Word32.add (Cpu.get cpu rs1) imm in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size ~is_write:false
-              ~is_atomic:false ~value:0;
+            Probe.fire_mem t.probes ~pc ~size ~is_write:false ~is_atomic:false
+              ~hart:cpu.id ~addr ~value:0;
           let raw =
             bus_read t { hart = cpu.id; pc; addr; size; is_write = false }
           in
@@ -935,16 +1015,16 @@ let translate_baseline t base =
           let addr = Word32.add (Cpu.get cpu rs1) imm in
           let value = Cpu.get cpu rs2 in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size ~is_write:true
-              ~is_atomic:false ~value;
+            Probe.fire_mem t.probes ~pc ~size ~is_write:true ~is_atomic:false
+              ~hart:cpu.id ~addr ~value;
           bus_write t { hart = cpu.id; pc; addr; size; is_write = true } value
     | Amo (op, rd, rs1, rs2) ->
         fun cpu ->
           tick_mem cpu;
           let addr = Cpu.get cpu rs1 in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size:4 ~is_write:true
-              ~is_atomic:true ~value:(Cpu.get cpu rs2);
+            Probe.fire_mem t.probes ~pc ~size:4 ~is_write:true ~is_atomic:true
+              ~hart:cpu.id ~addr ~value:(Cpu.get cpu rs2);
           let acc : Fault.access =
             { hart = cpu.id; pc; addr; size = 4; is_write = true }
           in
@@ -971,8 +1051,7 @@ let translate_baseline t base =
           Cpu.set cpu rd (pc + Insn.size);
           cpu.pc <- target;
           if is_call && Probe.has_calls t.probes then
-            Probe.fire_call t.probes
-              { c_hart = cpu.id; c_pc = pc; c_target = target }
+            Probe.fire_call t.probes ~pc ~target ~direct:true ~hart:cpu.id
     | Jalr (rd, rs1, imm) ->
         let is_call = Reg.equal rd Reg.ra in
         let is_ret = Reg.equal rd Reg.zero && Reg.equal rs1 Reg.ra in
@@ -982,8 +1061,7 @@ let translate_baseline t base =
           Cpu.set cpu rd (pc + Insn.size);
           cpu.pc <- target;
           if is_call && Probe.has_calls t.probes then
-            Probe.fire_call t.probes
-              { c_hart = cpu.id; c_pc = pc; c_target = target }
+            Probe.fire_call t.probes ~pc ~target ~direct:false ~hart:cpu.id
           else if is_ret && Probe.has_rets t.probes then
             Probe.fire_ret t.probes
               {
@@ -996,9 +1074,7 @@ let translate_baseline t base =
         fun cpu ->
           tick_alu cpu;
           cpu.pc <- pc + Insn.size;
-          (match Hashtbl.find_opt t.trap_handlers num with
-          | Some handler -> handler t cpu
-          | None -> raise (Trap_unhandled (pc, num)))
+          (bind_trap t ~pc num) t cpu
   in
   let ops = List.map op_of insns in
   let ops =

@@ -7,10 +7,14 @@
     table ({!Probe.t} subscriber arrays, [Ram.track_dirty],
     [Cmplog.enabled]) at run time, so toggling instrumentation is an O(1)
     mutation observed by already-translated code -- no retranslation, no
-    flush.  An armed load/store/AMO site is "fire, then fast": it fires
-    the mem subscribers with the retired-insn counter exact for the
-    instruction, then runs the unarmed site's allocation-free access (see
-    {!Probe.mem_fn} for the subscriber contract).
+    flush.  Load/store/AMO, call and trap ops cache the closure their
+    subscribers or trap handler specialized to the instruction's static
+    facts, and rebuild it only when the site generation
+    ({!Probe.t.gen}) moved; a site specialized to "nothing to do" makes
+    no call.  An armed load/store/AMO site is "fire, then fast": it runs
+    its closure with the retired-insn counter exact for the instruction,
+    then runs the unarmed site's allocation-free access (see
+    {!Probe.mem_site} for the contract).
 
     The fast engine chains translated blocks (generation-tagged successor
     links), fuses hot chains into superblocks, specializes
@@ -65,7 +69,9 @@ type t = {
   probes : Probe.t;
   cmplog : Cmplog.t;  (** compare-operand coverage sink (see {!Cmplog}) *)
   block_cache : (int, block) Hashtbl.t;
-  trap_handlers : (int, handler) Hashtbl.t;
+  trap_handlers : (int, pc:int -> handler) Hashtbl.t;
+      (** trap number -> handler specializer ({!set_trap_site}); change it
+          only through the setters, which bump the site generation *)
   stats : Engine_stats.t;
   mutable engine : engine;
   mutable superblocks : bool;  (** substitute fused blocks when available *)
@@ -164,7 +170,18 @@ val set_superblocks : t -> bool -> unit
     [Invalid_argument] otherwise. *)
 val set_super_threshold : t -> int -> unit
 
+(** Install the handler of trap [num] as a specializer: each translated
+    [trap num] binds [spec ~pc] once, with its own pc, and binds again
+    only after a later change to the trap table or the probe subscribers
+    (the site generation, {!Probe.invalidate}).  The contract of
+    {!Probe} specializers applies: [spec ~pc] may depend only on [pc] and
+    on state fixed at install time. *)
+val set_trap_site : t -> int -> (pc:int -> handler) -> unit
+
+(** [set_trap_handler t num h] is [set_trap_site t num (fun ~pc:_ -> h)]. *)
 val set_trap_handler : t -> int -> handler -> unit
+
+(** Uninstall; sites of [num] then stop with [Unhandled_trap]. *)
 val remove_trap_handler : t -> int -> unit
 
 (** Arm (or, with [None], disarm) the external hart scheduler. *)

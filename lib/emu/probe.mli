@@ -2,35 +2,45 @@
     section 3.3, Icicle-style "instrumentation without recompilation").
 
     Translated blocks compile in per-kind sites that consult the
-    subscriber arrays at run time; the arrays are the shared site table,
-    so subscribing/unsubscribing is an O(1) array swap observed by all
-    already-translated code -- no translation-cache flush, no epoch.
+    subscriber arrays; the arrays are the shared site table, so
+    subscribing/unsubscribing is an O(1) array swap observed by all
+    already-translated code -- no translation-cache flush.
 
-    Subscribers live in arrays in registration order; a site's armed
-    check is one array-length load, and [fire_*] has a dedicated
-    single-subscriber fast path (the common one-sanitizer case). *)
+    Mem and call subscribers are {e site specializers}: given the facts
+    the instruction fixes, they return the closure to run at that site
+    (or {!no_site} / {!no_call_site} when there is nothing to do there).
+    A translated site caches the composed closure with the generation
+    {!field-gen} it was built under and asks again once [gen] has moved;
+    every subscribe, unsubscribe, {!clear} and {!invalidate} bumps it.
 
-(** A mem subscriber.  It receives the access as labelled arguments (no
-    event record, so an armed load/store site allocates nothing): the
-    hart, the instruction's pc, the address and width, whether it writes,
-    [is_atomic] for AMO instructions (marked accesses for KCSAN), and
-    [value], the value being written (stores, AMOs; 0 for loads).
+    {b Contract.}  A specializer's result may depend only on its static
+    arguments and on state fixed when the subscriber was attached.
+    Anything that can change later must be read by the returned closure
+    at run time or bump a generation ({!invalidate}). *)
 
-    The subscriber sees the access before it happens: the translated
-    site fires the subscribers, then performs the same width-specialized
-    access an unarmed site runs ("fire, then fast").  It may raise (e.g.
-    [Fault.Retry_at] to stall the hart; the access is then not
-    performed), but must not write hart registers, because the access
-    re-reads its operands after the call. *)
-type mem_fn =
-  hart:int ->
-  pc:int ->
-  addr:int ->
-  size:int ->
-  is_write:bool ->
-  is_atomic:bool ->
-  value:int ->
-  unit
+(** A mem site: the hart, the address and [value], the value being
+    written (stores, AMOs; 0 for loads).  It runs before the access
+    happens: the translated site runs it, then performs the same
+    width-specialized access an unarmed site runs ("fire, then fast").
+    It may raise (e.g. [Fault.Retry_at] to stall the hart; the access is
+    then not performed), but must not write hart registers, because the
+    access re-reads its operands after the call.  No event record is
+    built, so an armed site allocates nothing. *)
+type mem_site = hart:int -> addr:int -> value:int -> unit
+
+(** A mem subscriber: the site specializer for an access at [pc] of
+    [size] bytes, writing or not, [is_atomic] for AMO instructions
+    (marked accesses for KCSAN). *)
+type mem_fn = pc:int -> size:int -> is_write:bool -> is_atomic:bool -> mem_site
+
+(** A call site, run after the transfer with the hart and the call's
+    dynamic target. *)
+type call_site = hart:int -> target:int -> unit
+
+(** A call subscriber: the site specializer for a call at [pc];
+    [target] is [Some] the target of a direct call and [None] for an
+    indirect one. *)
+type call_fn = pc:int -> target:int option -> call_site
 
 type call_event = { c_hart : int; c_pc : int; c_target : int }
 type ret_event = { r_hart : int; r_pc : int; r_target : int; r_retval : int }
@@ -38,9 +48,12 @@ type block_event = { b_hart : int; b_pc : int }
 
 type t = {
   mutable mem : mem_fn array;
-  mutable calls : (call_event -> unit) array;
+  mutable calls : call_fn array;
   mutable rets : (ret_event -> unit) array;
   mutable blocks : (block_event -> unit) array;
+  mutable gen : int;
+      (** generation of every specialized site; bumped by each change to
+          the subscriber arrays and by {!invalidate} *)
 }
 
 (** Subscription handle for {!unsubscribe}. *)
@@ -48,11 +61,22 @@ type sub
 
 val create : unit -> t
 
+(** The sentinels a specializer returns where it has nothing to do; a
+    site bound to one makes no call. *)
+
+val no_site : mem_site
+val no_call_site : call_site
+
+(** Bump the generation: every specialized site asks its specializers
+    again on its next execution.  For site tables kept outside this
+    module (the machine's trap table). *)
+val invalidate : t -> unit
+
 (** [subscribe_*] append a subscriber (fire order = registration order)
     and return a handle; O(1) site patch, zero flushes. *)
 
 val subscribe_mem : t -> mem_fn -> sub
-val subscribe_call : t -> (call_event -> unit) -> sub
+val subscribe_call : t -> call_fn -> sub
 val subscribe_ret : t -> (ret_event -> unit) -> sub
 val subscribe_block : t -> (block_event -> unit) -> sub
 
@@ -63,7 +87,7 @@ val unsubscribe : sub -> unit
 (** [on_*]: handle-free subscription for callers that never detach. *)
 
 val on_mem : t -> mem_fn -> unit
-val on_call : t -> (call_event -> unit) -> unit
+val on_call : t -> call_fn -> unit
 val on_ret : t -> (ret_event -> unit) -> unit
 val on_block : t -> (block_event -> unit) -> unit
 
@@ -75,7 +99,54 @@ val has_calls : t -> bool
 val has_rets : t -> bool
 val has_blocks : t -> bool
 
-val fire_mem : t -> mem_fn
-val fire_call : t -> call_event -> unit
+(** [compose ~none ~seq spec fs]: the one site of an instruction, built
+    from the specializers [fs] through [spec], in order.  Sites physically
+    equal to the sentinel [none] drop out; [none] itself when none is
+    left, the one live site as is, else [seq] over the live ones.  The
+    compose step of every specialized site, here and in the sanitizer
+    runtime. *)
+val compose : none:'s -> seq:('s array -> 's) -> ('f -> 's) -> 'f array -> 's
+
+(** The subscribers' sites for one instruction composed in registration
+    order, without those that returned a sentinel; the sentinel itself
+    when none is left. *)
+
+val mem_site :
+  t -> pc:int -> size:int -> is_write:bool -> is_atomic:bool -> mem_site
+
+val call_site : t -> pc:int -> target:int option -> call_site
+
+(** Specialize, then fire: the per-event path of the reference engine.
+    [direct] says whether [target] is the call's static target. *)
+
+val fire_mem :
+  t ->
+  pc:int ->
+  size:int ->
+  is_write:bool ->
+  is_atomic:bool ->
+  hart:int ->
+  addr:int ->
+  value:int ->
+  unit
+
+val fire_call : t -> pc:int -> target:int -> direct:bool -> hart:int -> unit
+
+(** Adapters for subscribers that want every event with all its
+    arguments: the specializer that binds every site to [f]. *)
+
+val every_mem :
+  (hart:int ->
+  pc:int ->
+  addr:int ->
+  size:int ->
+  is_write:bool ->
+  is_atomic:bool ->
+  value:int ->
+  unit) ->
+  mem_fn
+
+val every_call : (call_event -> unit) -> call_fn
+
 val fire_ret : t -> ret_event -> unit
 val fire_block : t -> block_event -> unit

@@ -42,20 +42,21 @@ let attach ?(capacity = 256) ?(mem = false) ?(blocks = true) (m : Machine.t) =
   if blocks then
     Probe.on_block m.probes (fun (ev : Probe.block_event) ->
         push t (Block { bt_hart = ev.b_hart; bt_pc = ev.b_pc }));
-  Probe.on_call m.probes (fun (ev : Probe.call_event) ->
-      let cpu = m.harts.(ev.c_hart) in
-      let args =
-        Array.map (fun r -> Cpu.get cpu r) Embsan_isa.Reg.args
-      in
-      push t
-        (Call
-           { ct_hart = ev.c_hart; ct_pc = ev.c_pc; ct_target = ev.c_target;
-             ct_args = args }));
+  Probe.on_call m.probes
+    (Probe.every_call (fun (ev : Probe.call_event) ->
+         let cpu = m.harts.(ev.c_hart) in
+         let args =
+           Array.map (fun r -> Cpu.get cpu r) Embsan_isa.Reg.args
+         in
+         push t
+           (Call
+              { ct_hart = ev.c_hart; ct_pc = ev.c_pc; ct_target = ev.c_target;
+                ct_args = args })));
   Probe.on_ret m.probes (fun (ev : Probe.ret_event) ->
       push t (Return { rt_hart = ev.r_hart; rt_pc = ev.r_pc; rt_retval = ev.r_retval }));
   if mem then
     Probe.on_mem m.probes
-      (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic:_ ~value ->
+      (Probe.every_mem (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic:_ ~value ->
         push t
           (Mem
              {
@@ -65,7 +66,7 @@ let attach ?(capacity = 256) ?(mem = false) ?(blocks = true) (m : Machine.t) =
                mt_size = size;
                mt_is_write = is_write;
                mt_value = value;
-             }));
+             })));
   t
 
 (** Events currently in the ring, oldest first. *)

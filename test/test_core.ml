@@ -440,6 +440,80 @@ let kasan_dedup () =
   let key = Report.dedup_key (List.hd (Report.unique_reports sink)) in
   Alcotest.(check int) "five hits" 5 (Report.hits sink key)
 
+(* The specialized access site must report exactly when [on_access] does:
+   two KASAN instances over one shadow, one checked through a site per
+   (size, is_write), the other through [on_access], must agree after every
+   access on the report events, and at the end on the check counters and
+   the reports themselves.  Accesses cover the null page, both ends of RAM
+   (including past its end), partial granules and granule-straddling
+   offsets; one RAM base sits below the null-page bound. *)
+let kasan_site_agrees_qcheck =
+  let open QCheck2 in
+  let ram_size = 0x1000 in
+  (* RAM offsets, biased to both ends of RAM *)
+  let off =
+    Gen.(
+      oneof
+        [
+          int_range 0 15;
+          int_range 0 255;
+          map (fun d -> ram_size - d) (int_range (-8) 64);
+        ])
+  in
+  let code =
+    Gen.oneofl Shadow.[ Heap_redzone; Stack_redzone; Global_redzone; Freed ]
+  in
+  let op =
+    Gen.(
+      oneof
+        [
+          map3 (fun a n c -> `Poison (a, n, c)) off (int_range 1 40) code;
+          map2 (fun a n -> `Unpoison (a, n)) off (int_range 1 40);
+        ])
+  in
+  let where = Gen.(oneof [ map (fun a -> `Ram a) off; map (fun a -> `Abs a) (int_range 0 0x1100) ]) in
+  let access = Gen.(triple where (oneofl [ 1; 2; 4 ]) bool) in
+  Test.make ~name:"specialized site reports exactly when on_access does"
+    ~count:300
+    Gen.(
+      triple (oneofl [ 0x1_0000; 0x800 ])
+        (list_size (int_range 1 12) op)
+        (list_size (int_range 1 40) access))
+    (fun (ram_base, ops, accesses) ->
+      let shadow = Shadow.create ~ram_base ~ram_size in
+      let mk () =
+        let sink = Report.create_sink () in
+        (Kasan.create ~shadow ~sink ~symbolize:(fun _ -> None) (), sink)
+      in
+      let (ka, sink_a), (kb, sink_b) = (mk (), mk ()) in
+      List.iter
+        (function
+          | `Poison (a, n, c) -> Shadow.poison shadow ~addr:(ram_base + a) ~size:n c
+          | `Unpoison (a, n) -> Shadow.unpoison shadow ~addr:(ram_base + a) ~size:n)
+        ops;
+      let pc_of size is_write = 0x100 + (8 * size) + if is_write then 4 else 0 in
+      let sites = Hashtbl.create 6 in
+      List.iter
+        (fun (size, is_write) ->
+          let pc = pc_of size is_write in
+          Hashtbl.replace sites (size, is_write) (Kasan.site ka ~pc ~size ~is_write))
+        [ (1, false); (2, false); (4, false); (1, true); (2, true); (4, true) ];
+      let report_view sink =
+        List.map
+          (fun (r : Report.t) -> (r.kind, r.addr, r.size, r.is_write, r.pc, r.detail))
+          (Report.unique_reports sink)
+      in
+      List.for_all
+        (fun (where, size, is_write) ->
+          let addr = match where with `Ram a -> ram_base + a | `Abs a -> a in
+          (Hashtbl.find sites (size, is_write)) ~hart:0 ~addr;
+          Kasan.on_access kb ~addr ~size ~is_write ~pc:(pc_of size is_write)
+            ~hart:0;
+          Report.total_hits sink_a = Report.total_hits sink_b)
+        accesses
+      && ka.access_checks = kb.access_checks
+      && report_view sink_a = report_view sink_b)
+
 (* --- End-to-end: EmbSan on real firmware ------------------------------------------- *)
 
 (* A miniature kernel with a bump allocator, symbol-conformant entry points
@@ -905,7 +979,7 @@ let pending_allocs_bounded_and_restored () =
   let snap = Runtime.save rt in
   (* allocator entries whose returns never happen (crash / tail call) *)
   let enter pc =
-    Probe.fire_call m.probes { Probe.c_hart = 0; c_pc = pc; c_target = kmalloc }
+    Probe.fire_call m.probes ~pc ~target:kmalloc ~direct:true ~hart:0
   in
   enter 0x100;
   enter 0x200;
@@ -937,6 +1011,69 @@ let pending_allocs_bounded_and_restored () =
   match Runtime.restore rt2 snap with
   | () -> Alcotest.fail "expected Invalid_argument on cross-runtime restore"
   | exception Invalid_argument _ -> ()
+
+(* Every per-access counter the modeled overhead (Figure 2) is computed
+   from, pinned on a fixed program list -- each bug's benign sequence,
+   then its reproducer unless it crashes the machine -- replayed on one
+   instance of an EmbSan-D firmware (OpenWRT-bcm63xx) and an EmbSan-C one
+   (OpenWRT-armvirt), under KASAN and under KCSAN.  The values are those
+   of the per-event dispatch that access sites replaced: specialization
+   must not change what is counted or charged (an exempt site still
+   counts, an atomic KCSAN site still charges its event). *)
+let counter_summary fw_name sanitizers =
+  let module Replay = Embsan_guest.Replay in
+  let module Defs = Embsan_guest.Defs in
+  let fw = Option.get (Embsan_guest.Firmware_db.find fw_name) in
+  let inst = Replay.boot fw (Replay.Embsan_cfg sanitizers) in
+  let rt = Option.get inst.Replay.rt in
+  List.iter
+    (fun (b : Defs.bug) ->
+      ignore (Replay.replay inst b.b_benign);
+      if b.b_class <> Defs.Null_bug then ignore (Replay.replay inst b.b_syscalls))
+    fw.fw_bugs;
+  let m = inst.machine in
+  String.concat " "
+    ([
+       Printf.sprintf "mem_events=%d" rt.mem_events;
+       Printf.sprintf "callouts=%d" rt.callouts;
+       Printf.sprintf "intercepted_calls=%d" rt.intercepted_calls;
+     ]
+    @ List.concat_map
+        (fun (san, stats) ->
+          List.map (fun (k, v) -> Printf.sprintf "%s.%s=%d" san k v) stats)
+        (Runtime.plugin_stats rt)
+    @ [
+        Printf.sprintf "external_cost=%d" m.Machine.external_cost;
+        Printf.sprintf "total_cost=%d" (Machine.total_cost m);
+      ])
+
+let counters_pinned () =
+  List.iter
+    (fun (fw_name, sanitizers, expected) ->
+      Alcotest.(check string) fw_name expected
+        (counter_summary fw_name sanitizers))
+    [
+      ( "OpenWRT-bcm63xx",
+        Embsan.kasan_only,
+        "mem_events=3432 callouts=0 intercepted_calls=16 \
+         kasan.access_checks=2339 kasan.alloc_events=8 kasan.free_events=8 \
+         external_cost=268944 total_cost=424344" );
+      ( "OpenWRT-bcm63xx",
+        Embsan.kcsan_only,
+        "mem_events=3446 callouts=0 intercepted_calls=16 \
+         kcsan.access_events=2353 kcsan.watchpoints_set=17 kcsan.races=0 \
+         external_cost=670046 total_cost=825776" );
+      ( "OpenWRT-armvirt",
+        Embsan.kasan_only,
+        "mem_events=4061 callouts=4092 intercepted_calls=0 \
+         kasan.access_checks=4061 kasan.alloc_events=12 kasan.free_events=13 \
+         external_cost=470580 total_cost=876650" );
+      ( "OpenWRT-armvirt",
+        Embsan.kcsan_only,
+        "mem_events=4097 callouts=4128 intercepted_calls=0 \
+         kcsan.access_events=4097 kcsan.watchpoints_set=32 kcsan.races=0 \
+         external_cost=2031580 total_cost=2439120" );
+    ]
 
 (* The fourth sanitizer: ualign plugs in through Api_spec + registry only
    (no runtime/machine/probe edits) and works under both backends, with
@@ -1248,6 +1385,7 @@ let () =
           Alcotest.test_case "null deref" `Quick kasan_null_deref;
           Alcotest.test_case "global redzones" `Quick kasan_globals_redzone;
           Alcotest.test_case "dedup" `Quick kasan_dedup;
+          QCheck_alcotest.to_alcotest kasan_site_agrees_qcheck;
         ] );
       ( "prober",
         [
@@ -1273,6 +1411,8 @@ let () =
             pending_allocs_bounded_and_restored;
           Alcotest.test_case "ualign as a fourth sanitizer" `Quick
             embsan_ualign_fourth_sanitizer;
+          Alcotest.test_case "per-access counters pinned" `Quick
+            counters_pinned;
         ] );
       ( "ftrace",
         [

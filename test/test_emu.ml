@@ -17,9 +17,10 @@ let check_stop = Alcotest.testable Machine.pp_stop ( = )
 
 (* A mem subscriber that ignores the access it is told about and runs
    [f]. *)
-let on_each_mem f ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_
-    ~value:_ =
-  f ()
+let on_each_mem f =
+  Probe.every_mem
+    (fun ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ ->
+      f ())
 
 let ignore_mem = on_each_mem ignore
 
@@ -162,8 +163,9 @@ let mem_probe_events () =
   let m, img = assemble_and_load [ unit_ text [ Label "buf"; Words [ 0; 0 ] ] ] in
   let events = ref [] in
   Probe.on_mem m.probes
-    (fun ~hart:_ ~pc:_ ~addr ~size ~is_write ~is_atomic:_ ~value ->
-      events := (is_write, addr, size, value) :: !events);
+    (Probe.every_mem
+       (fun ~hart:_ ~pc:_ ~addr ~size ~is_write ~is_atomic:_ ~value ->
+         events := (is_write, addr, size, value) :: !events));
   ignore (Machine.run m ~max_insns:100);
   let buf = Image.symbol_addr_exn img "buf" in
   match List.rev !events with
@@ -237,7 +239,7 @@ let call_ret_probes () =
   in
   let m, img = assemble_and_load [ unit_ text [] ] in
   let calls = ref [] and rets = ref [] in
-  Probe.on_call m.probes (fun ev -> calls := ev :: !calls);
+  Probe.on_call m.probes (Probe.every_call (fun ev -> calls := ev :: !calls));
   Probe.on_ret m.probes (fun ev -> rets := ev :: !rets);
   ignore (Machine.run m ~max_insns:100);
   let callee = Image.symbol_addr_exn img "callee" in
@@ -342,14 +344,16 @@ let stall_and_retry () =
   let stalled = ref false in
   let side_value_during_stall = ref (-1) in
   Probe.on_mem m.probes
-    (fun ~hart:_ ~pc ~addr ~size:_ ~is_write ~is_atomic:_ ~value:_ ->
-      if addr = cell && is_write && not !stalled then begin
-        stalled := true;
-        m.harts.(0).stall_until <- m.total_insns + 200;
-        raise (Fault.Retry_at pc)
-      end
-      else if addr = cell && is_write then
-        side_value_during_stall := Machine.read_mem m ~addr:side_cell ~width:4);
+    (Probe.every_mem
+       (fun ~hart:_ ~pc ~addr ~size:_ ~is_write ~is_atomic:_ ~value:_ ->
+         if addr = cell && is_write && not !stalled then begin
+           stalled := true;
+           m.harts.(0).stall_until <- m.total_insns + 200;
+           raise (Fault.Retry_at pc)
+         end
+         else if addr = cell && is_write then
+           side_value_during_stall :=
+             Machine.read_mem m ~addr:side_cell ~width:4));
   ignore (Machine.run m ~max_insns:10_000);
   Alcotest.(check bool) "stall happened" true !stalled;
   Alcotest.(check int) "hart1 progressed during stall" 1 !side_value_during_stall;
@@ -1018,8 +1022,9 @@ let probe_counters_exact () =
     Machine.set_superblocks m super;
     let events = ref [] in
     Probe.on_mem m.probes
-      (fun ~hart:_ ~pc ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ ->
-        events := (pc, m.Machine.total_insns) :: !events);
+      (Probe.every_mem
+         (fun ~hart:_ ~pc ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ ->
+           events := (pc, m.Machine.total_insns) :: !events));
     let stop = Machine.run m ~max_insns:100_000 in
     (stop, List.rev !events, m.stats.super_execs)
   in
@@ -1057,6 +1062,188 @@ let armed_site_allocates_nothing () =
   if armed -. unarmed > 1000. then
     Alcotest.failf "armed run allocated %.0f minor words, unarmed %.0f" armed
       unarmed
+
+(* --- Specialized sites and the site generation ---------------------------- *)
+
+(* Run [f engine] on both engines; [f] gets a fresh machine loaded with
+   [units] and already switched to [engine], and the invalidation-flush
+   count at that point (switching to Baseline flushes once). *)
+let on_both_engines units f =
+  List.iter
+    (fun engine ->
+      let m, img = assemble_and_load ~harts:1 units in
+      Machine.set_engine m engine;
+      f engine m img m.stats.flushes_invalidate)
+    [ Machine.Fast; Machine.Baseline ]
+
+let engine_name = function
+  | Machine.Fast -> "fast"
+  | Machine.Baseline -> "baseline"
+
+(* A translated [trap N] binds N's handler through the trap table and
+   keeps it until the table changes: replacing the handler after the
+   block is cached reaches the next run, removing it stops the run with
+   [Unhandled_trap], and neither costs a flush or (on the fast engine) a
+   retranslation.  A handler may specialize on its trap's pc; the fast
+   engine binds it once per site and generation. *)
+let trap_sites_rebind () =
+  let open Asm in
+  let text = [ Label "main"; li Reg.a0 5; Label "t"; trap 3; halt ] in
+  on_both_engines [ unit_ text [] ] (fun engine m img fi0 ->
+      let name s = engine_name engine ^ ": " ^ s in
+      let trap_pc = Image.symbol_addr_exn img "t" in
+      let rerun () =
+        Machine.boot m;
+        Machine.run m ~max_insns:100
+      in
+      let binds = ref 0 in
+      Machine.set_trap_site m 3 (fun ~pc ->
+          incr binds;
+          fun _m cpu -> Cpu.set cpu Reg.a0 (pc - trap_pc + 11));
+      Alcotest.check check_stop (name "bound at its own pc") (Machine.Halted 11)
+        (rerun ());
+      Alcotest.check check_stop (name "cached binding") (Machine.Halted 11)
+        (rerun ());
+      if engine = Machine.Fast then
+        Alcotest.(check int) (name "bound once") 1 !binds;
+      let translations = m.stats.translations in
+      Machine.set_trap_handler m 3 (fun _m cpu -> Cpu.set cpu Reg.a0 22);
+      Alcotest.check check_stop (name "replaced handler runs")
+        (Machine.Halted 22) (rerun ());
+      Machine.remove_trap_handler m 3;
+      Alcotest.check check_stop (name "removed handler")
+        (Machine.Unhandled_trap { pc = trap_pc; num = 3 })
+        (rerun ());
+      Alcotest.(check int) (name "no flush") fi0 m.stats.flushes_invalidate;
+      if engine = Machine.Fast then
+        Alcotest.(check int) (name "no retranslation") translations
+          m.stats.translations)
+
+(* Every kind of access, each at a labelled pc. *)
+let site_text =
+  let open Asm in
+  [
+    Label "main";
+    la Reg.t0 "buf";
+    li Reg.t1 7;
+    Label "st8";
+    store W8 Reg.t0 Reg.t1 1;
+    Label "ld16";
+    load W16 Reg.t2 Reg.t0 2;
+    Label "st32";
+    store W32 Reg.t0 Reg.t1 4;
+    Label "ld32";
+    load W32 Reg.t3 Reg.t0 4;
+    Label "amo";
+    Ins (Amo (Amo_add, Reg.t4, Reg.t0, Reg.t1));
+    halt;
+  ]
+
+(* A mem subscriber added after the block is cached is asked, per
+   instruction, with exactly that instruction's static facts, and its
+   site runs with the access's address and value.  A second subscriber
+   that returns [no_site] for one pc is never called there. *)
+let mem_sites_specialize () =
+  on_both_engines
+    [ unit_ site_text [ Asm.Label "buf"; Asm.Words [ 0; 0 ] ] ]
+    (fun engine m img fi0 ->
+      let name s = engine_name engine ^ ": " ^ s in
+      let at l = Image.symbol_addr_exn img l in
+      let buf = at "buf" in
+      ignore (Machine.run m ~max_insns:100);
+      let translations = m.stats.translations in
+      let facts = Hashtbl.create 8 and fired = ref [] in
+      Probe.on_mem m.probes (fun ~pc ~size ~is_write ~is_atomic ->
+          Hashtbl.replace facts pc (size, is_write, is_atomic);
+          let site ~hart:_ ~addr ~value = fired := (pc, addr, value) :: !fired in
+          site);
+      let skipped = at "ld16" and called = ref [] in
+      Probe.on_mem m.probes (fun ~pc ~size:_ ~is_write:_ ~is_atomic:_ ->
+          if pc = skipped then Probe.no_site
+          else fun ~hart:_ ~addr:_ ~value:_ -> called := pc :: !called);
+      Machine.boot m;
+      ignore (Machine.run m ~max_insns:100);
+      let fact l =
+        match Hashtbl.find_opt facts (at l) with
+        | Some f -> f
+        | None -> Alcotest.failf "%s: no site specialized at %s" (name "") l
+      in
+      let facts_t = Alcotest.(triple int bool bool) in
+      Alcotest.check facts_t (name "W8 store") (1, true, false) (fact "st8");
+      Alcotest.check facts_t (name "W16 load") (2, false, false) (fact "ld16");
+      Alcotest.check facts_t (name "W32 store") (4, true, false) (fact "st32");
+      Alcotest.check facts_t (name "W32 load") (4, false, false) (fact "ld32");
+      Alcotest.check facts_t (name "AMO") (4, true, true) (fact "amo");
+      Alcotest.(check (list (triple int int int)))
+        (name "sites fire with address and value")
+        [
+          (at "st8", buf + 1, 7);
+          (at "ld16", buf + 2, 0);
+          (at "st32", buf + 4, 7);
+          (at "ld32", buf + 4, 0);
+          (at "amo", buf, 7);
+        ]
+        (List.rev !fired);
+      Alcotest.(check (list int))
+        (name "no_site pc skipped, the others called")
+        [ at "st8"; at "st32"; at "ld32"; at "amo" ]
+        (List.rev !called);
+      Alcotest.(check int) (name "no flush") fi0 m.stats.flushes_invalidate;
+      if engine = Machine.Fast then
+        Alcotest.(check int) (name "no retranslation") translations
+          m.stats.translations)
+
+(* EmbSan-D's allocator interception binds each direct call once: a call
+   to the allocator reaches the runtime, a call to anything else has
+   nothing to do.  Attaching after the block is cached must rebind the
+   call sites, not leave them bound to "nothing". *)
+let direct_alloc_call_reaches_runtime () =
+  let open Asm in
+  let text =
+    [
+      Label "main";
+      li Reg.a0 24;
+      call "kmalloc";
+      call "other";
+      halt;
+      Label "kmalloc";
+      la Reg.a0 "pool";
+      ret;
+      Label "other";
+      ret;
+    ]
+  in
+  on_both_engines
+    [ unit_ text [ Label "pool"; Words [ 0; 0; 0; 0; 0; 0; 0; 0 ] ] ]
+    (fun engine m img fi0 ->
+      let name s = engine_name engine ^ ": " ^ s in
+      ignore (Machine.run m ~max_insns:100);
+      let translations = m.stats.translations in
+      let kmalloc = Image.symbol_addr_exn img "kmalloc" in
+      let spec =
+        {
+          Embsan_core.Dsl.empty with
+          sanitizers = [ "kasan" ];
+          functions =
+            [
+              {
+                Embsan_core.Dsl.f_name = "kmalloc";
+                f_addr = kmalloc;
+                f_size = Image.symbol_addr_exn img "other" - kmalloc;
+                f_kind = `Alloc 0;
+              };
+            ];
+        }
+      in
+      let rt = Embsan_core.Runtime.attach ~spec ~mode:Embsan_core.Runtime.D m in
+      Machine.boot m;
+      ignore (Machine.run m ~max_insns:100);
+      Alcotest.(check int) (name "allocator call intercepted") 1
+        rt.intercepted_calls;
+      Alcotest.(check int) (name "no flush") fi0 m.stats.flushes_invalidate;
+      if engine = Machine.Fast then
+        Alcotest.(check int) (name "no retranslation") translations
+          m.stats.translations)
 
 (* A deterministic two-hart workload mixing AMO, calls/rets, loads/stores
    and branches; both harts increment a shared counter 200 times and halt
@@ -1107,7 +1294,7 @@ let run_differential ~probed =
     ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
   if probed then begin
     Probe.on_mem m.probes ignore_mem;
-    Probe.on_call m.probes (fun _ -> ());
+    Probe.on_call m.probes (Probe.every_call ignore);
     Probe.on_ret m.probes (fun _ -> ());
     Probe.on_block m.probes (fun _ -> ())
   end;
@@ -1326,6 +1513,12 @@ let () =
             probe_counters_exact;
           Alcotest.test_case "armed site allocates nothing" `Quick
             armed_site_allocates_nothing;
+          Alcotest.test_case "trap sites rebind on a generation change" `Quick
+            trap_sites_rebind;
+          Alcotest.test_case "mem sites specialize per instruction" `Quick
+            mem_sites_specialize;
+          Alcotest.test_case "direct allocator call reaches the runtime"
+            `Quick direct_alloc_call_reaches_runtime;
         ] );
       ( "engine",
         [
