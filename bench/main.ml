@@ -13,7 +13,8 @@
      emu       execution-engine throughput (writes BENCH_emu.json)
      snap      snapshot service: restore latency + campaign reboot-vs-restore
                (writes BENCH_snap.json)
-     orch      multi-domain orchestrator scaling sweep (writes BENCH_orch.json)
+     orch      multi-domain orchestrator scaling sweep (writes BENCH_orch.json;
+               exits 1 if jobs=1 differs from Campaign.run)
      race      race detection: ftrace vs KCSAN, fixed vs fuzzed schedules
                (writes BENCH_race.json; exits 1 on ratio-guard violation)
      rehost    model-free rehosting: interrupt-injection A/B + throughput

@@ -18,7 +18,8 @@
    JSON so wall-clock-limited environments are legible.  The bench also
    re-runs the jobs=1 configuration through Campaign.run and records
    whether the orchestrated unique-bug set matches — the determinism
-   contract's acceptance check. *)
+   contract's acceptance check; a mismatch exits 1 after writing the
+   JSON. *)
 
 module Orch = Embsan_orch.Orch
 module Campaign = Embsan_fuzz.Campaign
@@ -165,4 +166,8 @@ let run ?(execs = default_execs) () =
   let oc = open_out "BENCH_orch.json" in
   output_string oc json;
   close_out oc;
-  Fmt.pr "  wrote BENCH_orch.json@."
+  Fmt.pr "  wrote BENCH_orch.json@.";
+  if not equal then begin
+    Fmt.pr "  DETERMINISM CHECK FAILED@.";
+    exit 1
+  end

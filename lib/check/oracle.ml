@@ -20,8 +20,8 @@
      in flight -- cached blocks and chain links survive, but every
      already-translated site must see the new subscriber list immediately;
    - toggle-storm: seeded random toggling of every run-time
-     instrumentation knob (probe subscriptions, dirty tracking, cmplog,
-     superblock formation) between sync points, against an unperturbed
+     instrumentation knob (probe subscriptions, dirty tracking, cmplog)
+     between sync points, against an unperturbed
      fast machine.  Doubles as the retranslation-free pin: after the run,
      [flushes_invalidate] must be exactly 0 -- no toggle is allowed to
      flush the translation cache;
@@ -185,16 +185,13 @@ let toggle_storm ~cfg (p : Progen.t) =
   let rng = Rng.create ~seed:(p.p_seed + 0x7066) in
   let ma = machine_of p in
   let mb = machine_of p in
-  (* low threshold so superblock formation actually happens in-run *)
-  Machine.set_super_threshold mb 4;
   let subs = ref [] in
   let storm mb =
     for _ = 1 to Rng.range rng 1 4 do
-      match Rng.below rng 5 with
+      match Rng.below rng 4 with
       | 0 -> Machine.set_dirty_tracking mb (Rng.chance rng ~percent:50)
       | 1 -> Machine.set_cmplog mb (Rng.chance rng ~percent:50)
-      | 2 -> Machine.set_superblocks mb (Rng.chance rng ~percent:50)
-      | 3 ->
+      | 2 ->
           let s =
             match Rng.below rng 4 with
             | 0 -> Probe.subscribe_mem mb.Machine.probes ignore_mem

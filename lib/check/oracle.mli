@@ -47,10 +47,10 @@ val subscription_churn :
   cfg:cfg -> Progen.t -> divergence option * Embsan_emu.Machine.stop
 
 (** Seeded random toggling of every run-time instrumentation knob (probe
-    subscriptions, dirty tracking, cmplog, superblock formation) between
-    sync points.  Also pins the retranslation-free property: a non-zero
-    [flushes_invalidate] count after the run is reported as a divergence
-    (at sync point -1) even when guest state never split. *)
+    subscriptions, dirty tracking, cmplog) between sync points.  Also pins
+    the retranslation-free property: a non-zero [flushes_invalidate]
+    count after the run is reported as a divergence (at sync point -1)
+    even when guest state never split. *)
 val toggle_storm :
   cfg:cfg -> Progen.t -> divergence option * Embsan_emu.Machine.stop
 

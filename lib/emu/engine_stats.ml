@@ -1,5 +1,5 @@
-(* Execution-engine counters: translation-cache behaviour, block chaining
-   and superblock effectiveness.  One instance lives in each {!Machine.t};
+(* Execution-engine counters: translation-cache behaviour and block
+   chaining.  One instance lives in each {!Machine.t};
    the bench pipeline serializes them into BENCH_emu.json so engine
    regressions show up as a trajectory, not an anecdote. *)
 
@@ -18,14 +18,9 @@ type t = {
      property. *)
   mutable flushes_load : int;
   mutable flushes_invalidate : int;
-  (* superblock formation: hot chain heads fused into single closure
-     arrays.  [super_transfers] counts the block-to-block control
-     transfers that happened *inside* a fused block (they skip both the
-     hashtable and the chain links), [super_exits] the guard-detected
-     mispredicts that bailed back to the dispatcher. *)
-  mutable superblocks_formed : int;
-  mutable super_execs : int;
-  mutable super_exits : int;
+  (* always 0 and not rendered: kept only because the fuzzing
+     benchmark's traced loop (perfbench/traced.ml) reads it, until that
+     loop's next change *)
   mutable super_transfers : int;
   (* model-free rehosting layer (lib/rehost): unmapped-MMIO reads served
      from the fuzz-input stream, and interrupts vectored at fuzzer-chosen
@@ -42,9 +37,6 @@ let create () =
     chained = 0;
     flushes_load = 0;
     flushes_invalidate = 0;
-    superblocks_formed = 0;
-    super_execs = 0;
-    super_exits = 0;
     super_transfers = 0;
     rehost_reads = 0;
     irq_injected = 0;
@@ -57,9 +49,6 @@ let reset t =
   t.chained <- 0;
   t.flushes_load <- 0;
   t.flushes_invalidate <- 0;
-  t.superblocks_formed <- 0;
-  t.super_execs <- 0;
-  t.super_exits <- 0;
   t.super_transfers <- 0;
   t.rehost_reads <- 0;
   t.irq_injected <- 0
@@ -72,42 +61,36 @@ let hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total
 
-(** Fraction of all block-to-block transfers that skipped the hashtable
-    (served by a chain link or fused into a superblock). *)
+(** Fraction of all block-to-block transfers served by a chain link. *)
 let chain_rate t =
-  let fast = t.chained + t.super_transfers in
-  let total = t.cache_hits + t.cache_misses + fast in
-  if total = 0 then 0.0 else float_of_int fast /. float_of_int total
+  let total = t.cache_hits + t.cache_misses + t.chained in
+  if total = 0 then 0.0 else float_of_int t.chained /. float_of_int total
 
 let pp fmt t =
   Fmt.pf fmt
     "translations=%d cache_hits=%d cache_misses=%d chained=%d \
-     flushes_load=%d flushes_invalidate=%d superblocks=%d super_execs=%d \
-     super_exits=%d super_transfers=%d rehost_reads=%d irq_injected=%d \
+     flushes_load=%d flushes_invalidate=%d rehost_reads=%d irq_injected=%d \
      hit_rate=%.3f chain_rate=%.3f"
     t.translations t.cache_hits t.cache_misses t.chained t.flushes_load
-    t.flushes_invalidate t.superblocks_formed t.super_execs t.super_exits
-    t.super_transfers t.rehost_reads t.irq_injected (hit_rate t)
+    t.flushes_invalidate t.rehost_reads t.irq_injected (hit_rate t)
     (chain_rate t)
 
 (* One versioned block: every raw counter (chaining, split flushes,
-   superblocks, rehosting) plus the derived rates, tagged so downstream
-   consumers of BENCH_emu.json fail loudly on a field change instead of
-   silently reading zeros.  /2 added rehost_reads + irq_injected. *)
-let schema = "embsan-engine-stats/2"
+   rehosting) plus the derived rates, tagged so downstream consumers of
+   BENCH_emu.json fail loudly on a field change instead of silently
+   reading zeros.  /2 added rehost_reads + irq_injected; /3 dropped the
+   superblock counters. *)
+let schema = "embsan-engine-stats/3"
 
 (** Render as a JSON object (used by the bench pipeline). *)
 let to_json t =
   Printf.sprintf
     "{\"schema\": \"%s\", \"translations\": %d, \"cache_hits\": %d, \
      \"cache_misses\": %d, \"chained_transfers\": %d, \"flushes_load\": %d, \
-     \"flushes_invalidate\": %d, \"superblocks_formed\": %d, \
-     \"super_execs\": %d, \"super_exits\": %d, \"super_transfers\": %d, \
-     \"rehost_reads\": %d, \"irq_injected\": %d, \"hit_rate\": %.4f, \
-     \"chain_rate\": %.4f}"
+     \"flushes_invalidate\": %d, \"rehost_reads\": %d, \"irq_injected\": %d, \
+     \"hit_rate\": %.4f, \"chain_rate\": %.4f}"
     schema t.translations t.cache_hits t.cache_misses t.chained
-    t.flushes_load t.flushes_invalidate t.superblocks_formed t.super_execs
-    t.super_exits t.super_transfers t.rehost_reads t.irq_injected
+    t.flushes_load t.flushes_invalidate t.rehost_reads t.irq_injected
     (hit_rate t) (chain_rate t)
 
 (* Parse [to_json] output back into a stats record (round-trip pinned in
@@ -154,10 +137,7 @@ let of_json s =
     chained = int_field "chained_transfers";
     flushes_load = int_field "flushes_load";
     flushes_invalidate = int_field "flushes_invalidate";
-    superblocks_formed = int_field "superblocks_formed";
-    super_execs = int_field "super_execs";
-    super_exits = int_field "super_exits";
-    super_transfers = int_field "super_transfers";
+    super_transfers = 0;
     rehost_reads = int_field "rehost_reads";
     irq_injected = int_field "irq_injected";
   }

@@ -28,10 +28,6 @@
    - block chaining: each translated block caches up to two successor
      links (generation-tagged), so straight-line code and loops transfer
      control without touching the block hashtable;
-   - superblock formation: chain heads that stay hot are fused with their
-     chained successors into a single closure array, with per-boundary
-     guard ops that keep scheduling, probe events and accounting exactly
-     what the unfused chain would produce;
    - allocation-free RAM fast path: load/store templates are specialized
      at translation time per width and bounds-check straight into
      [Ram.bytes]; the {!Fault.access} record is only constructed on the
@@ -69,21 +65,13 @@ let pp_stop fmt = function
    invalidates the block and every chain link pointing at it.  Probe
    state is NOT baked in -- ops carry patchable sites -- so there is no
    probe epoch.  [b_insns]/[b_cost] are the translate-time totals charged
-   on entry; [b_cost_pfx.(i)] / [b_insn_pfx.(i)] are the cost / retired
-   insns of ops 0..i inclusive, used to correct the pre-charge when op
-   [i] raises (superblocks make the op->insn mapping non-trivial, so the
-   insn side needs its own prefix array too).
-
-   [b_execs]/[b_super] drive superblock formation: when a chain head
-   stays hot, its chained successors are fused into [b_super], a block
-   whose ops are the concatenation of freshly translated constituents
-   with guard ops at the boundaries ([b_blocks] counts constituents, and
-   is the fused block's cost against the per-turn chain budget).
+   on entry; [b_cost_pfx.(i)] is the cost of ops 0..i inclusive, used to
+   correct the pre-charge when op [i] raises (op [i] is instruction [i],
+   so the retired-insn side of the correction needs no table).
 
    A block kept stale by {!revalidate_tcg} is revived on its next lookup
-   rather than retranslated: its generation catches up and its hotness,
-   links and superblock are reset, so it behaves exactly like a fresh
-   translation. *)
+   rather than retranslated: its generation catches up, which also
+   revives every chain link pointing at it. *)
 type block = {
   b_base : int; (* guest pc this block was translated from *)
   mutable b_gen : int; (* caught up by [lookup_block] when revived *)
@@ -91,10 +79,6 @@ type block = {
   b_insns : int;
   b_cost : int;
   b_cost_pfx : int array;
-  b_insn_pfx : int array;
-  b_blocks : int; (* chain-budget cost: 1, or fused constituent count *)
-  mutable b_execs : int; (* hotness counter for superblock formation *)
-  mutable b_super : block option; (* fused [this + chained successors] *)
   mutable l0_pc : int;
   mutable l0 : block option;
   mutable l1_pc : int;
@@ -136,15 +120,12 @@ type t = {
          which bump the site generation *)
   stats : Engine_stats.t;
   mutable engine : engine;
-  mutable superblocks : bool; (* substitute fused blocks when available *)
-  mutable super_threshold : int; (* execs before fusing; power of two *)
   mutable tcg_gen : int;
       (* bumped by flush_tcg and revalidate_tcg; invalidates chain links *)
   mutable suspects : (int * string) list;
       (* (base, source bytes) of blocks translated, while dirty tracking
          was on, from a page written since the last snapshot capture or
          restore: the blocks revalidate_tcg must check against RAM *)
-  mutable deadline : int; (* current run_slice deadline, for fused guards *)
   mutable total_insns : int;
   mutable cost : int; (* modeled guest cycles, Cost_model weights *)
   mutable external_cost : int; (* host-side sanitizer cost units *)
@@ -202,11 +183,8 @@ let create ?(harts = 2) ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
         trap_handlers = Hashtbl.create 16;
         stats = Engine_stats.create ();
         engine = Fast;
-        superblocks = true;
-        super_threshold = 64;
         tcg_gen = 0;
         suspects = [];
-        deadline = max_int;
         total_insns = 0;
         cost = 0;
         external_cost = 0;
@@ -225,9 +203,8 @@ let add_device t dev =
 let flush_raw t =
   Hashtbl.reset t.block_cache;
   t.suspects <- [];
-  (* chained links and fused superblocks inside still-referenced blocks
-     survive the hashtable reset; bumping the generation invalidates
-     them *)
+  (* chained links inside still-referenced blocks survive the hashtable
+     reset; bumping the generation invalidates them *)
   t.tcg_gen <- t.tcg_gen + 1
 
 (* Explicit invalidation (self-modifying code, engine switch, a first or
@@ -247,8 +224,8 @@ let flush_tcg t =
    recorded.  So the cache is still exact unless some suspect's bytes
    differ from RAM now, which is the only case that flushes.  Otherwise
    the generation bump makes every block stale, and [lookup_block]
-   revives each one as if freshly translated: a warm cache replays
-   exactly like a flushed one, without the retranslation. *)
+   revives each one in place: a warm cache replays exactly like a flushed
+   one, without the retranslation. *)
 let revalidate_tcg t =
   let changed (base, src) =
     Ram.read_string t.ram ~addr:base ~len:(String.length src) <> src
@@ -281,17 +258,6 @@ let set_cmplog t on = t.cmplog.Cmplog.enabled <- on
    code: O(1), no flush (the zero-flush discipline the toggle-storm
    oracle pins for the other knobs). *)
 let set_rehost t rh = t.rehost <- rh
-
-(** Enable/disable hot-chain fusion.  O(1): existing fused blocks are
-    kept but not substituted while off. *)
-let set_superblocks t on = t.superblocks <- on
-
-(** Executions of a chain head before fusion is attempted; must be a
-    power of two (the hotness check is a mask). *)
-let set_super_threshold t n =
-  if n < 2 || n land (n - 1) <> 0 then
-    invalid_arg "Machine.set_super_threshold: power of two >= 2 expected";
-  t.super_threshold <- n
 
 (* Trap handlers are bound per trap site, like probe subscribers: a
    translated [trap] caches [spec ~pc] and binds again once the site
@@ -552,13 +518,8 @@ let collect_block t base =
    bytes with no allocation, exactly like an uninstrumented TCG template,
    armed or not: an armed site only adds its closure's call before the
    access (see {!fire_mem_rewound}).  Ops do not touch the retired-insn/
-   cost counters; those are charged per-block by the run loop.
-
-   [pad_insns] supports superblock formation: a constituent re-translated
-   into a fused block sits [pad_insns] retired instructions before the
-   fused block's end, so every op's [over] rewind distance is shifted by
-   it (the fused pre-charge covers the whole superblock). *)
-let translate_fast ?(pad_insns = 0) t base =
+   cost counters; those are charged per-block by the run loop. *)
+let translate_fast t base =
   let p = t.probes in
   let cl = t.cmplog in
   let ram = t.ram in
@@ -677,7 +638,7 @@ let translate_fast ?(pad_insns = 0) t base =
           | Sne -> cunary (fun x -> if x <> w then 1 else 0))
     | Load (w, signed, rd, rs1, imm) ->
         let size = Insn.width_bytes w in
-        let over = pad_insns + n_insns - 1 - idx in
+        let over = n_insns - 1 - idx in
         (* allocation-free fast path, width-specialized at translate time *)
         let d = ri rd and a = ri rs1 in
         let set (r : int array) v = if d <> 0 then Array.unsafe_set r d v in
@@ -736,7 +697,7 @@ let translate_fast ?(pad_insns = 0) t base =
           fast cpu
     | Store (w, rs1, rs2, imm) ->
         let size = Insn.width_bytes w in
-        let over = pad_insns + n_insns - 1 - idx in
+        let over = n_insns - 1 - idx in
         (* dirty marking consults [ram.track_dirty] at run time: the
            dirty-track site of the store template *)
         let a = ri rs1 and v = ri rs2 in
@@ -799,7 +760,7 @@ let translate_fast ?(pad_insns = 0) t base =
           end;
           fast cpu
     | Amo (op, rd, rs1, rs2) ->
-        let over = pad_insns + n_insns - 1 - idx in
+        let over = n_insns - 1 - idx in
         let d = ri rd and a = ri rs1 and v = ri rs2 in
         let is_add = match op with Amo_add -> true | Amo_swap -> false in
         let fast cpu =
@@ -936,10 +897,6 @@ let translate_fast ?(pad_insns = 0) t base =
     total := !total + cost_pfx.(i);
     cost_pfx.(i) <- !total
   done;
-  (* retired insns of ops 0..i inclusive: 1:1 for decoded insns, flat for
-     the synthetic fall-through pc-setter *)
-  let n_ops = Array.length cost_pfx in
-  let insn_pfx = Array.init n_ops (fun i -> min (i + 1) n_insns) in
   {
     b_base = base;
     b_gen = t.tcg_gen;
@@ -947,10 +904,6 @@ let translate_fast ?(pad_insns = 0) t base =
     b_insns = n_insns;
     b_cost = !total;
     b_cost_pfx = cost_pfx;
-    b_insn_pfx = insn_pfx;
-    b_blocks = 1;
-    b_execs = 0;
-    b_super = None;
     l0_pc = min_int;
     l0 = None;
     l1_pc = min_int;
@@ -1091,10 +1044,6 @@ let translate_baseline t base =
     b_insns = 0;
     b_cost = 0;
     b_cost_pfx = [||];
-    b_insn_pfx = [||];
-    b_blocks = 1;
-    b_execs = 0;
-    b_super = None;
     l0_pc = min_int;
     l0 = None;
     l1_pc = min_int;
@@ -1114,15 +1063,11 @@ let lookup_block t pc =
       b
   | Some b ->
       (* kept by [revalidate_tcg] (a flush empties the table): revive it
-         in O(1) with the dynamic state of a fresh translation *)
+         in O(1).  Its links stay; each one is live again once its target
+         is revived too, and a link only skips a lookup that would find
+         the same block. *)
       t.stats.cache_misses <- t.stats.cache_misses + 1;
       b.b_gen <- t.tcg_gen;
-      b.b_execs <- 0;
-      b.b_super <- None;
-      b.l0_pc <- min_int;
-      b.l0 <- None;
-      b.l1_pc <- min_int;
-      b.l1 <- None;
       b
   | None ->
       t.stats.cache_misses <- t.stats.cache_misses + 1;
@@ -1138,7 +1083,8 @@ let lookup_block t pc =
    have charged (ops 0..i inclusive when op [i] raised -- an instruction
    that raises *after* starting, e.g. a faulting store or a probe-stalled
    retry, still counts as retired-then-rolled-back, matching the baseline
-   engine's tick-before-access order). *)
+   engine's tick-before-access order).  Op [i] is instruction [i],
+   except the synthetic fall-through pc-setter, which retires nothing. *)
 let exec_ops t (b : block) (cpu : Cpu.t) =
   t.total_insns <- t.total_insns + b.b_insns;
   t.cost <- t.cost + b.b_cost;
@@ -1152,7 +1098,7 @@ let exec_ops t (b : block) (cpu : Cpu.t) =
       incr i
     done
   with e ->
-    let ran_insns = b.b_insn_pfx.(!i) in
+    let ran_insns = min (!i + 1) b.b_insns in
     let ran_cost = b.b_cost_pfx.(!i) in
     t.total_insns <- t.total_insns - b.b_insns + ran_insns;
     t.cost <- t.cost - b.b_cost + ran_cost;
@@ -1163,9 +1109,7 @@ let exec_ops t (b : block) (cpu : Cpu.t) =
    schedule depends only on guest control flow and retired-insn counts --
    never on probe subscriptions or translation-cache state -- which is
    what makes probed and unprobed executions architecturally identical
-   (the differential-semantics test pins this).  Superblocks count
-   against the same budget as their constituent blocks ([b_blocks]), so
-   fusion never changes the schedule either. *)
+   (the differential-semantics test pins this). *)
 let chain_limit = 16
 
 let link_lookup (b : block) pc gen =
@@ -1187,144 +1131,9 @@ let link_set (b : block) pc nb =
       b.l1_pc <- pc;
       b.l1 <- Some nb
 
-(* --- Superblock formation -------------------------------------------------- *)
-
-let super_max_blocks = 4
-
-(* Fuse a hot chain head with its l0-linked successors into one closure
-   array.  Every constituent is RE-translated with [pad_insns] = the
-   retired insns of the constituents after it, so the [over] rewind
-   distances baked into its memory ops stay exact under the fused
-   pre-charge (devices and probe callbacks observe per-instruction-exact
-   counters, same as unfused).
-
-   A guard op sits at each boundary and re-establishes exactly the
-   conditions the unfused dispatcher would have checked between blocks --
-   predicted pc, running status, deadline, stall window -- on the exact
-   (rewound) counter, firing the block probe when armed and bailing out
-   with [Fault.Retry_at] on any mismatch, which the run loop already
-   treats as "end the turn here" with prefix-exact rollback.  The result
-   is architecturally indistinguishable from the unfused chain. *)
-let form_super t (head : block) =
-  (* follow l0 links through live, unfused constituents *)
-  let rec follow acc b n =
-    if n >= super_max_blocks then List.rev acc
-    else
-      match b.l0 with
-      | Some nb
-        when nb.b_gen = t.tcg_gen && nb.b_blocks = 1 && nb.b_insns > 0 ->
-          follow (nb :: acc) nb (n + 1)
-      | _ -> List.rev acc
-  in
-  let chain = follow [ head ] head 1 in
-  let k = List.length chain in
-  if k >= 2 then begin
-    (* pad for constituent i = retired insns of constituents i+1.. *)
-    let insns = List.map (fun b -> b.b_insns) chain in
-    let total_insns = List.fold_left ( + ) 0 insns in
-    let pads =
-      let rec go = function
-        | [] -> []
-        | n :: rest ->
-            let tail = List.fold_left ( + ) 0 rest in
-            ignore n;
-            tail :: go rest
-      in
-      go insns
-    in
-    let parts =
-      List.map2
-        (fun (b : block) pad -> (translate_fast ~pad_insns:pad t b.b_base, pad))
-        chain pads
-    in
-    let ops = ref [] and cost_pfx = ref [] and insn_pfx = ref [] in
-    let cost_base = ref 0 and insn_base = ref 0 in
-    List.iteri
-      (fun i ((part : block), pad) ->
-        if i > 0 then begin
-          (* boundary guard into this constituent *)
-          let next_base = part.b_base in
-          let rem = pad + part.b_insns in
-          let guard (cpu : Cpu.t) =
-            let eff = t.total_insns - rem in
-            if
-              cpu.Cpu.pc <> next_base
-              || cpu.Cpu.status <> Cpu.Running
-              || eff >= t.deadline
-              || cpu.Cpu.stall_until > eff
-            then begin
-              t.stats.super_exits <- t.stats.super_exits + 1;
-              raise (Fault.Retry_at cpu.Cpu.pc)
-            end;
-            t.stats.super_transfers <- t.stats.super_transfers + 1;
-            if Array.length t.probes.Probe.blocks > 0 then
-              rewound t ~over:rem (fun () ->
-                  Probe.fire_block t.probes
-                    { b_hart = cpu.Cpu.id; b_pc = next_base })
-          in
-          ops := guard :: !ops;
-          cost_pfx := !cost_base :: !cost_pfx;
-          insn_pfx := !insn_base :: !insn_pfx
-        end;
-        Array.iteri
-          (fun j op ->
-            ops := op :: !ops;
-            cost_pfx := (!cost_base + part.b_cost_pfx.(j)) :: !cost_pfx;
-            insn_pfx := (!insn_base + part.b_insn_pfx.(j)) :: !insn_pfx)
-          part.b_ops;
-        cost_base := !cost_base + part.b_cost;
-        insn_base := !insn_base + part.b_insns)
-      parts;
-    let sb =
-      {
-        b_base = head.b_base;
-        b_gen = t.tcg_gen;
-        b_ops = Array.of_list (List.rev !ops);
-        b_insns = total_insns;
-        b_cost = !cost_base;
-        b_cost_pfx = Array.of_list (List.rev !cost_pfx);
-        b_insn_pfx = Array.of_list (List.rev !insn_pfx);
-        b_blocks = k;
-        b_execs = 0;
-        b_super = None;
-        l0_pc = min_int;
-        l0 = None;
-        l1_pc = min_int;
-        l1 = None;
-      }
-    in
-    head.b_super <- Some sb;
-    t.stats.superblocks_formed <- t.stats.superblocks_formed + 1
-  end
-
-(* Pick the block to actually execute for chain head [b]: its fused
-   superblock when formed, live, and affordable within the remaining
-   chain [budget] (so the schedule is budget-identical to unfused). *)
-let effective_block t (b : block) budget =
-  if not (t.superblocks && t.engine = Fast) then b
-  else begin
-    b.b_execs <- b.b_execs + 1;
-    (match b.b_super with
-    | Some sb when sb.b_gen = t.tcg_gen -> ()
-    | _ ->
-        (* periodic formation attempt once the head is hot: links may
-           appear (or die with a flush) at any time, so retry on a cheap
-           mask instead of exactly once *)
-        if
-          b.b_blocks = 1 && b.b_insns > 0
-          && b.b_execs land (t.super_threshold - 1) = 0
-        then form_super t b);
-    match b.b_super with
-    | Some sb when sb.b_gen = t.tcg_gen && budget >= sb.b_blocks ->
-        t.stats.super_execs <- t.stats.super_execs + 1;
-        sb
-    | _ -> b
-  end
-
 let rec chain_exec t (cpu : Cpu.t) b budget ~deadline =
-  let eb = effective_block t b budget in
-  exec_ops t eb cpu;
-  let budget = budget - eb.b_blocks in
+  exec_ops t b cpu;
+  let budget = budget - 1 in
   if
     budget > 0
     && t.total_insns < deadline
@@ -1335,13 +1144,13 @@ let rec chain_exec t (cpu : Cpu.t) b budget ~deadline =
     if Probe.has_blocks t.probes then
       Probe.fire_block t.probes { b_hart = cpu.id; b_pc = pc };
     let nb =
-      match link_lookup eb pc t.tcg_gen with
+      match link_lookup b pc t.tcg_gen with
       | Some nb ->
           t.stats.chained <- t.stats.chained + 1;
           nb
       | None ->
           let nb = lookup_block t pc in
-          link_set eb pc nb;
+          link_set b pc nb;
           nb
     in
     chain_exec t cpu nb budget ~deadline
@@ -1380,9 +1189,6 @@ let set_sched t sched = t.sched <- sched
     when [until] fired or all work is done without halting. *)
 let run_slice t ~max_insns ~(until : unit -> bool) =
   let deadline = t.total_insns + max_insns in
-  (* published for superblock boundary guards, which must observe the
-     same deadline the chain dispatcher would have checked *)
-  t.deadline <- deadline;
   let n = Array.length t.harts in
   let rec loop idle_rounds =
     if until () then None
@@ -1408,9 +1214,6 @@ let run_slice t ~max_insns ~(until : unit -> bool) =
       match picked with
       | Some (cpu, turn_deadline) -> (
           t.next_hart <- (cpu.id + 1) mod n;
-          (* published for superblock boundary guards, exactly as the
-             slice deadline is: a fused block must not overrun the turn *)
-          t.deadline <- turn_deadline;
           match step t cpu ~deadline:turn_deadline with
           | () -> loop 0
           | exception Fault.Halted code -> Some (Halted code)

@@ -17,11 +17,12 @@
     {!Probe.mem_site} for the contract).
 
     The fast engine chains translated blocks (generation-tagged successor
-    links), fuses hot chains into superblocks, specializes
-    allocation-free RAM load/store templates at translation time, and
-    batches retired-insn/cost accounting per block; see DESIGN.md
-    "Execution engine" and "Fuzzing-first engine" for the invariants
-    probes may rely on. *)
+    links), specializes allocation-free RAM load/store templates at
+    translation time, and batches retired-insn/cost accounting per block.
+    A fast-engine hart turn ends only where the chain budget, the deadline
+    and guest control flow put it, never where the translation cache
+    does; see DESIGN.md "Execution engine" and "Fuzzing-first engine" for
+    the invariants probes may rely on. *)
 
 type stop =
   | Halted of int
@@ -74,8 +75,6 @@ type t = {
           only through the setters, which bump the site generation *)
   stats : Engine_stats.t;
   mutable engine : engine;
-  mutable superblocks : bool;  (** substitute fused blocks when available *)
-  mutable super_threshold : int;  (** execs before fusing; power of two *)
   mutable tcg_gen : int;
       (** bumped by {!flush_tcg} and {!revalidate_tcg}; invalidates chain
           links *)
@@ -83,7 +82,6 @@ type t = {
       (** (base, source bytes) of the blocks translated, while dirty
           tracking was on, from a page written since the last snapshot
           capture or restore; {!revalidate_tcg} checks them *)
-  mutable deadline : int;  (** current run_slice deadline, for fused guards *)
   mutable total_insns : int;
   mutable cost : int;  (** modeled guest cycles ({!Cost_model} weights) *)
   mutable external_cost : int;  (** host-side sanitizer cost units *)
@@ -128,8 +126,8 @@ val create :
 val add_device : t -> Device.t -> unit
 
 (** Explicitly flush the translation cache and invalidate all chained
-    successor links and superblocks (self-modifying code, the first or a
-    [~full] snapshot restore).  Instrumentation toggles never flush:
+    successor links (self-modifying code, the first or a [~full] snapshot
+    restore).  Instrumentation toggles never flush:
     probe subscribe/unsubscribe, dirty tracking and cmplog all patch live
     sites.  Counted in [stats.flushes_invalidate]. *)
 val flush_tcg : t -> unit
@@ -137,9 +135,8 @@ val flush_tcg : t -> unit
 (** Keep the translation cache across a snapshot restore that reverted
     RAM through the dirty-page path.  Flushes (as {!flush_tcg}) only if
     some [suspects] block's source bytes differ from RAM now; otherwise
-    every block goes stale and its next lookup revives it in O(1) with
-    the hotness, chain links and superblock of a fresh translation, so
-    execution is identical to a flushed cache.  Sound only if, since the
+    every block goes stale and its next lookup revives it in O(1), chain
+    links included, so execution is identical to a flushed cache.  Sound only if, since the
     last flush, dirty tracking stayed on and every snapshot capture or
     restore left RAM as it is now -- which is why [Snap.restore] flushes
     instead on a snapshot's first restore and on a [~full] one. *)
@@ -160,15 +157,6 @@ val set_dirty_tracking : t -> bool -> unit
 (** Toggle compare-operand recording (see {!Cmplog}); O(1), flush-free
     patch of the branch/compare sites. *)
 val set_cmplog : t -> bool -> unit
-
-(** Enable/disable hot-chain superblock fusion.  O(1): existing fused
-    blocks are kept but not substituted while off. *)
-val set_superblocks : t -> bool -> unit
-
-(** Executions of a chain head before fusion is attempted; must be a
-    power of two >= 2 (the hotness check is a mask).  Raises
-    [Invalid_argument] otherwise. *)
-val set_super_threshold : t -> int -> unit
 
 (** Install the handler of trap [num] as a specializer: each translated
     [trap num] binds [spec ~pc] once, with its own pc, and binds again

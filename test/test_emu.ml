@@ -812,9 +812,9 @@ let engine_stats_counters () =
   Alcotest.(check int) "second run fully cached/chained" translations0
     m.stats.translations
 
-(* The schema-versioned JSON block round-trips every raw counter --
-   chaining, the split flush counters and the superblock family -- both
-   on a synthetic record and on counters taken from a live machine. *)
+(* The schema-versioned JSON block round-trips every rendered counter --
+   chaining, the split flush counters and the rehost pair -- both on a
+   synthetic record and on counters taken from a live machine. *)
 let engine_stats_json_roundtrip () =
   let s = Engine_stats.create () in
   s.translations <- 3;
@@ -823,10 +823,6 @@ let engine_stats_json_roundtrip () =
   s.chained <- 11;
   s.flushes_load <- 13;
   s.flushes_invalidate <- 17;
-  s.superblocks_formed <- 19;
-  s.super_execs <- 23;
-  s.super_exits <- 29;
-  s.super_transfers <- 31;
   s.rehost_reads <- 37;
   s.irq_injected <- 41;
   Alcotest.(check bool) "synthetic round-trip" true
@@ -851,68 +847,69 @@ let engine_stats_json_roundtrip () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "schema mismatch accepted")
 
-(* A 500-iteration self-loop: hot enough that the chain head fuses. *)
-let hot_loop_text =
+(* Both harts run this loop 1000 times under the built-in round-robin
+   rotation: load a shared word, branch on the iteration counter's parity,
+   add 1 on either path and store the word back.  Nothing is atomic and
+   the load and the store sit in different blocks, so which updates
+   survive depends on exactly where each hart turn ends. *)
+let racy_loop =
   let open Asm in
-  [
-    Label "main";
-    la Reg.t0 "buf";
-    li Reg.t1 0;
-    li Reg.t2 500;
-    Label "loop";
-    load W32 Reg.t3 Reg.t0 0;
-    addi Reg.t3 Reg.t3 1;
-    store W32 Reg.t0 Reg.t3 0;
-    addi Reg.t1 Reg.t1 1;
-    bltu Reg.t1 Reg.t2 "loop";
-    load W32 Reg.a0 Reg.t0 0;
-    halt;
-  ]
+  let text =
+    [
+      Label "main";
+      la Reg.t0 "shared";
+      li Reg.t1 0;
+      li Reg.t2 1000;
+      Label "loop";
+      load W32 Reg.t3 Reg.t0 0;
+      Ins (Alui (And, Reg.t4, Reg.t1, 1));
+      beq Reg.t4 Reg.zero "even";
+      addi Reg.t3 Reg.t3 1;
+      j "join";
+      Label "even";
+      addi Reg.t3 Reg.t3 1;
+      j "join";
+      Label "join";
+      store W32 Reg.t0 Reg.t3 0;
+      addi Reg.t1 Reg.t1 1;
+      bltu Reg.t1 Reg.t2 "loop";
+      load W32 Reg.a0 Reg.t0 0;
+      halt;
+    ]
+  in
+  unit_ text [ Label "shared"; Words [ 0 ] ]
 
-let superblock_formation_and_transparency () =
-  (* hot-chain fusion must be architecturally invisible: same stop, same
-     fingerprint, same probe-event stream as the unfused run -- while the
-     fused run actually forms and executes superblocks *)
-  let run ~super =
-    let m, _ =
-      assemble_and_load ~harts:1
-        [ unit_ hot_loop_text [ Asm.Label "buf"; Asm.Words [ 0 ] ] ]
+(* A turn ends only where the chain budget, the deadline and guest
+   control flow put it, so flushing the translation cache after every
+   chunk of a two-hart round-robin run changes nothing: same stop,
+   registers, counters and RAM as the warm run, for chunks that split the
+   run into many slices and one that does not. *)
+let flush_invisible_to_round_robin () =
+  let run ~chunk ~flush =
+    let m, img = assemble_and_load [ racy_loop ] in
+    Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "main")
+      ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
+    let rec go () =
+      match Machine.run m ~max_insns:chunk with
+      | Machine.Budget_exhausted when m.total_insns < 1_000_000 ->
+          if flush then Machine.flush_tcg m;
+          go ()
+      | stop -> stop
     in
-    Machine.set_superblocks m super;
-    Machine.set_super_threshold m 4;
-    let blocks = ref 0 in
-    Probe.on_block m.probes (fun _ -> incr blocks);
-    let stop = Machine.run m ~max_insns:100_000 in
-    (stop, fingerprint m, !blocks, m.stats)
+    let stop = go () in
+    (stop, fingerprint m)
   in
-  let stop_off, fp_off, blocks_off, _ = run ~super:false in
-  let stop_on, fp_on, blocks_on, stats_on = run ~super:true in
-  Alcotest.check check_stop "same stop" stop_off stop_on;
-  Alcotest.check check_stop "halted with count" (Machine.Halted 500) stop_on;
-  Alcotest.(check string) "identical architectural state" fp_off fp_on;
-  Alcotest.(check int) "identical block-probe stream" blocks_off blocks_on;
-  Alcotest.(check bool) "superblocks formed" true
-    (stats_on.superblocks_formed > 0);
-  Alcotest.(check bool) "superblocks executed" true (stats_on.super_execs > 0);
-  Alcotest.(check bool) "boundary transfers counted" true
-    (stats_on.super_transfers > 0)
-
-let superblock_toggle_is_flush_free () =
-  (* toggling fusion on/off mid-run is an O(1) patch like everything else *)
-  let m, _ =
-    assemble_and_load ~harts:1
-      [ unit_ hot_loop_text [ Asm.Label "buf"; Asm.Words [ 0 ] ] ]
-  in
-  Machine.set_super_threshold m 4;
-  for _ = 1 to 10 do
-    Machine.set_superblocks m false;
-    Machine.set_superblocks m true
-  done;
-  (match Machine.run m ~max_insns:100_000 with
-  | Machine.Halted 500 -> ()
-  | s -> Alcotest.failf "expected halted(500), got %a" Machine.pp_stop s);
-  Alcotest.(check int) "zero invalidation flushes" 0
-    m.stats.flushes_invalidate
+  List.iter
+    (fun chunk ->
+      let stop_w, fp_w = run ~chunk ~flush:false in
+      let stop_f, fp_f = run ~chunk ~flush:true in
+      let name what = Printf.sprintf "chunk %d: %s" chunk what in
+      (match stop_w with
+      | Machine.Halted _ -> ()
+      | s -> Alcotest.failf "%s: %a" (name "warm run halts") Machine.pp_stop s);
+      Alcotest.check check_stop (name "same stop") stop_w stop_f;
+      Alcotest.(check string) (name "same registers and RAM") fp_w fp_f)
+    [ 200; 500; 100_000 ]
 
 let cmplog_compare_coverage () =
   (* branch/compare sites record operand triples when enabled: the magic
@@ -1010,36 +1007,31 @@ let access_loop iters =
   unit_ text [ Label "buf"; Words [ 0; 0; 0 ] ]
 
 (* Probe callbacks observe the retired-insn counter: the fast engine
-   pre-charges a whole (super)block, so each armed mem site rewinds the
-   counter to its own instruction around the subscriber call.  The access
-   loop, run 300 times so hot chains fuse, must hand the subscriber the
-   same (pc, total_insns) stream on the fast engine with and without
-   superblocks and on the per-instruction baseline. *)
+   pre-charges a whole block, so each armed mem site rewinds the counter
+   to its own instruction around the subscriber call.  The access loop,
+   run 300 times, must hand the subscriber the same (pc, total_insns)
+   stream on the fast engine as on the per-instruction baseline. *)
 let probe_counters_exact () =
-  let run engine ~super =
+  let run engine =
     let m, _ = assemble_and_load ~harts:1 [ access_loop 300 ] in
     Machine.set_engine m engine;
-    Machine.set_superblocks m super;
     let events = ref [] in
     Probe.on_mem m.probes
       (Probe.every_mem
          (fun ~hart:_ ~pc ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ ->
            events := (pc, m.Machine.total_insns) :: !events));
     let stop = Machine.run m ~max_insns:100_000 in
-    (stop, List.rev !events, m.stats.super_execs)
+    (stop, List.rev !events)
   in
-  let stop_b, events_b, _ = run Machine.Baseline ~super:false in
-  let stop_off, events_off, _ = run Machine.Fast ~super:false in
-  let stop_on, events_on, super_execs = run Machine.Fast ~super:true in
+  let stop_b, events_b = run Machine.Baseline in
+  let stop_f, events_f = run Machine.Fast in
   Alcotest.check check_stop "loop completes" (Machine.Halted 300) stop_b;
-  Alcotest.check check_stop "same stop, superblocks off" stop_b stop_off;
-  Alcotest.check check_stop "same stop, superblocks on" stop_b stop_on;
+  Alcotest.check check_stop "same stop" stop_b stop_f;
   Alcotest.(check int) "four accesses per iteration, plus the last load"
     ((4 * 300) + 1) (List.length events_b);
-  Alcotest.(check bool) "superblocks executed" true (super_execs > 0);
-  let stream = Alcotest.(list (pair int int)) in
-  Alcotest.check stream "fast, superblocks off = baseline" events_b events_off;
-  Alcotest.check stream "fast, superblocks on = baseline" events_b events_on
+  Alcotest.check
+    Alcotest.(list (pair int int))
+    "fast = baseline" events_b events_f
 
 (* An armed mem site fires its subscribers and then runs the unarmed
    site's access, so probing allocates nothing on the fast engine: the
@@ -1531,10 +1523,8 @@ let () =
           Alcotest.test_case "stats counters" `Quick engine_stats_counters;
           Alcotest.test_case "stats JSON round-trip" `Quick
             engine_stats_json_roundtrip;
-          Alcotest.test_case "superblock transparency" `Quick
-            superblock_formation_and_transparency;
-          Alcotest.test_case "superblock toggle flush-free" `Quick
-            superblock_toggle_is_flush_free;
+          Alcotest.test_case "flush invisible to two-hart round-robin"
+            `Quick flush_invisible_to_round_robin;
           Alcotest.test_case "cmplog compare coverage" `Quick
             cmplog_compare_coverage;
           Alcotest.test_case "cmplog agreement gradient" `Quick

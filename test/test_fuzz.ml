@@ -272,21 +272,21 @@ let campaign_golden_trajectories () =
             (fun (f : Campaign.found) -> (f.f_bug.b_id, f.f_exec, f.f_confirmed))
             r.r_found))
   in
-  check "OpenWRT-bcm63xx" ~counts:[ 214; 54; 3251271; 0 ]
+  check "OpenWRT-bcm63xx" ~counts:[ 204; 52; 3090757; 0 ]
     ~found:
       [
         ("linux/ahc_queue_scb", 1, true);
         ("linux/bcm2835_dma_start", 23, true);
         ("linux/brcm_fweh_beacon", 14, false);
-        ("linux/btrfs_scan_device", 48, true);
-        ("linux/hci_remote_name_evt", 106, true);
+        ("linux/btrfs_scan_device", 46, true);
+        ("linux/hci_remote_name_evt", 71, true);
       ];
-  check "InfiniTime" ~counts:[ 930; 177; 3464097; 0 ]
+  check "InfiniTime" ~counts:[ 925; 178; 3439373; 0 ]
     ~found:
       [
-        ("freertos/lfs_cache_read", 50, true);
+        ("freertos/lfs_cache_read", 49, true);
         ("freertos/spi_dma_transfer", 1, true);
-        ("freertos/st7789_flush", 101, false);
+        ("freertos/st7789_flush", 62, false);
       ]
 
 (* Golden values for a seeded rehost campaign: mmio-suite with model-free

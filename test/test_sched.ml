@@ -94,8 +94,9 @@ let disarm_restores_round_robin () =
     (Snapshot.diff (run_plain ()) (run_armed_then_disarmed ()))
 
 (* Directed sample of the sched-transparency oracle (the bounded seeded
-   campaign lives in `make check-sched`): identical draw streams must
-   drive Fast and Baseline through the same interleaving. *)
+   campaign: `embsan_cli check --oracle sched-transparency --seed 1
+   --execs 250`): identical draw streams must drive Fast and Baseline
+   through the same interleaving. *)
 let sched_transparency_sample () =
   let cfg = Oracle.default_cfg in
   List.iter
