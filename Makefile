@@ -9,11 +9,14 @@ build:
 test:
 	dune runtest
 
-# Fast end-to-end smoke of the bench pipeline: wall-clock micro-benchmarks
-# plus the execution-engine throughput bench (writes BENCH_emu.json).
+# Fast end-to-end smoke of the bench pipeline: wall-clock micro-benchmarks,
+# the execution-engine throughput bench (writes BENCH_emu.json), the
+# snapshot restore-latency bench (writes BENCH_snap.json; fails unless each
+# restore reverts exactly the pages touched) and the orchestrator sweep.
 bench-smoke: build
 	./_build/default/bench/main.exe bechamel --execs 200
 	./_build/default/bench/main.exe emu
+	./_build/default/bench/main.exe snap
 	./_build/default/bench/main.exe orch
 
 # Every differential oracle (the engine oracles plus mode-agreement; see

@@ -11,8 +11,9 @@
      ablation  design-choice ablations (DESIGN.md)
      bechamel  wall-clock micro-benchmarks
      emu       execution-engine throughput (writes BENCH_emu.json)
-     snap      snapshot service: restore latency + campaign reboot-vs-restore
-               (writes BENCH_snap.json)
+     snap      snapshot service: restore latency vs dirty pages (writes
+               BENCH_snap.json; fails unless each restore reverts exactly the
+               pages touched)
      orch      multi-domain orchestrator scaling sweep (writes BENCH_orch.json;
                exits 1 if jobs=1 differs from Campaign.run)
      race      race detection: ftrace vs KCSAN, fixed vs fuzzed schedules

@@ -1,35 +1,14 @@
 (* Snapshot-service bench: writes BENCH_snap.json (schema in README.md).
 
-   Two measurements:
-
-   1. restore latency vs dirty-page count — a 4 MiB machine is
-      checkpointed once; each sample touches N pages and restores,
-      demonstrating the O(touched) claim: latency must scale with N, not
-      with RAM size;
-
-   2. campaign throughput, reboot vs restore — the same seeded fuzzing
-      campaign (fixed exec budget, stop_when_all_found off so the
-      workloads are identical) run with crash recovery via full reboot
-      and via snapshot restore, reporting both execs/sec figures.  This
-      is the EmbedFuzz-style "cheap re-execution" headline number. *)
+   Restore latency vs dirty-page count: a 4 MiB machine is checkpointed
+   once; each sample touches N pages and restores, demonstrating the
+   O(touched) claim: latency must scale with N, not with RAM size, and
+   every restore must revert exactly the pages touched. *)
 
 open Embsan_emu
 module Snap = Embsan_snap.Snap
-module Campaign = Embsan_fuzz.Campaign
-module Firmware_db = Embsan_guest.Firmware_db
 
 let min_bench_secs = 0.3
-
-(* The campaign workload must actually crash for the comparison to be
-   meaningful: recovery cost (reboot vs restore) only shows up on the
-   crash path.  TP-Link WDR-7660 is the closed-source VxWorks image whose
-   campaign reliably reaches architectural faults. *)
-let campaign_fw = "TP-Link WDR-7660"
-let campaign_execs = 1500
-let campaign_seed = 5
-
-(* --- restore latency vs dirty pages ---------------------------------------- *)
-
 let latency_ram_size = 4 * 1024 * 1024 (* 1024 pages *)
 
 type latency_sample = {
@@ -73,41 +52,6 @@ let latency_json s =
     {|{ "dirty_pages": %d, "restores": %d, "mean_restore_usecs": %.2f }|}
     s.l_dirty_pages s.l_restores s.l_mean_usecs
 
-(* --- campaign throughput: reboot vs restore -------------------------------- *)
-
-type campaign_sample = {
-  c_execs : int;
-  c_crashes : int;
-  c_secs : float;
-  c_execs_per_sec : float;
-}
-
-let run_campaign ~use_snapshots =
-  let fw = Option.get (Firmware_db.find campaign_fw) in
-  let cfg =
-    {
-      (Campaign.default_config fw) with
-      max_execs = campaign_execs;
-      seed = campaign_seed;
-      stop_when_all_found = false;
-      use_snapshots;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let r = Campaign.run cfg in
-  let secs = Unix.gettimeofday () -. t0 in
-  {
-    c_execs = r.Campaign.r_execs;
-    c_crashes = r.Campaign.r_crashes;
-    c_secs = secs;
-    c_execs_per_sec = float_of_int r.Campaign.r_execs /. secs;
-  }
-
-let campaign_json s =
-  Printf.sprintf
-    {|{ "execs": %d, "crashes": %d, "wall_secs": %.3f, "execs_per_sec": %.1f }|}
-    s.c_execs s.c_crashes s.c_secs s.c_execs_per_sec
-
 (* --- driver ----------------------------------------------------------------- *)
 
 let run () =
@@ -119,38 +63,21 @@ let run () =
       Fmt.pr "  restore %4d dirty pages: %8.2f us  (%d restores)@."
         s.l_dirty_pages s.l_mean_usecs s.l_restores)
     latencies;
-  let reboot = run_campaign ~use_snapshots:false in
-  let restore = run_campaign ~use_snapshots:true in
-  let speedup = restore.c_execs_per_sec /. reboot.c_execs_per_sec in
-  Fmt.pr "  campaign reboot : %7.1f execs/sec (%d crashes in %.2fs)@."
-    reboot.c_execs_per_sec reboot.c_crashes reboot.c_secs;
-  Fmt.pr "  campaign restore: %7.1f execs/sec (%d crashes in %.2fs, %.2fx)@."
-    restore.c_execs_per_sec restore.c_crashes restore.c_secs speedup;
   let json =
     Printf.sprintf
       {|{
-  "schema": "embsan-snap-bench/1",
+  "schema": "embsan-snap-bench/2",
   "restore_latency": {
     "ram_bytes": %d,
     "page_bytes": %d,
     "samples": [
     %s
     ]
-  },
-  "campaign": {
-    "firmware": "%s",
-    "execs": %d,
-    "seed": %d,
-    "reboot": %s,
-    "restore": %s,
-    "speedup_restore_vs_reboot": %.2f
   }
 }
 |}
       latency_ram_size Ram.page_size
       (String.concat ",\n    " (List.map latency_json latencies))
-      campaign_fw campaign_execs campaign_seed (campaign_json reboot)
-      (campaign_json restore) speedup
   in
   let oc = open_out "BENCH_snap.json" in
   output_string oc json;

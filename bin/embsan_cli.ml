@@ -6,13 +6,11 @@
      embsan repro  <firmware> <bug-id> [--ftrace] [--sched-seed N]
                    [--rehost-seed N] [--irq]
                                          replay a bug's reproducer
-     embsan fuzz   <firmware> [--execs N] [--seed N] [--cmplog] [--sched]
-                   [--ftrace] [--rehost] [--irq]
-                                         single-worker fuzzing campaign
      embsan campaign <firmware> [--jobs N] [--execs N] [--seed N]
                    [--exchange N] [--telemetry] [--cmplog] [--sched]
                    [--ftrace] [--rehost] [--irq]
-                                         orchestrated multi-worker campaign
+                                         fuzzing campaign over N worker
+                                         domains (default 1)
      embsan trace  <firmware> <nr> <args...> [--mem]
                                          block/call/return trace of a syscall
      embsan check  [--execs N] [--seed N] [--sync N] [--max-insns N]
@@ -28,6 +26,7 @@ open Cmdliner
 open Embsan_guest
 module Embsan = Embsan_core.Embsan
 module Report = Embsan_core.Report
+module Campaign = Embsan_fuzz.Campaign
 
 let find_fw name =
   match Firmware_db.find name with
@@ -151,7 +150,7 @@ let repro_cmd =
           ~doc:
             "Arm the model-free MMIO rehosting layer with this seed during \
              the replay (rehosted firmware needs the seed a campaign \
-             reported alongside the reproducer; see `fuzz --rehost').")
+             reported alongside the reproducer; see `campaign --rehost').")
   in
   let irq =
     Arg.(
@@ -159,7 +158,7 @@ let repro_cmd =
       & info [ "irq" ]
           ~doc:
             "With --rehost-seed: also draw the interrupt-injection plan \
-             from the seed, as `fuzz --rehost --irq' campaigns do.")
+             from the seed, as `campaign --rehost --irq' campaigns do.")
   in
   let run fw bug_id ftrace sched_seed rehost_seed irq =
     match
@@ -175,34 +174,10 @@ let repro_cmd =
           else Embsan.all_sanitizers
         in
         let inst = Replay.boot fw (Replay.Embsan_cfg sanitizers) in
-        (match sched_seed with
-        | None -> ()
-        | Some seed ->
-            let ctl = Embsan_sched.Sched.create inst.Replay.machine in
-            let r = Embsan_fuzz.Rng.create ~seed in
-            Embsan_sched.Sched.arm ctl
-              ~draw:(fun n -> Embsan_fuzz.Rng.below r n));
-        (* the rehost layer arms after the scheduler so injection clamps
-           compose with the chosen interleaving, exactly as in campaigns *)
-        (match rehost_seed with
-        | None -> ()
-        | Some seed ->
-            let ctl = Embsan_rehost.Rehost.create inst.Replay.machine in
-            let root = Embsan_fuzz.Rng.create ~seed in
-            let mr =
-              Embsan_fuzz.Rng.split_stream root ~shard:0 ~stream:"mmio"
-            in
-            let irq_draw =
-              if irq then begin
-                let ir =
-                  Embsan_fuzz.Rng.split_stream root ~shard:0 ~stream:"irq"
-                in
-                Some (fun n -> Embsan_fuzz.Rng.below ir n)
-              end
-              else None
-            in
-            Embsan_rehost.Rehost.arm ?irq:irq_draw ctl
-              ~mmio:(fun () -> Embsan_fuzz.Rng.next mr));
+        Campaign.arm
+          (Campaign.controls ~sched:(sched_seed <> None)
+             ~rehost:(rehost_seed <> None) ~irq inst.machine)
+          ~sched:sched_seed ~rehost:rehost_seed;
         let o = Replay.replay inst bug.b_syscalls in
         List.iter (fun r -> Fmt.pr "%a@." Report.pp r) o.o_reports;
         (match o.o_crash with
@@ -215,13 +190,36 @@ let repro_cmd =
     (Cmd.info "repro" ~doc:"Replay a registered bug's reproducer under EmbSan")
     Term.(const run $ fw_arg $ bug_id $ ftrace $ sched_seed $ rehost_seed $ irq)
 
-(* --- fuzz ------------------------------------------------------------------- *)
+(* --- campaign ---------------------------------------------------------------- *)
 
-let fuzz_cmd =
+let campaign_cmd =
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "jobs"; "j" ]
+          ~doc:
+            "Worker domains (1..64).  Each worker owns its own machine, \
+             runtime and post-boot snapshot and fuzzes a deterministic \
+             sub-seed shard; 1 (the default) reduces bit-for-bit to the \
+             single-threaded campaign.")
+  in
   let execs =
-    Arg.(value & opt int 2000 & info [ "execs" ] ~doc:"Execution budget.")
+    Arg.(
+      value & opt int 2000
+      & info [ "execs" ] ~doc:"Execution budget per worker.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed.") in
+  let exchange =
+    Arg.(
+      value & opt int 100
+      & info [ "exchange" ]
+          ~doc:"Executions per worker between frontier exchanges.")
+  in
+  let telemetry =
+    Arg.(
+      value & flag
+      & info [ "telemetry" ] ~doc:"Print per-epoch merged telemetry lines.")
+  in
   let cmplog =
     Arg.(
       value & flag
@@ -268,101 +266,9 @@ let fuzz_cmd =
              points drawn from the rehost seed, vectoring the guest's \
              registered interrupt stub.")
   in
-  let run fw execs seed cmplog sched ftrace rehost irq =
-    let base = Embsan_fuzz.Campaign.default_config fw in
-    let cfg =
-      {
-        base with
-        max_execs = execs;
-        seed;
-        use_cmplog = cmplog;
-        use_sched = sched;
-        use_rehost = rehost;
-        use_irq = irq;
-        sanitizers =
-          (if ftrace then Embsan.with_ftrace base.sanitizers
-           else base.sanitizers);
-      }
-    in
-    let r = Embsan_fuzz.Campaign.run cfg in
-    Fmt.pr "%a@." Embsan_fuzz.Campaign.pp_result r
-  in
-  Cmd.v
-    (Cmd.info "fuzz" ~doc:"Run a coverage-guided fuzzing campaign with EmbSan")
-    Term.(
-      const run $ fw_arg $ execs $ seed $ cmplog $ sched $ ftrace $ rehost
-      $ irq)
-
-(* --- campaign ---------------------------------------------------------------- *)
-
-let campaign_cmd =
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ]
-          ~doc:
-            "Worker domains (1..64).  Each worker owns its own machine, \
-             runtime and post-boot snapshot and fuzzes a deterministic \
-             sub-seed shard; 1 reduces bit-for-bit to the single-threaded \
-             campaign.")
-  in
-  let execs =
-    Arg.(
-      value & opt int 2000
-      & info [ "execs" ] ~doc:"Execution budget per worker.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Campaign seed.") in
-  let exchange =
-    Arg.(
-      value & opt int 100
-      & info [ "exchange" ]
-          ~doc:"Executions per worker between frontier exchanges.")
-  in
-  let telemetry =
-    Arg.(
-      value & flag
-      & info [ "telemetry" ] ~doc:"Print per-epoch merged telemetry lines.")
-  in
-  let cmplog =
-    Arg.(
-      value & flag
-      & info [ "cmplog" ]
-          ~doc:
-            "Compare-operand coverage in every worker (see `fuzz \
-             --cmplog').")
-  in
-  let sched =
-    Arg.(
-      value & flag
-      & info [ "sched" ]
-          ~doc:"Schedule fuzzing in every worker (see `fuzz --sched').")
-  in
-  let ftrace =
-    Arg.(
-      value & flag
-      & info [ "ftrace" ]
-          ~doc:
-            "Enable the happens-before race sanitizer in every worker \
-             (see `fuzz --ftrace').")
-  in
-  let rehost =
-    Arg.(
-      value & flag
-      & info [ "rehost" ]
-          ~doc:"Model-free MMIO rehosting in every worker (see `fuzz \
-                --rehost').")
-  in
-  let irq =
-    Arg.(
-      value & flag
-      & info [ "irq" ]
-          ~doc:
-            "Fuzzer-scheduled interrupt injection in every worker (see \
-             `fuzz --irq').")
-  in
   let run fw jobs execs seed exchange telemetry cmplog sched ftrace rehost irq
       =
-    let base = Embsan_fuzz.Campaign.default_config fw in
+    let base = Campaign.default_config fw in
     let campaign =
       {
         base with
@@ -397,8 +303,8 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
-         "Run an orchestrated fuzzing campaign over N worker domains with \
-          frontier exchange and global triage")
+         "Run a coverage-guided fuzzing campaign with EmbSan over N worker \
+          domains with frontier exchange and global triage")
     Term.(
       const run $ fw_arg $ jobs $ execs $ seed $ exchange $ telemetry $ cmplog
       $ sched $ ftrace $ rehost $ irq)
@@ -536,7 +442,6 @@ let () =
             probe_cmd;
             run_cmd;
             repro_cmd;
-            fuzz_cmd;
             campaign_cmd;
             trace_cmd;
             check_cmd;

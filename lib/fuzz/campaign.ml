@@ -26,7 +26,6 @@ type config = {
   max_execs : int;
   seed : int;
   stop_when_all_found : bool;
-  use_snapshots : bool;
   use_cmplog : bool;
       (* compare-operand coverage: per-exec cmplog features join the
          frontier signature, and the operand dictionary feeds mutation.
@@ -57,7 +56,6 @@ let default_config fw =
     max_execs = 3000;
     seed = 1;
     stop_when_all_found = true;
-    use_snapshots = true;
     use_cmplog = false;
     use_sched = false;
     use_rehost = false;
@@ -110,63 +108,61 @@ let match_crash (fw : Firmware_db.firmware) = function
       List.find_opt (fun (b : Defs.bug) -> b.b_class = Defs.Null_bug) fw.fw_bugs
   | _ -> None
 
-let boot_with_coverage cfg cov =
-  let inst =
-    Replay.boot ~kcov:(uses_kcov cfg.fw) cfg.fw (Replay.Embsan_cfg cfg.sanitizers)
-  in
-  (if uses_kcov cfg.fw then Coverage.attach_kcov cov inst.machine
-   else Coverage.attach_tcg cov inst.machine);
-  if cfg.use_cmplog then Machine.set_cmplog inst.machine true;
-  inst
+(* The knob controllers of one booted instance, built once (before its
+   post-boot checkpoint, so [Snap.capture] carries the rehost blob) and
+   re-armed for every replay. *)
+type controls = {
+  c_sched : Sched.t option;
+  c_rehost : Rehost.t option;
+  c_irq : bool;
+}
+
+let controls ~sched ~rehost ~irq machine =
+  {
+    c_sched = (if sched then Some (Sched.create machine) else None);
+    c_rehost = (if rehost then Some (Rehost.create machine) else None);
+    c_irq = irq;
+  }
+
+(* Arm one replay's knob seeds ([None] disarms): the schedule first, then
+   the rehost layer, whose scheduler wrapper must capture the
+   interleaving just armed so injection clamps compose with it.  The
+   rehost seed fans out into the "mmio" response stream and (with
+   injection) the "irq" plan stream via [Rng.split_stream], so a seed
+   alone redraws an execution's streams. *)
+let arm c ~sched ~rehost =
+  Option.iter
+    (fun ctl ->
+      match sched with
+      | None -> Sched.disarm ctl
+      | Some seed ->
+          let r = Rng.create ~seed in
+          Sched.arm ctl ~draw:(fun n -> Rng.below r n))
+    c.c_sched;
+  Option.iter
+    (fun ctl ->
+      match rehost with
+      | None -> Rehost.disarm ctl
+      | Some seed ->
+          let root = Rng.create ~seed in
+          let mr = Rng.split_stream root ~shard:0 ~stream:"mmio" in
+          let irq =
+            if c.c_irq then begin
+              let ir = Rng.split_stream root ~shard:0 ~stream:"irq" in
+              Some (fun n -> Rng.below ir n)
+            end
+            else None
+          in
+          Rehost.arm ?irq ctl ~mmio:(fun () -> Rng.next mr))
+    c.c_rehost
+
+let config_controls cfg =
+  controls ~sched:cfg.use_sched ~rehost:cfg.use_rehost ~irq:cfg.use_irq
 
 (* Confirm a finding by replay from pristine post-boot state.  Bugs with
    cross-program state dependencies are retried with the recent program
    history prepended (then greedily shrunk), yielding a reproducer in the
-   "deduplicated and reproducible" sense of S4.2.
-
-   With snapshots, confirmations share one dedicated instance: a lazy boot
-   captures a post-boot checkpoint, and each attempt restores it instead
-   of rebooting — the restore-transparency oracle (lib/check) is what
-   justifies treating the two as equivalent.  Without snapshots each
-   attempt boots fresh, as before. *)
-(* Arm (or disarm) a throwaway scheduler on [machine] for one replay:
-   the schedule seed fully determines the draw stream. *)
-let arm_schedule machine = function
-  | None -> Machine.set_sched machine None
-  | Some seed ->
-      let ctl = Sched.create machine in
-      let r = Rng.create ~seed in
-      Sched.arm ctl ~draw:(fun n -> Rng.below r n)
-
-(* Arm a rehost controller for one execution: the single corpus seed fans
-   out into the "mmio" response stream and (when injection is on) the
-   "irq" plan stream via [Rng.split_stream], so confirmation replays and
-   shrinking redraw the exact per-exec streams from the seed alone. *)
-let arm_rehost ~use_irq ctl seed =
-  let root = Rng.create ~seed in
-  let mr = Rng.split_stream root ~shard:0 ~stream:"mmio" in
-  let irq =
-    if use_irq then begin
-      let ir = Rng.split_stream root ~shard:0 ~stream:"irq" in
-      Some (fun n -> Rng.below ir n)
-    end
-    else None
-  in
-  Rehost.arm ?irq ctl ~mmio:(fun () -> Rng.next mr)
-
-let reboot_repro cfg bug ?sched ?rehost calls =
-  match Replay.boot cfg.fw (Replay.Embsan_cfg cfg.sanitizers) with
-  | exception Replay.Boot_failed _ -> false
-  | inst ->
-      arm_schedule inst.Replay.machine sched;
-      (match rehost with
-      | None -> ()
-      | Some seed ->
-          arm_rehost ~use_irq:cfg.use_irq
-            (Rehost.create inst.Replay.machine)
-            seed);
-      Replay.detects bug (Replay.replay inst calls)
-
+   "deduplicated and reproducible" sense of S4.2. *)
 let confirm ~try_repro ?sched ?rehost (bug : Defs.bug) ~history prog =
   let calls = Prog.to_reproducer prog in
   (* input minimization first, toward None: a reproducer that fires under
@@ -222,12 +218,11 @@ module Engine = struct
     corpus : Corpus.t;
     cov : Coverage.t;
     symbolize : int -> string option;
-    mutable inst : Replay.instance;
-    mutable sched_ctl : Sched.t option; (* interleaving control on [inst] *)
+    inst : Replay.instance;
+    controls : controls; (* knob controllers on [inst] *)
+    snap : Snap.t; (* [inst]'s post-boot checkpoint *)
     sched_rng : Rng.t option; (* dedicated schedule-seed stream *)
-    mutable rehost_ctl : Rehost.t option; (* MMIO/IRQ control on [inst] *)
     rehost_rng : Rng.t option; (* dedicated rehost-seed stream *)
-    snap : Snap.t option;
     try_repro :
       Defs.bug -> ?sched:int -> ?rehost:int -> (int * int array) list -> bool;
     total_bugs : int;
@@ -262,58 +257,38 @@ module Engine = struct
       else None
     in
     let cov = Coverage.create ~harts:2 in
-    let inst = boot_with_coverage cfg cov in
-    let sched_ctl =
-      if cfg.use_sched then Some (Sched.create inst.Replay.machine) else None
+    let inst =
+      Replay.boot ~kcov:(uses_kcov cfg.fw) cfg.fw
+        (Replay.Embsan_cfg cfg.sanitizers)
     in
-    (* the controller's machine hook must be installed before the
-       checkpoint below so [Snap.capture] carries the rehost blob and
-       restores revert memo/plan state (see lib/rehost) *)
-    let rehost_ctl =
-      if cfg.use_rehost then Some (Rehost.create inst.Replay.machine)
-      else None
-    in
+    (if uses_kcov cfg.fw then Coverage.attach_kcov cov inst.machine
+     else Coverage.attach_tcg cov inst.machine);
+    if cfg.use_cmplog then Machine.set_cmplog inst.machine true;
+    let controls = config_controls cfg inst.machine in
     (* Persistent-mode checkpoint: capture once post-boot and revert to it
-       on crash recovery instead of rebooting.  Coverage is fuzzer-owned
-       host state, attached via probes — it survives restores by design
-       (pinned by a regression test in test/test_fuzz.ml). *)
-    let snap =
-      if cfg.use_snapshots then Some (Snap.capture ?runtime:inst.rt inst.machine)
-      else None
+       instead of rebooting.  Coverage is fuzzer-owned host state, attached
+       via probes — it survives restores by design (pinned by a regression
+       test in test/test_fuzz.ml). *)
+    let snap = Snap.capture ?runtime:inst.rt inst.machine in
+    (* Confirmation replays restore one lazily booted instance per
+       attempt — the restore-transparency oracle (lib/check) is what
+       justifies treating that as a fresh boot. *)
+    let repro =
+      lazy
+        (let i = Replay.boot cfg.fw (Replay.Embsan_cfg cfg.sanitizers) in
+         let c = config_controls cfg i.machine in
+         (i, c, Snap.capture ?runtime:i.rt i.machine))
     in
-    (* Confirmation replays: with snapshots, one lazily-booted instance is
-       restored per attempt; otherwise each attempt boots fresh. *)
-    let repro_state = ref None in
-    let try_repro =
-      if not cfg.use_snapshots then reboot_repro cfg
-      else fun bug ?sched ?rehost calls ->
-        match
-          (match !repro_state with
-          | Some is -> is
-          | None ->
-              let i = Replay.boot cfg.fw (Replay.Embsan_cfg cfg.sanitizers) in
-              let rc =
-                if cfg.use_rehost then Some (Rehost.create i.Replay.machine)
-                else None
-              in
-              let s = Snap.capture ?runtime:i.Replay.rt i.Replay.machine in
-              repro_state := Some (i, rc, s);
-              (i, rc, s))
-        with
-        | exception Replay.Boot_failed _ -> false
-        | i, rc, s ->
-            ignore (Snap.restore s : int);
-            arm_schedule i.Replay.machine sched;
-            (match (rc, rehost) with
-            | Some c, Some seed -> arm_rehost ~use_irq:cfg.use_irq c seed
-            | Some c, None -> Rehost.disarm c
-            | None, _ -> ());
-            let before = List.length (Report.unique_reports i.Replay.sink) in
-            let o = Replay.replay i calls in
-            let fresh =
-              List.filteri (fun k _ -> k >= before) o.Replay.o_reports
-            in
-            Replay.detects bug { o with Replay.o_reports = fresh }
+    let try_repro bug ?sched ?rehost calls =
+      match Lazy.force repro with
+      | exception Replay.Boot_failed _ -> false
+      | i, c, s ->
+          ignore (Snap.restore s : int);
+          arm c ~sched ~rehost;
+          let before = List.length (Report.unique_reports i.sink) in
+          let o = Replay.replay i calls in
+          let fresh = List.filteri (fun k _ -> k >= before) o.o_reports in
+          Replay.detects bug { o with o_reports = fresh }
     in
     {
       cfg;
@@ -322,11 +297,10 @@ module Engine = struct
       cov;
       symbolize = truth_symbolize cfg.fw;
       inst;
-      sched_ctl;
-      sched_rng;
-      rehost_ctl;
-      rehost_rng;
+      controls;
       snap;
+      sched_rng;
+      rehost_rng;
       try_repro;
       total_bugs = List.length cfg.fw.fw_bugs;
       insns_base = 0;
@@ -378,6 +352,16 @@ module Engine = struct
       e.fresh_found <- entry :: e.fresh_found
     end
 
+  (* Revert [inst] to its post-boot checkpoint.  Retired instructions are
+     credited first, since total_insns reverts to its captured value; the
+     sink reverts to its post-boot contents, so re-baseline both. *)
+  let restore e =
+    e.insns <- e.insns + (e.inst.machine.total_insns - e.insns_base);
+    ignore (Snap.restore e.snap : int);
+    e.insns_base <- e.inst.machine.total_insns;
+    e.seen_reports <- List.length (Report.unique_reports e.inst.sink);
+    e.history <- []
+
   (* One execution of [prog]: run it, triage coverage, reports and
      crashes, recover if the machine died.  Shared between [step]
      (self-generated programs) and [inject] (frontier programs received
@@ -387,33 +371,9 @@ module Engine = struct
        post-boot checkpoint (which also reverts the memo table and pending
        IRQs through the rehost hook's snapshot blob), so a (program,
        rehost seed) pair alone determines the trajectory and confirmation
-       replays are exact.  Without the checkpoint the layer still fuzzes,
-       but cross-exec guest state can leave findings unconfirmed. *)
-    (match (e.rehost_ctl, e.snap) with
-    | Some _, Some s ->
-        e.insns <- e.insns + (e.inst.machine.total_insns - e.insns_base);
-        ignore (Snap.restore s : int);
-        e.insns_base <- e.inst.machine.total_insns;
-        e.seen_reports <- List.length (Report.unique_reports e.inst.sink);
-        e.history <- []
-    | _ -> ());
-    (* arm this execution's interleaving before anything runs *)
-    (match e.sched_ctl with
-    | None -> ()
-    | Some ctl -> (
-        match sched with
-        | None -> Sched.disarm ctl
-        | Some seed ->
-            let r = Rng.create ~seed in
-            Sched.arm ctl ~draw:(fun n -> Rng.below r n)));
-    (* then the rehost layer: its scheduler wrapper must capture the
-       interleaving just armed so injection clamps compose with it *)
-    (match e.rehost_ctl with
-    | None -> ()
-    | Some ctl -> (
-        match rehost with
-        | None -> Rehost.disarm ctl
-        | Some seed -> arm_rehost ~use_irq:e.cfg.use_irq ctl seed));
+       replays are exact. *)
+    if e.cfg.use_rehost then restore e;
+    arm e.controls ~sched ~rehost;
     Coverage.reset_edges e.cov;
     if e.cfg.use_cmplog then Cmplog.reset e.inst.machine.Machine.cmplog;
     e.history <-
@@ -448,34 +408,14 @@ module Engine = struct
           | None -> e.unmatched <- Report.title r :: e.unmatched)
         fresh
     end;
-    (* architectural crash: triage, then recover — restore the post-boot
-       checkpoint when snapshotting, reboot a fresh instance otherwise *)
+    (* architectural crash: triage, then recover from the checkpoint *)
     match outcome.o_crash with
     | Some stop ->
         e.crashes <- e.crashes + 1;
         (match match_crash e.cfg.fw stop with
         | Some bug -> note_bug e bug ?sched ?rehost prog
         | None -> ());
-        (match e.snap with
-        | Some s ->
-            e.insns <- e.insns + (e.inst.machine.total_insns - e.insns_base);
-            ignore (Snap.restore s : int);
-            (* total_insns reverts to its captured value; the sink reverts
-               to its post-boot contents, so re-baseline both *)
-            e.insns_base <- e.inst.machine.total_insns;
-            e.seen_reports <-
-              List.length (Report.unique_reports e.inst.sink)
-        | None ->
-            e.insns <- e.insns + e.inst.machine.total_insns;
-            e.inst <- boot_with_coverage e.cfg e.cov;
-            (* the scheduler and rehost controls are bound to the dead
-               machine *)
-            if e.sched_ctl <> None then
-              e.sched_ctl <- Some (Sched.create e.inst.Replay.machine);
-            if e.rehost_ctl <> None then
-              e.rehost_ctl <- Some (Rehost.create e.inst.Replay.machine);
-            e.seen_reports <- 0);
-        e.history <- []
+        restore e
     | None -> ()
 
   let step e =
@@ -552,7 +492,7 @@ module Engine = struct
   let unmatched e = List.sort_uniq compare e.unmatched
 
   (* Retired guest instructions so far, credited across snapshot rollbacks
-     and reboots exactly as [result] reports them. *)
+     exactly as [result] reports them. *)
   let insns_now e = e.insns + (e.inst.machine.total_insns - e.insns_base)
 
   let result e =
@@ -582,22 +522,12 @@ let run (cfg : config) : result =
    that trigger sanitizer reports or crashes are excluded so the workload
    measures steady-state behavior rather than post-corruption allocator
    pathologies. *)
-let clean_corpus ?(use_snapshots = true) (fw : Firmware_db.firmware)
-    (progs : Prog.t list) =
-  (* each fixpoint pass must start from pristine post-boot state: restore
-     the shared checkpoint when snapshotting, boot fresh otherwise *)
-  let fresh_instance =
-    if use_snapshots then begin
-      let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.all_sanitizers) in
-      let snap = Snap.capture ?runtime:inst.Replay.rt inst.Replay.machine in
-      fun () ->
-        ignore (Snap.restore snap : int);
-        inst
-    end
-    else fun () -> Replay.boot fw (Replay.Embsan_cfg Embsan.all_sanitizers)
-  in
+let clean_corpus (fw : Firmware_db.firmware) (progs : Prog.t list) =
+  (* each fixpoint pass starts from the post-boot checkpoint *)
+  let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.all_sanitizers) in
+  let snap = Snap.capture ?runtime:inst.rt inst.machine in
   let filter_pass progs =
-    let inst = fresh_instance () in
+    ignore (Snap.restore snap : int);
     List.filter
       (fun p ->
         let before = Report.total_hits inst.sink in

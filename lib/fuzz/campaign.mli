@@ -12,11 +12,6 @@ type config = {
   max_execs : int;
   seed : int;
   stop_when_all_found : bool;
-  use_snapshots : bool;
-      (** recover from crashes (and run confirmation replays / corpus
-          cleaning) by restoring a post-boot checkpoint instead of
-          rebooting; on by default — the restore-transparency oracle in
-          [lib/check] pins the equivalence *)
   use_cmplog : bool;
       (** compare-operand coverage ({!Embsan_emu.Cmplog}): per-exec
           compare features join the frontier signature and the operand
@@ -65,6 +60,25 @@ type found = {
   f_confirmed : bool;  (** reproduced on a fresh instance *)
 }
 
+(** The knob controllers of one booted machine: an interleaving scheduler
+    ({!Embsan_sched.Sched}) and an MMIO/IRQ controller
+    ({!Embsan_rehost.Rehost}), each present or not. *)
+type controls
+
+(** [controls ~sched ~rehost ~irq machine] builds the controllers replays
+    on [machine] need; with [irq], an armed MMIO seed also draws an
+    interrupt-injection plan.  Build them before a post-boot
+    [Snap.capture], so the checkpoint carries the controller state. *)
+val controls :
+  sched:bool -> rehost:bool -> irq:bool -> Embsan_emu.Machine.t -> controls
+
+(** Arm one replay's knob seeds exactly as campaigns do: the schedule
+    first, then the MMIO/IRQ layer (whose injection clamps compose with
+    the interleaving just armed), each seed fanned out into the same
+    per-knob streams.  [None] disarms; a seed for an absent controller
+    is ignored.  This is how a reported [found] replays. *)
+val arm : controls -> sched:int option -> rehost:int option -> unit
+
 type result = {
   r_fw : Firmware_db.firmware;
   r_found : found list;
@@ -79,8 +93,9 @@ type result = {
 }
 
 (** The steppable per-worker fuzzing engine behind {!run}.  One engine
-    owns one booted instance (machine, runtime, post-boot snapshot),
-    corpus and coverage map — shared-nothing, so the campaign
+    owns one booted instance (machine, runtime, knob controllers,
+    post-boot snapshot) for its whole life, plus its corpus and coverage
+    map — shared-nothing, so the campaign
     orchestrator ([lib/orch]) can drive one engine per domain.  {!run}
     is exactly [create]; [step] until [finished]; [result] — which is
     what makes a single-worker orchestrated campaign bit-identical to
@@ -99,7 +114,7 @@ module Engine : sig
 
   (** One fuzzing iteration: generate or mutate a program, execute it,
       triage coverage/reports/crashes, recover from architectural
-      crashes. *)
+      crashes by restoring the post-boot snapshot. *)
   val step : t -> unit
 
   (** Execute a frontier program received from another worker, under the
@@ -134,7 +149,6 @@ val run : config -> result
 (** Filter the corpus to programs that neither report nor crash, iterated
     to a fixpoint (dropping a program changes allocator state for the
     survivors).  The Figure-2 replay workload. *)
-val clean_corpus :
-  ?use_snapshots:bool -> Firmware_db.firmware -> Prog.t list -> Prog.t list
+val clean_corpus : Firmware_db.firmware -> Prog.t list -> Prog.t list
 
 val pp_result : Format.formatter -> result -> unit

@@ -6,12 +6,7 @@
    seed (MMIO response stream + interrupt-injection plan) when the
    model-free rehosting layer is armed. *)
 
-type entry = {
-  e_prog : Prog.t;
-  e_sched : int option;
-  e_rehost : int option;
-  e_new_pairs : int;
-}
+type entry = { e_prog : Prog.t; e_sched : int option; e_rehost : int option }
 
 type t = {
   seen : (int * int, unit) Hashtbl.t; (* (edge index, bucket) *)
@@ -33,13 +28,7 @@ let consider t prog ?sched ?rehost (signature : (int * int) list) =
     List.iter (fun pair -> Hashtbl.replace t.seen pair ()) fresh;
     t.total_pairs <- t.total_pairs + List.length fresh;
     t.entries <-
-      {
-        e_prog = prog;
-        e_sched = sched;
-        e_rehost = rehost;
-        e_new_pairs = List.length fresh;
-      }
-      :: t.entries;
+      { e_prog = prog; e_sched = sched; e_rehost = rehost } :: t.entries;
     true
   end
 
@@ -56,6 +45,3 @@ let pick rng t =
 (** All programs, oldest first (the "merged corpus" replayed by the
     overhead experiment). *)
 let programs t = List.rev_map (fun e -> e.e_prog) t.entries
-
-(** All entries as (program, schedule seed, rehost seed), oldest first. *)
-let inputs t = List.rev_map (fun e -> (e.e_prog, e.e_sched, e.e_rehost)) t.entries

@@ -5,18 +5,7 @@
     armed), since coverage can depend on the interleaving and on the
     MMIO responses / injected interrupts. *)
 
-type entry = {
-  e_prog : Prog.t;
-  e_sched : int option;
-  e_rehost : int option;
-  e_new_pairs : int;
-}
-
-type t = {
-  seen : (int * int, unit) Hashtbl.t;
-  mutable entries : entry list;
-  mutable total_pairs : int;
-}
+type t
 
 val create : unit -> t
 
@@ -30,6 +19,3 @@ val pick : Rng.t -> t -> (Prog.t * int option * int option) option
 
 (** All programs, oldest first (the "merged corpus"). *)
 val programs : t -> Prog.t list
-
-(** All entries as (program, schedule seed, rehost seed), oldest first. *)
-val inputs : t -> (Prog.t * int option * int option) list

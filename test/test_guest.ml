@@ -205,20 +205,17 @@ let benign_sequences_silent () =
 
 (* --- race suite: known-race / known-no-race table ------------------------------- *)
 
-module Sched = Embsan_sched.Sched
-module Rng = Embsan_fuzz.Rng
+module Campaign = Embsan_fuzz.Campaign
 
 (* Replay a syscall sequence on the race-suite firmware under ftrace,
    optionally armed with a fuzzer-chosen schedule. *)
 let race_replay ?sched calls =
   let fw = Firmware_db.race_suite_fw in
   let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.ftrace_only) in
-  (match sched with
-  | None -> ()
-  | Some seed ->
-      let ctl = Sched.create inst.Replay.machine in
-      let r = Rng.create ~seed in
-      Sched.arm ctl ~draw:(fun n -> Rng.below r n));
+  Campaign.arm
+    (Campaign.controls ~sched:(sched <> None) ~rehost:false ~irq:false
+       inst.Replay.machine)
+    ~sched ~rehost:None;
   Replay.replay inst calls
 
 let race_bug id =

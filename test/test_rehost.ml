@@ -4,8 +4,9 @@
    under injected interrupts, rehost state (memo table + pending IRQs)
    round-trips through the snapshot service, arming never flushes the
    translation cache, rehost seeds ride the corpus and minimize toward
-   None, and the jobs=4 orchestrator stays repetition-stable with
-   rehosting on. *)
+   None, confirmed findings replay through [Campaign.arm], and the
+   orchestrator reduces to [Campaign.run] at jobs=1 and stays
+   repetition-stable at jobs=4 with rehosting on. *)
 
 module Embsan = Embsan_core.Embsan
 module Report = Embsan_core.Report
@@ -234,19 +235,67 @@ let minimizes_rehost_to_none () =
         (f.Campaign.f_rehost = None))
     r.Campaign.r_found
 
-(* jobs=4 with rehosting on: the merged result must be stable across
-   repetitions — rehost seeds ride the frontier exchange
-   deterministically. *)
+(* Every confirmed finding re-detects on a fresh boot armed through
+   [Campaign.arm] with the seeds it was reported with — the path
+   `embsan repro --rehost-seed N --irq` takes. *)
+let findings_replay_through_arm () =
+  let r = Campaign.run (rehost_cfg ~irq:true ~seed:3 ~execs:600) in
+  Alcotest.(check bool) "found bugs" true (r.Campaign.r_found <> []);
+  List.iter
+    (fun (f : Campaign.found) ->
+      let id = f.Campaign.f_bug.Defs.b_id in
+      Alcotest.(check bool) (id ^ " confirmed") true f.Campaign.f_confirmed;
+      let inst = boot () in
+      Campaign.arm
+        (Campaign.controls ~sched:(f.Campaign.f_sched <> None)
+           ~rehost:(f.Campaign.f_rehost <> None) ~irq:f.Campaign.f_irq
+           inst.Replay.machine)
+        ~sched:f.Campaign.f_sched ~rehost:f.Campaign.f_rehost;
+      let o =
+        Replay.replay inst (Embsan_fuzz.Prog.to_reproducer f.Campaign.f_prog)
+      in
+      Alcotest.(check bool) (id ^ " re-detected") true
+        (Replay.detects f.Campaign.f_bug o))
+    r.Campaign.r_found
+
 let found_key (f : Campaign.found) =
   (f.Campaign.f_bug.Defs.b_id, f.Campaign.f_exec, f.Campaign.f_rehost,
    f.Campaign.f_confirmed)
 
-let orch_key (r : Orch.result) =
-  ( List.sort compare (List.map found_key r.Orch.o_campaign.Campaign.r_found),
-    r.Orch.o_campaign.Campaign.r_execs,
-    r.Orch.o_campaign.Campaign.r_corpus,
-    r.Orch.o_campaign.Campaign.r_coverage,
-    r.Orch.o_epochs )
+let result_key (r : Campaign.result) =
+  ( List.sort compare (List.map found_key r.Campaign.r_found),
+    r.Campaign.r_execs,
+    r.Campaign.r_crashes,
+    r.Campaign.r_corpus,
+    r.Campaign.r_coverage,
+    r.Campaign.r_insns,
+    r.Campaign.r_unmatched )
+
+(* An orchestrated single-worker rehost+IRQ campaign is bit-identical to
+   [Campaign.run]: the per-exec restore, the knob arming and the
+   confirmation replays run on the same engine path.  The campaign runs
+   its whole budget: this seed finds the bug on its first exec, and
+   stopping there would pin one exec instead of several epochs. *)
+let jobs1_rehost_equals_campaign_run () =
+  let cfg =
+    {
+      (rehost_cfg ~irq:true ~seed:3 ~execs:600) with
+      stop_when_all_found = false;
+    }
+  in
+  let direct = Campaign.run cfg in
+  let orch =
+    Orch.run { (Orch.default_config ~epoch_execs:64 fw) with campaign = cfg }
+  in
+  Alcotest.(check bool) "orchestrated jobs=1 result equals Campaign.run" true
+    (result_key direct = result_key orch.Orch.o_campaign);
+  Alcotest.(check int) "full budget" 600 direct.Campaign.r_execs;
+  Alcotest.(check bool) "the UAF found" true (direct.Campaign.r_found <> [])
+
+(* jobs=4 with rehosting on: the merged result must be stable across
+   repetitions — rehost seeds ride the frontier exchange
+   deterministically. *)
+let orch_key (r : Orch.result) = (result_key r.Orch.o_campaign, r.Orch.o_epochs)
 
 let jobs4_rehost_stable () =
   let run () =
@@ -265,8 +314,8 @@ let jobs4_rehost_stable () =
 
 (* --- the rehost-transparency oracle ---------------------------------------- *)
 
-(* Directed sample (the bounded seeded campaign lives in
-   `make check-rehost`): with the layer armed on both engines, memoized
+(* Directed sample (the bounded seeded campaign runs in
+   `make check-diff`): with the layer armed on both engines, memoized
    responses and injection points must be engine-invariant. *)
 let rehost_transparency_sample () =
   let cfg = Oracle.default_cfg in
@@ -368,6 +417,10 @@ let () =
             campaign_never_without_injection;
           Alcotest.test_case "minimizes rehost seeds to None" `Slow
             minimizes_rehost_to_none;
+          Alcotest.test_case "findings replay through Campaign.arm" `Slow
+            findings_replay_through_arm;
+          Alcotest.test_case "jobs=1 equals Campaign.run (rehost+IRQ)" `Slow
+            jobs1_rehost_equals_campaign_run;
           Alcotest.test_case "jobs=4 repetition-stable" `Slow
             jobs4_rehost_stable;
         ] );

@@ -12,7 +12,7 @@ module Replay = Embsan_guest.Replay
 module Firmware_db = Embsan_guest.Firmware_db
 module Rng = Embsan_fuzz.Rng
 module Prog = Embsan_fuzz.Prog
-module Rehost = Embsan_rehost.Rehost
+module Campaign = Embsan_fuzz.Campaign
 
 (* --- per-device round-trips ------------------------------------------------ *)
 
@@ -241,7 +241,9 @@ let warm_cache_replays_like_cold () =
     let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.kasan_only) in
     let cov = Coverage.create ~harts:2 in
     Coverage.attach_tcg cov inst.Replay.machine;
-    let ctl = Rehost.create inst.Replay.machine in
+    let ctl =
+      Campaign.controls ~sched:false ~rehost:true ~irq:true inst.Replay.machine
+    in
     (inst, cov, ctl, Snap.capture ?runtime:inst.Replay.rt inst.Replay.machine)
   in
   (* one exec as the campaign runs it: restore, arm the rehost seed's MMIO
@@ -250,12 +252,7 @@ let warm_cache_replays_like_cold () =
     let m = inst.Replay.machine in
     ignore (Snap.restore snap : int);
     if cold then Machine.flush_tcg m;
-    let root = Rng.create ~seed in
-    let mr = Rng.split_stream root ~shard:0 ~stream:"mmio" in
-    let ir = Rng.split_stream root ~shard:0 ~stream:"irq" in
-    Rehost.arm ctl
-      ~irq:(fun n -> Rng.below ir n)
-      ~mmio:(fun () -> Rng.next mr);
+    Campaign.arm ctl ~sched:None ~rehost:(Some seed);
     Coverage.reset_edges cov;
     let o = Replay.replay inst (Prog.to_reproducer prog) in
     ( o.Replay.o_insns,
