@@ -14,7 +14,7 @@ test:
 # snapshot restore-latency bench (writes BENCH_snap.json; fails unless each
 # restore reverts exactly the pages touched) and the orchestrator sweep.
 bench-smoke: build
-	./_build/default/bench/main.exe bechamel --execs 200
+	./_build/default/bench/main.exe bechamel
 	./_build/default/bench/main.exe emu
 	./_build/default/bench/main.exe snap
 	./_build/default/bench/main.exe orch

@@ -185,7 +185,7 @@ let run_probed sanitizers =
   let fw = Firmware_db.syzbot_suite_fw in
   match Replay.boot fw (Replay.Embsan_mode (sanitizers, `D)) with
   | exception Replay.Boot_failed msg ->
-      Fmt.epr "emu bench: probed boot failed (%s), skipping@." msg;
+      Fmt.epr "emu bench: probed boot failed (%s), its guard fails@." msg;
       None
   | inst ->
       let calls =
@@ -220,16 +220,17 @@ let opt_json = function Some s -> sample_json s | None -> "null"
    sites (an exempt site only counts; KASAN's decides most accesses from
    one shadow byte): on a 2-vCPU AMD EPYC they measured a median of 1.8x
    over 18 runs alternating with other builds (1.48-2.04x on a loaded
-   host), where the per-event dispatch they replaced measured 1.3-1.4x. *)
+   host), where the per-event dispatch they replaced measured 1.3-1.4x.
+   A probed row that did not run fails its guard. *)
 let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~storm_flushes
     ~gate_solved =
   [
     ("speedup_fast_vs_baseline >= 3.0", speedup >= 3.0);
     ("chain_rate >= 0.90", chain_rate >= 0.90);
     ( "kasan_probed >= 1.5 x baseline",
-      match kasan_ratio with None -> true | Some r -> r >= 1.5 );
+      match kasan_ratio with None -> false | Some r -> r >= 1.5 );
     ( "kcsan_probed >= 2.0 x baseline",
-      match kcsan_ratio with None -> true | Some r -> r >= 2.0 );
+      match kcsan_ratio with None -> false | Some r -> r >= 2.0 );
     ("toggle storm flush-free (flushes_invalidate = 0)", storm_flushes = 0);
     ("cmplog solves the magic gate", gate_solved);
   ]

@@ -1,26 +1,8 @@
-(* embsan: command-line front end.
-
-     embsan list                         firmware inventory
-     embsan probe  <firmware>            pre-testing probing phase; print DSL
-     embsan run    <firmware> <nr> <args...>   one syscall under EmbSan
-     embsan repro  <firmware> <bug-id> [--ftrace] [--sched-seed N]
-                   [--rehost-seed N] [--irq]
-                                         replay a bug's reproducer
-     embsan campaign <firmware> [--jobs N] [--execs N] [--seed N]
-                   [--exchange N] [--telemetry] [--cmplog] [--sched]
-                   [--ftrace] [--rehost] [--irq]
-                                         fuzzing campaign over N worker
-                                         domains (default 1)
-     embsan trace  <firmware> <nr> <args...> [--mem]
-                                         block/call/return trace of a syscall
-     embsan check  [--execs N] [--seed N] [--sync N] [--max-insns N]
-                   [--arch ARCH] [--oracle NAME]
-                                         differential-oracle engine check
-     embsan disasm <firmware>            disassemble the built image
-
-   The table above lists every optional flag each command accepts; a grep
-   test (test/test_rehost.ml) pins it against the Arg.info declarations
-   below, so keep the two in sync. *)
+(* embsan: command-line front end -- firmware inventory, probing, single
+   syscalls and bug reproducers under EmbSan, fuzzing campaigns, traces,
+   disassembly and the differential engine check.  `embsan --help` lists
+   the commands and `embsan COMMAND --help` each command's flags, both
+   rendered from the [Arg.info] declarations below. *)
 
 open Cmdliner
 open Embsan_guest
@@ -28,21 +10,14 @@ module Embsan = Embsan_core.Embsan
 module Report = Embsan_core.Report
 module Campaign = Embsan_fuzz.Campaign
 
-let find_fw name =
-  match Firmware_db.find name with
-  | Some fw -> Ok fw
-  | None ->
-      if String.equal name "syzbot-suite" then Ok Firmware_db.syzbot_suite_fw
-      else if String.equal name "cmplog-gate" then Ok Firmware_db.cmplog_gate_fw
-      else if String.equal name "race-suite" then Ok Firmware_db.race_suite_fw
-      else if String.equal name "mmio-suite" then Ok Firmware_db.mmio_suite_fw
-      else
-        Error
-          (Fmt.str "unknown firmware %S; try `embsan list` for the inventory"
-             name)
-
 let fw_arg =
-  let parse s = Result.map_error (fun e -> `Msg e) (find_fw s) in
+  let parse s =
+    Option.to_result (Firmware_db.find s)
+      ~none:
+        (`Msg
+          (Fmt.str "unknown firmware %S; try `embsan list` for the inventory"
+             s))
+  in
   let print fmt fw = Fmt.string fmt fw.Firmware_db.fw_name in
   Arg.(
     required
@@ -59,12 +34,7 @@ let list_cmd =
       (fun fw ->
         Fmt.pr "%a %d@." Firmware_db.pp_table1_row fw
           (List.length fw.Firmware_db.fw_bugs))
-      (Firmware_db.all
-      @ [
-          Firmware_db.syzbot_suite_fw;
-          Firmware_db.race_suite_fw;
-          Firmware_db.mmio_suite_fw;
-        ])
+      (Firmware_db.all @ Firmware_db.suites)
   in
   Cmd.v (Cmd.info "list" ~doc:"List the available firmware images")
     Term.(const run $ const ())
@@ -344,6 +314,10 @@ let trace_cmd =
 (* --- check ------------------------------------------------------------------ *)
 
 let check_cmd =
+  let oracle_names =
+    Embsan_check.Harness.(selected_oracles default_config)
+    |> List.map fst |> String.concat ", "
+  in
   let execs =
     Arg.(
       value & opt int 1000
@@ -372,10 +346,8 @@ let check_cmd =
       value & opt_all string []
       & info [ "oracle" ] ~docv:"NAME"
           ~doc:
-            "Run only this oracle (repeatable): fast-vs-baseline, \
-             probe-transparency, flush-anytime, subscription-churn, \
-             toggle-storm, restore-transparency, sched-transparency, \
-             rehost-transparency or mode-agreement.  Default: all.")
+            ("Run only this oracle (repeatable): " ^ oracle_names
+           ^ ".  Default: all."))
   in
   let run execs seed sync max_insns arch oracles =
     let archs =
@@ -411,11 +383,9 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Differential-oracle check of the dual execution engines \
-          (fast-vs-baseline, probe transparency, flush-anytime, \
-          subscription churn, toggle storm, sched/rehost/restore \
-          transparency) and of the dual instrumentation backends \
-          (mode-agreement); exits 1 on any divergence")
+         ("Differential-oracle check of the dual execution engines and of \
+           the dual instrumentation backends (" ^ oracle_names
+        ^ "); exits 1 on any divergence"))
     Term.(const run $ execs $ seed $ sync $ max_insns $ arch $ oracle)
 
 (* --- disasm ----------------------------------------------------------------- *)

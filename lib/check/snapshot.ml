@@ -32,48 +32,7 @@ let status_name : Cpu.status -> string = function
 
 let stop_string s = Fmt.str "%a" Machine.pp_stop s
 
-(* The RAM digest is page-structured — the digest of the concatenated
-   per-page digests — so a full recomputation and the incremental
-   {!digester} below produce the SAME value and snapshots from the two
-   paths compare against each other. *)
-
-let page_digest (ram : Ram.t) page =
-  let off = page lsl Ram.page_shift in
-  let len = min Ram.page_size (Ram.size ram - off) in
-  Digest.subbytes ram.Ram.bytes off len
-
-let digest_of_pages pages =
-  let buf = Buffer.create (Array.length pages * 16) in
-  Array.iter (Buffer.add_string buf) pages;
-  Digest.string (Buffer.contents buf)
-
-let full_ram_digest (m : Machine.t) =
-  let ram = m.Machine.ram in
-  digest_of_pages (Array.init (Ram.page_count ram) (page_digest ram))
-
-(* Incremental digest state: cached per-page digests, refreshed from the
-   dirty-page bitmap's digest channel between sync points.  Creating one
-   enables dirty tracking on the machine (an O(1), flush-free site
-   patch). *)
-type digester = { d_machine : Machine.t; d_pages : string array }
-
-let digester (m : Machine.t) =
-  Machine.set_dirty_tracking m true;
-  let ram = m.Machine.ram in
-  let pages = Array.init (Ram.page_count ram) (page_digest ram) in
-  Ram.clear_dirty ram ~channel:Ram.digest_channel;
-  { d_machine = m; d_pages = pages }
-
-(** Rehash only the pages written since the last call (O(touched), the
-    point of satellite 1) and return the whole-RAM digest. *)
-let digest_incremental d =
-  let ram = d.d_machine.Machine.ram in
-  Ram.iter_dirty ram ~channel:Ram.digest_channel (fun p ->
-      d.d_pages.(p) <- page_digest ram p);
-  Ram.clear_dirty ram ~channel:Ram.digest_channel;
-  digest_of_pages d.d_pages
-
-let capture ?digester:dg ?stop (m : Machine.t) =
+let capture ?stop (m : Machine.t) =
   let hart (c : Cpu.t) =
     {
       h_id = c.id;
@@ -87,10 +46,7 @@ let capture ?digester:dg ?stop (m : Machine.t) =
     harts = Array.map hart m.harts;
     total_insns = m.total_insns;
     cost = m.cost;
-    ram_digest =
-      (match dg with
-      | Some d -> digest_incremental d
-      | None -> full_ram_digest m);
+    ram_digest = Digest.bytes m.ram.Ram.bytes;
     console = Machine.console_output m;
     stop = Option.map stop_string stop;
   }

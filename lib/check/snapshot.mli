@@ -1,8 +1,8 @@
 (** Architectural-state snapshots and minimized diffs for the differential
     harness: exactly the state the guest can observe (per-hart registers,
-    pc, retired counts, machine totals, RAM digest, console, stop record)
-    and none of the engine-private state the two engines are allowed to
-    disagree on. *)
+    pc, retired counts, machine totals, one [Digest] of the RAM bytes,
+    console, stop record) and none of the engine-private state the two
+    engines are allowed to disagree on. *)
 
 type hart = {
   h_id : int;
@@ -23,21 +23,9 @@ type t = {
 
 val stop_string : Embsan_emu.Machine.stop -> string
 
-(** Incremental RAM-digest state: caches per-page digests and rehashes
-    only pages written since the previous capture (tracked on the dirty
-    bitmap's digest channel).  The digest is page-structured so the
-    incremental and full paths produce identical values. *)
-type digester
-
-(** Create a digester for [m]; enables dirty-page tracking on the
-    machine. *)
-val digester : Embsan_emu.Machine.t -> digester
-
 (** Capture the architectural state of [m]; pass [?stop] once the machine
-    has reported a definitive stop so it is compared too, and [?digester]
-    to compute the RAM digest incrementally from the dirty-page bitmap. *)
-val capture :
-  ?digester:digester -> ?stop:Embsan_emu.Machine.stop -> Embsan_emu.Machine.t -> t
+    has reported a definitive stop so it is compared too. *)
+val capture : ?stop:Embsan_emu.Machine.stop -> Embsan_emu.Machine.t -> t
 
 (** Minimized field-by-field diff, one line per differing observable;
     [[]] means architecturally identical. *)

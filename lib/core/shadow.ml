@@ -185,29 +185,17 @@ let restore t (s : state) =
     || Bytes.length s.s_kcsan_epoch <> Bytes.length t.kcsan_epoch
   then invalid_arg "Shadow.restore: size mismatch";
   let n = Bytes.length t.kasan in
-  (match t.synced with
+  match t.synced with
   | Some synced when synced == s ->
-      (* a restore typically finds a chunk or two among ~1024, so the
-         dirty bytes are scanned a word at a time *)
-      let d = t.dirty in
-      let nd = Bytes.length d in
-      let w = ref 0 in
-      while !w < nd do
-        if !w + 8 > nd || Bytes.get_int64_ne d !w <> 0L then
-          for c = !w to min (!w + 8) nd - 1 do
-            if Bytes.unsafe_get d c <> '\000' then begin
-              let off = c lsl chunk_shift in
-              let len = min chunk (n - off) in
-              Bytes.blit s.s_kasan off t.kasan off len;
-              Bytes.blit s.s_kcsan_epoch off t.kcsan_epoch off len
-            end
-          done;
-        w := !w + 8
-      done
+      Embsan_emu.Ram.drain_marks t.dirty (fun c ->
+          let off = c lsl chunk_shift in
+          let len = min chunk (n - off) in
+          Bytes.blit s.s_kasan off t.kasan off len;
+          Bytes.blit s.s_kcsan_epoch off t.kcsan_epoch off len)
   | _ ->
       Bytes.blit s.s_kasan 0 t.kasan 0 n;
-      Bytes.blit s.s_kcsan_epoch 0 t.kcsan_epoch 0 n);
-  sync t s
+      Bytes.blit s.s_kcsan_epoch 0 t.kcsan_epoch 0 n;
+      sync t s
 
 (* --- KCSAN plane -------------------------------------------------------------- *)
 

@@ -208,7 +208,7 @@ let flush_raw t =
   t.tcg_gen <- t.tcg_gen + 1
 
 (* Explicit invalidation (self-modifying code, engine switch, a first or
-   full snapshot restore, a changed suspect).  Instrumentation toggles do
+   whole-RAM snapshot restore, a changed suspect).  Instrumentation toggles do
    NOT come through here any more: probe subscribe/unsubscribe, dirty
    tracking and cmplog all patch live sites, which is what keeps
    [flushes_invalidate] at ~0 under a probe-toggle storm (the
@@ -244,7 +244,9 @@ let set_engine t engine =
 
 (* Dirty-page tracking is a patchable site in the translated store
    templates: stores consult [Ram.track_dirty] at run time, so toggling
-   is one boolean write -- no flush, and a no-op toggle is free. *)
+   is one boolean write -- no flush, and a no-op toggle is free.  Turning
+   it off forgets RAM's synced image, so the next snapshot restore copies
+   every page and flushes. *)
 let set_dirty_tracking t on = Ram.set_track_dirty t.ram on
 
 (* Compare-operand recording is a patchable site in branch/compare
@@ -499,9 +501,7 @@ let collect_block t base =
      or restore makes it a suspect for [revalidate_tcg] *)
   let ram = t.ram in
   let page addr = (addr - Ram.base ram) lsr Ram.page_shift in
-  let written addr =
-    Ram.page_is_dirty ram ~channel:Ram.snap_channel (page addr)
-  in
+  let written addr = Ram.page_is_dirty ram (page addr) in
   if Ram.track_dirty ram && (written base || written (end_pc - 1)) then
     t.suspects <-
       (base, Ram.read_string ram ~addr:base ~len:(end_pc - base)) :: t.suspects;

@@ -126,20 +126,22 @@ val create :
 val add_device : t -> Device.t -> unit
 
 (** Explicitly flush the translation cache and invalidate all chained
-    successor links (self-modifying code, the first or a [~full] snapshot
-    restore).  Instrumentation toggles never flush:
-    probe subscribe/unsubscribe, dirty tracking and cmplog all patch live
-    sites.  Counted in [stats.flushes_invalidate]. *)
+    successor links (self-modifying code; a snapshot's first restore and
+    every restore that copies all of RAM).  Instrumentation toggles never
+    flush: probe subscribe/unsubscribe, dirty tracking and cmplog all
+    patch live sites.  Counted in [stats.flushes_invalidate]. *)
 val flush_tcg : t -> unit
 
 (** Keep the translation cache across a snapshot restore that reverted
     RAM through the dirty-page path.  Flushes (as {!flush_tcg}) only if
     some [suspects] block's source bytes differ from RAM now; otherwise
     every block goes stale and its next lookup revives it in O(1), chain
-    links included, so execution is identical to a flushed cache.  Sound only if, since the
-    last flush, dirty tracking stayed on and every snapshot capture or
-    restore left RAM as it is now -- which is why [Snap.restore] flushes
-    instead on a snapshot's first restore and on a [~full] one. *)
+    links included, so execution is identical to a flushed cache.  Sound
+    only if, since the last flush, dirty tracking stayed on and every
+    snapshot capture or restore left RAM as it is now.  [Snap.restore]
+    enforces this: turning tracking off forgets RAM's synced image, and
+    a restore RAM is not synced to copies every page and flushes
+    instead, as does a snapshot's first restore. *)
 val revalidate_tcg : t -> unit
 
 (** Switch execution engines; flushes the translation cache when the mode
@@ -149,9 +151,9 @@ val set_engine : t -> engine -> unit
 (** Toggle dirty-page tracking in RAM (see {!Ram}).  The marking is a
     patchable site in the translated store templates (stores consult
     [Ram.track_dirty] at run time), so toggling is O(1) and flush-free,
-    and a no-op toggle is free.  Consumers (snapshot service, incremental
-    digests) own one dirty-bitmap channel each and clear only their own
-    bits. *)
+    and a no-op toggle is free.  Turning tracking off forgets RAM's
+    synced image: untracked stores leave no mark, so the next snapshot
+    restore copies every page. *)
 val set_dirty_tracking : t -> bool -> unit
 
 (** Toggle compare-operand recording (see {!Cmplog}); O(1), flush-free

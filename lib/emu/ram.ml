@@ -3,27 +3,28 @@
    page are reported as null-pointer dereferences.
 
    Dirty-page tracking (the snapshot service's write set, DESIGN.md
-   "Snapshot service"): one byte per 4 KiB page, each bit a consumer
-   channel.  A store marks its page(s) dirty on *every* channel with a
-   single unconditional byte write, so the tracked fast path stays
-   allocation-free; consumers (snapshot restore, incremental digests)
-   clear only their own bit.  Tracking is off by default -- the translated
-   store templates specialize the marking in at translation time, so the
-   untracked hot path is byte-identical to the pre-snapshot engine. *)
+   "Snapshot service"): one byte per 4 KiB page, non-zero when the page
+   was written since RAM was last captured into or reverted to an image
+   -- the synced image.  A store marks its page(s) with a single
+   unconditional byte write, so the tracked fast path stays
+   allocation-free.  {!revert} to the synced image copies back only the
+   dirty pages; any other image, or any image once tracking has been off
+   (untracked stores leave no mark), is a full copy.  Tracking is off by
+   default -- the translated store templates read the flag at run time,
+   so toggling it is one field write. *)
 
 type t = {
   base : int;
   bytes : Bytes.t;
   mutable track_dirty : bool;
-  dirty : Bytes.t; (* one byte per page; bit = dirty on that channel *)
+  dirty : Bytes.t; (* one byte per page; non-zero = written since sync *)
+  mutable synced : Bytes.t option;
+      (* the image RAM equals outside the dirty pages; [None] unless
+         tracking stayed on since the last capture or revert *)
 }
 
 let page_shift = 12
 let page_size = 1 lsl page_shift
-
-(* Consumer channels of the dirty bitmap. *)
-let snap_channel = 0 (* Snap.capture/restore write set *)
-let digest_channel = 1 (* Check.Snapshot incremental RAM digest *)
 
 let create ~base ~size =
   {
@@ -31,6 +32,7 @@ let create ~base ~size =
     bytes = Bytes.make size '\000';
     track_dirty = false;
     dirty = Bytes.make ((size + page_size - 1) / page_size) '\000';
+    synced = None;
   }
 
 let base t = t.base
@@ -39,12 +41,17 @@ let limit t = t.base + Bytes.length t.bytes
 let page_count t = Bytes.length t.dirty
 
 let track_dirty t = t.track_dirty
-let set_track_dirty t on = t.track_dirty <- on
+
+(* Turning tracking off forgets the synced image: stores made while it is
+   off leave no mark, so the next revert must copy every page. *)
+let set_track_dirty t on =
+  t.track_dirty <- on;
+  if not on then t.synced <- None
 
 (* Mark the page(s) covered by a write of [size] bytes at byte offset
-   [off] dirty on every channel.  Callers have bounds-checked, so both
-   page indices are in range; a write can straddle at most one page
-   boundary (size <= 4 << page_size). *)
+   [off] dirty.  Callers have bounds-checked, so both page indices are in
+   range; a write can straddle at most one page boundary
+   (size <= 4 << page_size). *)
 let[@inline] mark_off t off size =
   Bytes.unsafe_set t.dirty (off lsr page_shift) '\xFF';
   let last = (off + size - 1) lsr page_shift in
@@ -59,68 +66,62 @@ let mark_dirty_range t ~addr ~size =
     Bytes.fill t.dirty first (last - first + 1) '\xFF'
   end
 
-let page_is_dirty t ~channel page =
-  Char.code (Bytes.get t.dirty page) land (1 lsl channel) <> 0
+let page_is_dirty t page = Bytes.get t.dirty page <> '\000'
 
-let dirty_count t ~channel =
-  let mask = 1 lsl channel in
-  let n = ref 0 in
-  for p = 0 to Bytes.length t.dirty - 1 do
-    if Char.code (Bytes.unsafe_get t.dirty p) land mask <> 0 then incr n
-  done;
-  !n
-
-(** Clear [channel]'s dirty bit on every page (other channels keep
-    theirs). *)
-let clear_dirty t ~channel =
-  let keep = lnot (1 lsl channel) land 0xFF in
-  for p = 0 to Bytes.length t.dirty - 1 do
-    let b = Char.code (Bytes.unsafe_get t.dirty p) in
-    if b land (1 lsl channel) <> 0 then
-      Bytes.unsafe_set t.dirty p (Char.unsafe_chr (b land keep))
-  done
-
-(** Iterate the pages dirty on [channel], in ascending page order. *)
-let iter_dirty t ~channel f =
-  let mask = 1 lsl channel in
-  for p = 0 to Bytes.length t.dirty - 1 do
-    if Char.code (Bytes.unsafe_get t.dirty p) land mask <> 0 then f p
-  done
-
-(** Revert every page dirty on [channel] to its contents in [from] (a full
-    RAM-sized copy), clear that channel's bit and mark the reverted pages
-    dirty on every *other* channel (the revert is itself a write those
-    consumers must observe).  O(pages touched) data movement; returns the
-    number of pages reverted. *)
-let revert_dirty t ~channel ~from =
-  if Bytes.length from <> Bytes.length t.bytes then
-    invalid_arg "Ram.revert_dirty: size mismatch";
-  let mask = 1 lsl channel in
-  let others = Char.unsafe_chr (lnot mask land 0xFF) in
-  let reverted = ref 0 in
-  let total = Bytes.length t.bytes in
-  (* a restore typically finds a few pages among ~1024, so the bitmap is
-     scanned a word (eight pages) at a time *)
-  let word_mask = Int64.mul 0x0101_0101_0101_0101L (Int64.of_int mask) in
-  let n = Bytes.length t.dirty in
+(** Call [f i] for each non-zero byte [i] of [marks], in ascending order,
+    clearing it first.  A restore typically finds a few marks among
+    ~1024, so the bytes are scanned a word (eight marks) at a time.  The
+    one scan behind both {!revert} and the shadow planes' restore. *)
+let drain_marks marks f =
+  let n = Bytes.length marks in
   let w = ref 0 in
   while !w < n do
-    if
-      !w + 8 > n
-      || Int64.logand (Bytes.get_int64_ne t.dirty !w) word_mask <> 0L
-    then
-      for p = !w to min (!w + 8) n - 1 do
-        if Char.code (Bytes.unsafe_get t.dirty p) land mask <> 0 then begin
-          let off = p lsl page_shift in
-          let len = min page_size (total - off) in
-          Bytes.blit from off t.bytes off len;
-          Bytes.unsafe_set t.dirty p others;
-          incr reverted
+    if !w + 8 > n || Bytes.get_int64_ne marks !w <> 0L then
+      for i = !w to min (!w + 8) n - 1 do
+        if Bytes.unsafe_get marks i <> '\000' then begin
+          Bytes.unsafe_set marks i '\000';
+          f i
         end
       done;
     w := !w + 8
-  done;
-  !reverted
+  done
+
+let sync t image =
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+  t.synced <- (if t.track_dirty then Some image else None)
+
+(** A copy of RAM, which becomes the synced image. *)
+let capture t =
+  let image = Bytes.copy t.bytes in
+  sync t image;
+  image
+
+(** [true] when {!revert} [~from:image] would copy only the dirty pages:
+    [image] is the synced image. *)
+let is_synced t image =
+  match t.synced with Some s -> s == image | None -> false
+
+(** Revert RAM to [from] (a full RAM-sized image), which becomes the
+    synced image.  Copies back only the dirty pages when [from] is already
+    the synced image, every page otherwise; returns the number of pages
+    copied. *)
+let revert t ~from =
+  if Bytes.length from <> Bytes.length t.bytes then
+    invalid_arg "Ram.revert: size mismatch";
+  let total = Bytes.length t.bytes in
+  if is_synced t from then begin
+    let reverted = ref 0 in
+    drain_marks t.dirty (fun p ->
+        let off = p lsl page_shift in
+        Bytes.blit from off t.bytes off (min page_size (total - off));
+        incr reverted);
+    !reverted
+  end
+  else begin
+    Bytes.blit from 0 t.bytes 0 total;
+    sync t from;
+    page_count t
+  end
 
 let contains t addr ~size:n =
   addr >= t.base && addr + n <= limit t

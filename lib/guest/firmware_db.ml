@@ -248,8 +248,6 @@ let all =
     tplink_wdr7660;
   ]
 
-let find name = List.find_opt (fun f -> String.equal f.fw_name name) all
-
 (** The Table-2 bug-suite firmware (syzbot replays); Embedded Linux with
     the 25-bug suite module. *)
 let syzbot_suite_fw =
@@ -337,6 +335,12 @@ let mmio_suite_fw =
   linux_fw ~name:"mmio-suite" ~arch:Arch.Arm_ev ~inst:EmbSan_C
     ~fuzzer:Syzkaller
     [ Mmio_suite.suite ]
+
+(** The bug-suite and demo firmware beyond Table 1. *)
+let suites = [ syzbot_suite_fw; cmplog_gate_fw; race_suite_fw; mmio_suite_fw ]
+
+let find name =
+  List.find_opt (fun f -> String.equal f.fw_name name) (all @ suites)
 
 (** Prepare an EmbSan session for a firmware image in its Table-1 mode.
     [kcov] compiles guest coverage callouts in (the Syzkaller setup). *)

@@ -31,8 +31,6 @@ type firmware = {
 (** Table 1's eleven firmware images, in the paper's order. *)
 val all : firmware list
 
-val find : string -> firmware option
-
 (** The Table-2 bug-suite firmware (the 25 syzbot replays). *)
 val syzbot_suite_fw : firmware
 
@@ -58,6 +56,13 @@ val race_suite_fw : firmware
     rehosting layer ([lib/rehost]), only findable with injected
     interrupts.  The injection off/on A/B workload ([bench rehost]). *)
 val mmio_suite_fw : firmware
+
+(** The bug-suite and demo firmware beyond Table 1: {!syzbot_suite_fw},
+    {!cmplog_gate_fw}, {!race_suite_fw} and {!mmio_suite_fw}. *)
+val suites : firmware list
+
+(** The firmware of {!all} or {!suites} with this name. *)
+val find : string -> firmware option
 
 (** The firmware value [Embsan.prepare] expects, in the image's Table-1
     instrumentation mode. *)

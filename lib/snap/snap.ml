@@ -5,27 +5,24 @@
    the {!Device.t} save/restore hooks) and, optionally, the host-side
    sanitizer runtime (shadow planes, KASAN/KCSAN/kmemleak tables, report
    sink).  Restore costs what was written since: capture arms {!Ram}
-   dirty-page tracking on the snapshot channel, and restore reverts only
+   dirty-page tracking, and restoring the image RAM is synced to (the
+   latest capture or restore, with tracking on throughout) reverts only
    the pages written since, the shadow planes copy back only their dirty
-   chunks, and the translation cache is revalidated instead of flushed.
-
-   Single-active-snapshot discipline: capture clears the snapshot dirty
-   channel, so only the *most recent* capture of a machine can be restored
-   through the dirty-page fast path.  Restoring an older snapshot falls
-   back to a full-RAM revert (see [restore ~full:true]).  Restoring the
-   latest snapshot repeatedly is supported and is the persistent-fuzzing
-   hot path.
+   chunks under the same rule, and the translation cache is revalidated
+   instead of flushed.  Any other restore -- an older snapshot, or one
+   after tracking was turned off -- copies every page and flushes.
 
    What is deliberately NOT captured: probe subscribers and site state, trap
    handlers, device callbacks (mailbox on_ready/on_complete), the
    translation cache and engine statistics — all host-side wiring or
    caches whose contents are semantically transparent.  Translations of
    guest code that was modified and then reverted must not survive with
-   stale bodies: the first restore of a snapshot, and every full one,
-   calls {!Machine.flush_tcg} (blocks translated before it have unknown
-   provenance); every later restore calls {!Machine.revalidate_tcg},
-   which flushes only if a block translated from a page written since
-   the last capture or restore no longer matches RAM. *)
+   stale bodies: the first restore of a snapshot, and every one that
+   copies all of RAM, calls {!Machine.flush_tcg} (blocks translated before
+   it have unknown provenance); every later restore calls
+   {!Machine.revalidate_tcg}, which flushes only if a block translated
+   from a page written since the last capture or restore no longer
+   matches RAM. *)
 
 open Embsan_emu
 
@@ -70,15 +67,14 @@ let restore_hart (cpu : Cpu.t) (h : hart_state) =
 
 (** Checkpoint [machine] (and [runtime]'s host-side sanitizer state, when
     given).  Enables dirty-page tracking — an O(1), flush-free site patch
-    (store sites read the flag at run time) — and clears the snapshot
-    dirty channel, so the write set accumulated afterwards is exactly
+    (store sites read the flag at run time) — and syncs RAM to the
+    captured image, so the write set accumulated afterwards is exactly
     "pages to revert". *)
 let capture ?runtime (machine : Machine.t) =
   Machine.set_dirty_tracking machine true;
-  Ram.clear_dirty machine.Machine.ram ~channel:Ram.snap_channel;
   {
     machine;
-    ram_image = Bytes.copy machine.Machine.ram.Ram.bytes;
+    ram_image = Ram.capture machine.Machine.ram;
     harts = Array.map save_hart machine.Machine.harts;
     devices =
       Array.map
@@ -97,32 +93,16 @@ let capture ?runtime (machine : Machine.t) =
     restored = false;
   }
 
-(** Number of RAM pages currently dirty since the last capture (the data
-    volume the next {!restore} will move). *)
-let dirty_pages (machine : Machine.t) =
-  Ram.dirty_count machine.Machine.ram ~channel:Ram.snap_channel
-
 (** Revert the machine (and captured runtime) to snapshot [t].  RAM is
-    reverted page-wise in O(pages written since capture); [~full:true]
-    forces a whole-RAM revert instead (required when [t] is not the most
-    recent capture of this machine).  Returns the number of pages
-    reverted.  The first and every full restore flush the translation
-    cache; later ones revalidate it. *)
-let restore ?(full = false) t =
+    reverted page-wise in O(pages written since) when it is synced to [t]'s
+    image, and copied whole otherwise.  Returns the number of pages
+    reverted.  The first restore and every whole-RAM one flush the
+    translation cache; later ones revalidate it. *)
+let restore t =
   let m = t.machine in
   let ram = m.Machine.ram in
-  let full = full || not (Ram.track_dirty ram) in
-  let pages =
-    if full then begin
-      Bytes.blit t.ram_image 0 ram.Ram.bytes 0 (Bytes.length t.ram_image);
-      (* every page may have changed: mark all pages dirty for the other
-         channels, then clear our own bit *)
-      Ram.mark_dirty_range ram ~addr:ram.Ram.base ~size:(Bytes.length t.ram_image);
-      Ram.clear_dirty ram ~channel:Ram.snap_channel;
-      Ram.page_count ram
-    end
-    else Ram.revert_dirty ram ~channel:Ram.snap_channel ~from:t.ram_image
-  in
+  let full = not (Ram.is_synced ram t.ram_image) in
+  let pages = Ram.revert ram ~from:t.ram_image in
   Array.iteri (fun i h -> restore_hart m.Machine.harts.(i) h) t.harts;
   Array.iteri
     (fun i (name, blob) ->

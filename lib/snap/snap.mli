@@ -7,12 +7,13 @@
     the host-side sanitizer runtime; {!restore} reverts in
     O(state written since capture): {!Embsan_emu.Ram} dirty pages, the
     shadow planes' dirty chunks, and a translation cache that is kept
-    when no block translated from a written page changed.  Single-active-snapshot discipline: only the most recent
-    capture of a machine restores through the dirty-page fast path; older
-    snapshots need [restore ~full:true].  Host-side wiring — probe
-    subscribers, trap handlers, device callbacks, the fuzzer's
-    {!Embsan_emu.Coverage} state — is deliberately not captured and
-    survives a restore. *)
+    when no block translated from a written page changed.  That fast
+    path applies to the image RAM is synced to -- the latest capture or
+    restore, with dirty tracking on ever since; restoring any other
+    snapshot copies all of RAM and flushes the translation cache, so
+    every restore is exact.  Host-side wiring — probe subscribers, trap
+    handlers, device callbacks, the fuzzer's {!Embsan_emu.Coverage}
+    state — is deliberately not captured and survives a restore. *)
 
 type t
 
@@ -21,15 +22,11 @@ type t
     (translated store sites read the tracking flag at run time). *)
 val capture : ?runtime:Embsan_core.Runtime.t -> Embsan_emu.Machine.t -> t
 
-(** Pages written since the last capture — the volume the next {!restore}
-    will move. *)
-val dirty_pages : Embsan_emu.Machine.t -> int
-
 (** Revert machine (and captured runtime) to the snapshot; returns pages
-    reverted.  [~full:true] forces a whole-RAM revert (required for
-    non-latest snapshots).  The first restore of a snapshot and every
-    full one flush the translation cache; every later restore calls
-    {!Embsan_emu.Machine.revalidate_tcg}, which keeps it unless a block
-    translated from a page written since the last capture or restore no
-    longer matches RAM. *)
-val restore : ?full:bool -> t -> int
+    reverted.  RAM synced to the snapshot's image reverts only the pages
+    written since; otherwise every page is copied.  The first restore of
+    a snapshot and every whole-RAM one flush the translation cache;
+    every later restore calls {!Embsan_emu.Machine.revalidate_tcg}, which
+    keeps it unless a block translated from a page written since the
+    last capture or restore no longer matches RAM. *)
+val restore : t -> int

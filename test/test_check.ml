@@ -35,36 +35,6 @@ let progen_decodable () =
       done)
     Embsan_isa.Arch.all
 
-(* --- incremental RAM digest ------------------------------------------------ *)
-
-(* The digest is page-structured so the incremental path (rehash only
-   pages on the dirty bitmap's digest channel) and the full path produce
-   identical values -- across repeated captures, sparse and bulk writes,
-   and captures with no intervening writes. *)
-let incremental_digest_agrees () =
-  let ram_base = 0x1_0000 and ram_size = 128 * 1024 in
-  let m =
-    Machine.create ~harts:1 ~ram_base ~ram_size ~arch:Embsan_isa.Arch.Arm_ev ()
-  in
-  let dg = Snapshot.digester m in
-  let check_round name =
-    let inc = (Snapshot.capture ~digester:dg m).ram_digest in
-    let full = (Snapshot.capture m).ram_digest in
-    Alcotest.(check string) name full inc
-  in
-  check_round "initial";
-  Machine.write_mem m ~addr:ram_base ~width:4 ~value:0xAA55;
-  check_round "one write";
-  check_round "no writes since";
-  for i = 0 to 40 do
-    Machine.write_mem m
-      ~addr:(ram_base + (i * 3001 mod (ram_size - 4)))
-      ~width:4 ~value:i
-  done;
-  check_round "scattered writes";
-  Machine.write_mem m ~addr:(ram_base + ram_size - 4) ~width:4 ~value:1;
-  check_round "last page"
-
 (* --- random differential campaign ----------------------------------------- *)
 
 (* Bounded version of `embsan_cli check`: every oracle over every arch
@@ -181,11 +151,6 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick progen_deterministic;
           Alcotest.test_case "decodable everywhere" `Quick progen_decodable;
-        ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "incremental digest agrees with full" `Quick
-            incremental_digest_agrees;
         ] );
       ( "oracles",
         [

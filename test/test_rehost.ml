@@ -327,71 +327,6 @@ let rehost_transparency_sample () =
       | Some d, _ -> Alcotest.failf "divergence: %a" Oracle.pp_divergence d)
     (List.init 20 (fun i -> 100 + i))
 
-(* --- the CLI flag table ----------------------------------------------------- *)
-
-(* The header comment in bin/embsan_cli.ml documents each command's
-   optional flags; this pin keeps it complete (--sched-seed and --ftrace
-   had gone missing from it once). *)
-let cli_flag_table_pinned () =
-  let read_all path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  (* cwd is _build/default/test under `dune runtest`, the workspace root
-     under `dune exec` -- accept either *)
-  let rel = "bin/embsan_cli.ml" in
-  let src = read_all (if Sys.file_exists ("../" ^ rel) then "../" ^ rel else rel) in
-  let find_sub ?(from = 0) hay needle =
-    let hn = String.length hay and nn = String.length needle in
-    let rec go i =
-      if i + nn > hn then None
-      else if String.sub hay i nn = needle then Some i
-      else go (i + 1)
-    in
-    go from
-  in
-  let header =
-    match find_sub src "*)" with
-    | Some stop -> String.sub src 0 stop
-    | None -> Alcotest.fail "no header comment in embsan_cli.ml"
-  in
-  (* collect every long flag name declared as  info [ "name"; ... ] *)
-  let flags = ref [] in
-  let n = String.length src in
-  let i = ref 0 in
-  while !i < n - 5 do
-    if String.sub src !i 4 = "info" then begin
-      let k = ref (!i + 4) in
-      while !k < n && (src.[!k] = ' ' || src.[!k] = '\n') do incr k done;
-      if !k < n && src.[!k] = '[' then begin
-        incr k;
-        let stop = ref false in
-        while (not !stop) && !k < n do
-          match src.[!k] with
-          | ']' -> stop := true
-          | '"' ->
-              let e = String.index_from src (!k + 1) '"' in
-              flags := String.sub src (!k + 1) (e - !k - 1) :: !flags;
-              k := e + 1
-          | _ -> incr k
-        done
-      end
-    end;
-    incr i
-  done;
-  let long = List.filter (fun f -> String.length f > 1) !flags in
-  Alcotest.(check bool) "CLI declares flags" true (long <> []);
-  List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (Printf.sprintf "--%s documented in the header table" f)
-        true
-        (find_sub header ("--" ^ f) <> None))
-    (List.sort_uniq compare long)
-
 let () =
   Alcotest.run "embsan_rehost"
     [
@@ -428,9 +363,5 @@ let () =
         [
           Alcotest.test_case "rehost-transparency sample" `Slow
             rehost_transparency_sample;
-        ] );
-      ( "cli",
-        [
-          Alcotest.test_case "flag table pinned" `Quick cli_flag_table_pinned;
         ] );
     ]

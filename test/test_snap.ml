@@ -1,6 +1,7 @@
 (* Tests for the snapshot service (lib/snap): per-device save/restore
    round-trips, capture/restore identity on architectural state
-   (property-based), O(touched) restore cost, and end-to-end restore of
+   (property-based), O(touched) restore cost, the synced-image rule that
+   decides when a restore copies every page, and end-to-end restore of
    the host-side sanitizer runtime. *)
 
 open Embsan_emu
@@ -179,9 +180,6 @@ let restore_cost_is_o_touched () =
           ~width:4 ~value:0xDEAD
       done;
       Alcotest.(check int)
-        (Printf.sprintf "%d pages tracked" touched)
-        touched (Snap.dirty_pages m);
-      Alcotest.(check int)
         (Printf.sprintf "%d pages reverted" touched)
         touched (Snap.restore snap))
     [ 1; 7; 33; 64 ]
@@ -191,17 +189,147 @@ let full_restore_for_stale_snapshot () =
   let older = Snap.capture m in
   Machine.write_mem m ~addr:ram_base ~width:4 ~value:1;
   let newer = Snap.capture m in
-  (* capturing [newer] cleared the snap channel: [older] must be restored
-     with ~full, and doing so reverts every page *)
-  Machine.write_mem m ~addr:ram_base ~width:4 ~value:2;
+  (* capturing [newer] synced RAM to it, so the page-0 store is no longer
+     dirty: restoring [older] must copy every page *)
+  Machine.write_mem m ~addr:(ram_base + Ram.page_size) ~width:4 ~value:2;
   Alcotest.(check int) "full revert moves all pages"
     (ram_size / Ram.page_size)
-    (Snap.restore ~full:true older);
+    (Snap.restore older);
   Alcotest.(check int) "word back" 0
     (Machine.read_mem m ~addr:ram_base ~width:4);
   Alcotest.(check int) "newer still usable via full" (ram_size / Ram.page_size)
-    (Snap.restore ~full:true newer);
+    (Snap.restore newer);
   Alcotest.(check int) "newer word" 1 (Machine.read_mem m ~addr:ram_base ~width:4)
+
+(* Stores made while dirty tracking is off leave no mark, so turning it
+   off forgets the synced image: the next restore copies every page and
+   flushes the translation cache, which [Machine.revalidate_tcg] may not
+   keep once tracking has lapsed. *)
+let untracked_writes_restore_fully () =
+  let m = make_machine () in
+  let snap = Snap.capture m in
+  ignore (Snap.restore snap : int) (* the first restore flushes *);
+  let flushes = m.Machine.stats.Engine_stats.flushes_invalidate in
+  Machine.set_dirty_tracking m false;
+  Machine.write_mem m ~addr:ram_base ~width:4 ~value:0xBAD;
+  Machine.set_dirty_tracking m true;
+  Alcotest.(check int) "every page copied" (ram_size / Ram.page_size)
+    (Snap.restore snap);
+  Alcotest.(check int) "word reverted" 0
+    (Machine.read_mem m ~addr:ram_base ~width:4);
+  Alcotest.(check int) "translation cache flushed" (flushes + 1)
+    m.Machine.stats.Engine_stats.flushes_invalidate
+
+(* The RAM counterpart of test_core's dirty-chunk property: whatever mix
+   of captures, stores (page-straddling ones included), bulk writes,
+   tracking toggles and restores of older snapshots came before, a
+   restore leaves RAM equal to the snapshot's image.  A model of the rule
+   predicts the cost: the pages written since the last sync when RAM is
+   synced to that snapshot, every page otherwise. *)
+type step =
+  | Capture
+  | Store of int * int * int (* offset, width, value *)
+  | Blit of int * string
+  | Track of bool
+  | Restore of int (* index among the kept snapshots *)
+
+let pp_step = function
+  | Capture -> "capture"
+  | Store (off, w, v) -> Printf.sprintf "store%d 0x%x=0x%x" (8 * w) off v
+  | Blit (off, s) -> Printf.sprintf "blit 0x%x len %d" off (String.length s)
+  | Track on -> Printf.sprintf "track %b" on
+  | Restore i -> Printf.sprintf "restore #%d" i
+
+let step_gen =
+  let open QCheck2.Gen in
+  let pages = ram_size / Ram.page_size in
+  (* a third of the stores start 1-3 bytes before a page boundary, so
+     most W16/W32 ones among them straddle it *)
+  let offset width =
+    frequency
+      [
+        (2, int_range 0 (ram_size - width));
+        ( 1,
+          map
+            (fun (p, d) -> (p * Ram.page_size) - d)
+            (pair (int_range 1 (pages - 1)) (int_range 1 3)) );
+      ]
+  in
+  frequency
+    [
+      (2, pure Capture);
+      ( 8,
+        oneofl [ 1; 2; 4 ] >>= fun w ->
+        map2 (fun off v -> Store (off, w, v)) (offset w) (int_range 0 0xFFFF_FFFF)
+      );
+      ( 1,
+        int_range 0 (3 * Ram.page_size) >>= fun len ->
+        map2
+          (fun off c -> Blit (off, String.make len c))
+          (int_range 0 (ram_size - len))
+          printable );
+      (2, map (fun on -> Track on) bool);
+      (3, map (fun i -> Restore i) (int_range 0 2));
+    ]
+
+let restore_equals_image =
+  QCheck2.Test.make ~name:"restore equals the captured image" ~count:200
+    ~print:(fun steps -> String.concat "; " (List.map pp_step steps))
+    QCheck2.Gen.(list_size (int_range 1 40) step_gen)
+    (fun steps ->
+      let m = make_machine () in
+      let ram = m.Machine.ram in
+      (* kept snapshots, newest first, each with a copy of RAM at capture *)
+      let kept = ref [] in
+      (* the model: whether stores are tracked, the snapshot RAM is synced
+         to, and the pages written since that sync *)
+      let tracking = ref false and synced = ref None and written = ref [] in
+      let capture () =
+        let snap = Snap.capture m in
+        kept :=
+          List.filteri (fun i _ -> i < 3)
+            ((snap, Bytes.copy ram.Ram.bytes) :: !kept);
+        tracking := true;
+        synced := Some snap;
+        written := []
+      in
+      let wrote off len =
+        if !tracking then
+          written :=
+            List.init len (fun i -> (off + i) lsr Ram.page_shift) @ !written
+      in
+      capture ();
+      List.for_all
+        (function
+          | Capture ->
+              capture ();
+              true
+          | Store (off, w, v) ->
+              Machine.write_mem m ~addr:(ram_base + off) ~width:w ~value:v;
+              wrote off w;
+              true
+          | Blit (off, s) ->
+              Ram.blit_string ram ~addr:(ram_base + off) s;
+              wrote off (String.length s);
+              true
+          | Track on ->
+              Machine.set_dirty_tracking m on;
+              tracking := on;
+              if not on then synced := None;
+              true
+          | Restore i ->
+              let snap, image = List.nth !kept (i mod List.length !kept) in
+              let expected =
+                match !synced with
+                | Some s when s == snap ->
+                    List.length (List.sort_uniq compare !written)
+                | _ -> Ram.page_count ram
+              in
+              let pages = Snap.restore snap in
+              synced := if !tracking then Some snap else None;
+              written := [];
+              pages = expected && Bytes.equal ram.Ram.bytes image)
+        steps)
 
 (* --- sanitizer runtime state ------------------------------------------------ *)
 
@@ -385,8 +513,11 @@ let () =
           QCheck_alcotest.to_alcotest all_devices_roundtrip;
           Alcotest.test_case "restore cost is O(touched)" `Quick
             restore_cost_is_o_touched;
-          Alcotest.test_case "stale snapshot needs ~full" `Quick
+          Alcotest.test_case "stale snapshot restores fully" `Quick
             full_restore_for_stale_snapshot;
+          Alcotest.test_case "untracked writes force a full restore" `Quick
+            untracked_writes_restore_fully;
+          QCheck_alcotest.to_alcotest restore_equals_image;
           Alcotest.test_case "warm cache replays like a flushed one" `Quick
             warm_cache_replays_like_cold;
           Alcotest.test_case "self-modifying code after capture" `Quick
