@@ -1,5 +1,11 @@
-.PHONY: all build test bench-smoke check check-diff check-orch check-race \
-	check-rehost perf-check clean
+.PHONY: all build test bench-smoke bench-record check check-diff check-orch \
+	check-race check-rehost perf-check clean
+
+# The checks run the bench binary from a scratch directory, so every
+# BENCH_*.json it writes lands there and `make check` leaves the tree
+# clean; `make bench-record` rewrites the committed records on purpose.
+BENCH = $(CURDIR)/_build/default/bench/main.exe
+BENCH_DIR = _build/bench-check
 
 all: build
 
@@ -10,14 +16,20 @@ test:
 	dune runtest
 
 # Fast end-to-end smoke of the bench pipeline: wall-clock micro-benchmarks,
-# the execution-engine throughput bench (writes BENCH_emu.json), the
-# snapshot restore-latency bench (writes BENCH_snap.json; fails unless each
-# restore reverts exactly the pages touched) and the orchestrator sweep.
+# the execution-engine throughput bench (BENCH_emu.json), the snapshot
+# bench (BENCH_snap.json; fails unless each restore reverts exactly the
+# pages touched and each post-boot capture holds at most 2% of RAM's pages
+# privately) and the orchestrator sweep, all written under $(BENCH_DIR).
 bench-smoke: build
-	./_build/default/bench/main.exe bechamel
-	./_build/default/bench/main.exe emu
-	./_build/default/bench/main.exe snap
-	./_build/default/bench/main.exe orch
+	mkdir -p $(BENCH_DIR)
+	cd $(BENCH_DIR) && $(BENCH) bechamel
+	cd $(BENCH_DIR) && $(BENCH) emu
+	cd $(BENCH_DIR) && $(BENCH) snap
+	cd $(BENCH_DIR) && $(BENCH) orch
+
+# Regenerate the committed BENCH_*.json records in the source tree.
+bench-record: build
+	$(BENCH) emu snap orch race rehost
 
 # Every differential oracle (the engine oracles plus mode-agreement; see
 # DESIGN.md "Correctness harness") once, on the same 250 seeded programs
@@ -31,9 +43,13 @@ check-diff: build
 # fuzzed schedules must find strictly more of the seeded races than the
 # fixed round-robin rotation, and ftrace's happens-before tracking must
 # find at least as many as KCSAN's sampled watchpoints.  Writes
-# BENCH_race.json; exits non-zero on a guard violation.
+# BENCH_race.json under $(BENCH_DIR); exits non-zero on a guard violation,
+# or when the record, which is deterministic, differs from the committed
+# one.
 check-race: build
-	./_build/default/bench/main.exe race
+	mkdir -p $(BENCH_DIR)
+	cd $(BENCH_DIR) && $(BENCH) race
+	cmp $(BENCH_DIR)/BENCH_race.json BENCH_race.json
 
 # Orchestrator smoke: a short 2-worker campaign over one RTOS image with
 # frontier exchange and per-epoch telemetry.  Exercises the multi-domain
@@ -43,10 +59,11 @@ check-orch: build
 	  --jobs 2 --execs 400 --seed 3 --exchange 100 --telemetry
 
 # Rehosting bench with its A/B and throughput ratio guards (writes
-# BENCH_rehost.json; exits non-zero on a violation).  Its oracle,
-# rehost-transparency, runs in check-diff.
+# BENCH_rehost.json under $(BENCH_DIR); exits non-zero on a violation).
+# Its oracle, rehost-transparency, runs in check-diff.
 check-rehost: build
-	./_build/default/bench/main.exe rehost
+	mkdir -p $(BENCH_DIR)
+	cd $(BENCH_DIR) && $(BENCH) rehost
 
 # The fuzzing benchmark's output checks on its two workloads (seed 1,
 # 1 s budget, so each runs its minimum of two passes over 16 campaigns):

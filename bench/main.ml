@@ -11,9 +11,10 @@
      ablation  design-choice ablations (DESIGN.md)
      bechamel  wall-clock micro-benchmarks
      emu       execution-engine throughput (writes BENCH_emu.json)
-     snap      snapshot service: restore latency vs dirty pages (writes
-               BENCH_snap.json; fails unless each restore reverts exactly the
-               pages touched)
+     snap      snapshot service: restore latency vs dirty pages and post-boot
+               capture cost (writes BENCH_snap.json; fails unless each
+               restore reverts exactly the pages touched and each post-boot
+               snapshot holds at most 2% of RAM's pages privately)
      orch      multi-domain orchestrator scaling sweep (writes BENCH_orch.json;
                exits 1 if jobs=1 differs from Campaign.run)
      race      race detection: ftrace vs KCSAN, fixed vs fuzzed schedules

@@ -51,39 +51,47 @@ let code_name = function
   | Global_redzone -> "global-redzone"
   | Freed -> "freed"
 
-(* Snapshot of both planes (immutable once taken). *)
-type state = { s_kasan : Bytes.t; s_kcsan_epoch : Bytes.t }
+(* 512 granules per chunk: one dirty byte per 4 KiB guest page. *)
+let chunk_shift = 9
+let chunk = 1 lsl chunk_shift
 
-(* Dirty chunks make restoring the latest snapshot cost what the exec
-   wrote: every write below marks the chunks of the granules it touches,
-   and [restore] of the state the planes were last synced with copies back
-   only those chunks.  Only this module writes the planes, which is what
-   keeps [dirty] exact ([t] is private). *)
+(* Snapshot of both planes: one immutable buffer per chunk, its KASAN
+   bytes then its KCSAN bytes.  Chunks not written since the state they
+   were saved from share its buffer; never-written chunks share
+   [zero_chunk]. *)
+type state = string array
+
+let zero_chunk = String.make (2 * chunk) '\000'
+
+(* Dirty chunks make saving and restoring cost what the guest wrote:
+   every write below marks the chunks of the granules it touches, [save]
+   copies only those chunks and [restore] of the state the planes were
+   last synced with copies back only those.  Only this module writes the
+   planes, which is what keeps [dirty] exact ([t] is private). *)
 type t = {
   base : int; (* guest RAM base *)
   limit : int;
   kasan : Bytes.t; (* one byte per granule *)
   kcsan_epoch : Bytes.t; (* sampling state plane for KCSAN *)
   dirty : Bytes.t; (* one byte per chunk; non-zero = written since sync *)
-  mutable synced : state option;
+  mutable synced : state;
       (* the state the planes equal outside the dirty chunks *)
 }
 
 let granule = 8
 
-(* 512 granules per chunk: one dirty byte per 4 KiB guest page. *)
-let chunk_shift = 9
-let chunk = 1 lsl chunk_shift
-
+(* Both planes start zeroed on demand (see {!Embsan_emu.Ram.zeroed}) and
+   synced to the all-zero state. *)
 let create ~ram_base ~ram_size =
   let granules = (ram_size + granule - 1) / granule in
+  let chunks = (granules + chunk - 1) lsr chunk_shift in
   {
     base = ram_base;
     limit = ram_base + ram_size;
-    kasan = Bytes.make granules '\000';
-    kcsan_epoch = Bytes.make granules '\000';
-    dirty = Bytes.make ((granules + chunk - 1) lsr chunk_shift) '\000';
-    synced = None;
+    kasan = Embsan_emu.Ram.zeroed granules;
+    kcsan_epoch = Embsan_emu.Ram.zeroed granules;
+    dirty = Bytes.make chunks '\000';
+    synced = Array.make chunks zero_chunk;
   }
 
 let covers t addr = addr >= t.base && addr < t.limit
@@ -166,36 +174,44 @@ let fits_valid t ~size =
 
 let sync t s =
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-  t.synced <- Some s
+  t.synced <- s
 
-(** Deep copy of both shadow planes for the snapshot service. *)
+let chunk_len t c = min chunk (Bytes.length t.kasan - (c lsl chunk_shift))
+
+let copy_chunk t c =
+  let off = c lsl chunk_shift and len = chunk_len t c in
+  let b = Bytes.create (2 * len) in
+  Bytes.blit t.kasan off b 0 len;
+  Bytes.blit t.kcsan_epoch off b len len;
+  Bytes.unsafe_to_string b
+
+(* The synced state with its dirty chunks replaced. *)
 let save t =
-  let s =
-    { s_kasan = Bytes.copy t.kasan; s_kcsan_epoch = Bytes.copy t.kcsan_epoch }
-  in
+  let s = Array.copy t.synced in
+  Embsan_emu.Ram.drain_marks t.dirty (fun c -> s.(c) <- copy_chunk t c);
   sync t s;
   s
+
+let chunk_of (s : state) c = s.(c)
 
 (* Restoring the synced state (the latest [save], or the state last
    restored) copies back only the dirty chunks; any other state is a full
    copy of both planes. *)
 let restore t (s : state) =
-  if
-    Bytes.length s.s_kasan <> Bytes.length t.kasan
-    || Bytes.length s.s_kcsan_epoch <> Bytes.length t.kcsan_epoch
-  then invalid_arg "Shadow.restore: size mismatch";
-  let n = Bytes.length t.kasan in
-  match t.synced with
-  | Some synced when synced == s ->
-      Embsan_emu.Ram.drain_marks t.dirty (fun c ->
-          let off = c lsl chunk_shift in
-          let len = min chunk (n - off) in
-          Bytes.blit s.s_kasan off t.kasan off len;
-          Bytes.blit s.s_kcsan_epoch off t.kcsan_epoch off len)
-  | _ ->
-      Bytes.blit s.s_kasan 0 t.kasan 0 n;
-      Bytes.blit s.s_kcsan_epoch 0 t.kcsan_epoch 0 n;
-      sync t s
+  if Array.length s <> Bytes.length t.dirty then
+    invalid_arg "Shadow.restore: size mismatch";
+  let copy c =
+    let off = c lsl chunk_shift and len = chunk_len t c in
+    Bytes.blit_string s.(c) 0 t.kasan off len;
+    Bytes.blit_string s.(c) len t.kcsan_epoch off len
+  in
+  if t.synced == s then Embsan_emu.Ram.drain_marks t.dirty copy
+  else begin
+    for c = 0 to Array.length s - 1 do
+      copy c
+    done;
+    sync t s
+  end
 
 (* --- KCSAN plane -------------------------------------------------------------- *)
 

@@ -1,6 +1,11 @@
 (** Unified host-side shadow memory (paper section 3.3): one byte of KASAN
     state per 8-byte granule of guest RAM using the kernel encoding, plus a
-    parallel per-granule plane used by the KCSAN functionality. *)
+    parallel per-granule plane used by the KCSAN functionality.
+
+    Both planes are zeroed on demand ({!Embsan_emu.Ram.zeroed}) and start
+    synced to the all-zero {!state}, with every write tracked per chunk of
+    512 granules (one 4 KiB guest page), so {!save} costs the chunks
+    written since the last sync. *)
 
 type code =
   | Addressable
@@ -24,8 +29,10 @@ val code_of_byte : int -> code
 
 val code_name : code -> string
 
-(** Snapshot of both shadow planes (deep copy); a saved [state] is immune
-    to later mutation of the live shadow and survives repeated restores. *)
+(** Snapshot of both shadow planes: one immutable buffer per chunk, shared
+    with the state it was saved from wherever the chunk was not written
+    since.  A saved [state] is immune to later mutation of the live
+    shadow and survives repeated restores. *)
 type state
 
 (** The planes, readable anywhere but written only through this module:
@@ -38,7 +45,7 @@ type t = private {
   kasan : Bytes.t;
   kcsan_epoch : Bytes.t;
   dirty : Bytes.t;
-  mutable synced : state option;
+  mutable synced : state;
 }
 
 val granule : int
@@ -77,8 +84,13 @@ val fits_valid : t -> size:int -> int -> bool
 (** Bump and return the KCSAN sampling counter of [addr]'s granule. *)
 val kcsan_bump : t -> int -> int
 
-(** Deep-copy both planes; the copy becomes the synced state. *)
+(** Copy the chunks written since the last sync into a new state that
+    shares every other chunk with the synced state, and becomes it. *)
 val save : t -> state
+
+(** The buffer of chunk [c] in a state: its KASAN bytes, then its KCSAN
+    bytes (compare with [==] to see sharing). *)
+val chunk_of : state -> int -> string
 
 (** Revert both planes to [state], which becomes the synced state.
     Restoring the synced state (the latest {!save}, or the state last

@@ -114,6 +114,8 @@ exception Trap_unhandled of int * int
 val ram_base : t -> int
 val ram_size : t -> int
 
+(** A machine with zeroed RAM ({!Ram.create}: pages cost memory only once
+    written) and dirty-page tracking on, synced to the all-zero image. *)
 val create :
   ?harts:int ->
   ?ram_base:int ->
@@ -148,12 +150,12 @@ val revalidate_tcg : t -> unit
     actually changes (blocks of the two engines are not interchangeable). *)
 val set_engine : t -> engine -> unit
 
-(** Toggle dirty-page tracking in RAM (see {!Ram}).  The marking is a
-    patchable site in the translated store templates (stores consult
-    [Ram.track_dirty] at run time), so toggling is O(1) and flush-free,
-    and a no-op toggle is free.  Turning tracking off forgets RAM's
-    synced image: untracked stores leave no mark, so the next snapshot
-    restore copies every page. *)
+(** Toggle dirty-page tracking in RAM (see {!Ram}; it starts on).  The
+    marking is a patchable site in the translated store templates (stores
+    consult [Ram.track_dirty] at run time), so toggling is O(1) and
+    flush-free, and a no-op toggle is free.  Turning tracking off forgets
+    RAM's synced image: untracked stores leave no mark, so the next
+    snapshot capture or restore copies every page. *)
 val set_dirty_tracking : t -> bool -> unit
 
 (** Toggle compare-operand recording (see {!Cmplog}); O(1), flush-free
@@ -194,6 +196,11 @@ val add_external_cost : t -> int -> unit
 (** Modeled total cost so far: translated guest cycles + host-side work. *)
 val total_cost : t -> int
 
+(** Load the firmware and point the entry at it.  The loaded RAM becomes
+    the synced image ({!Ram.load_image}), so blocks translated from the
+    firmware's pages during boot are not revalidation suspects and a
+    post-boot {!Embsan_snap} capture holds privately only the pages the
+    loader and the boot wrote. *)
 val load_image : t -> Embsan_isa.Image.t -> unit
 val start_hart : t -> int -> pc:int -> sp:int -> unit
 

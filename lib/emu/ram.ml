@@ -1,38 +1,40 @@
-(* Physical RAM: a flat byte array mapped at [base, base + size).
-   Accesses outside raise {!Fault.Memory_fault}; addresses below the first
-   page are reported as null-pointer dereferences.
-
-   Dirty-page tracking (the snapshot service's write set, DESIGN.md
-   "Snapshot service"): one byte per 4 KiB page, non-zero when the page
-   was written since RAM was last captured into or reverted to an image
-   -- the synced image.  A store marks its page(s) with a single
+(* Physical RAM with dirty-page tracking (see ram.mli and DESIGN.md
+   "Snapshot service").  A store marks its page(s) with a single
    unconditional byte write, so the tracked fast path stays
-   allocation-free.  {!revert} to the synced image copies back only the
-   dirty pages; any other image, or any image once tracking has been off
-   (untracked stores leave no mark), is a full copy.  Tracking is off by
-   default -- the translated store templates read the flag at run time,
-   so toggling it is one field write. *)
+   allocation-free. *)
+
+(* One immutable buffer per page.  Pages no capture has copied are
+   [zero_page]; strings, so images are safe to share across domains. *)
+type image = string array
 
 type t = {
   base : int;
   bytes : Bytes.t;
   mutable track_dirty : bool;
   dirty : Bytes.t; (* one byte per page; non-zero = written since sync *)
-  mutable synced : Bytes.t option;
+  mutable synced : image option;
       (* the image RAM equals outside the dirty pages; [None] unless
          tracking stayed on since the last capture or revert *)
 }
 
+external zeroed_stub : int -> Bytes.t = "embsan_ram_zeroed"
+
+let zeroed n =
+  if n < 0 || n > Sys.max_string_length then invalid_arg "Ram.zeroed";
+  zeroed_stub n
+
 let page_shift = 12
 let page_size = 1 lsl page_shift
+let zero_page = String.make page_size '\000'
 
 let create ~base ~size =
+  let pages = (size + page_size - 1) / page_size in
   {
     base;
-    bytes = Bytes.make size '\000';
-    track_dirty = false;
-    dirty = Bytes.make ((size + page_size - 1) / page_size) '\000';
-    synced = None;
+    bytes = zeroed size;
+    track_dirty = true;
+    dirty = Bytes.make pages '\000';
+    synced = Some (Array.make pages zero_page);
   }
 
 let base t = t.base
@@ -42,8 +44,6 @@ let page_count t = Bytes.length t.dirty
 
 let track_dirty t = t.track_dirty
 
-(* Turning tracking off forgets the synced image: stores made while it is
-   off leave no mark, so the next revert must copy every page. *)
 let set_track_dirty t on =
   t.track_dirty <- on;
   if not on then t.synced <- None
@@ -57,8 +57,8 @@ let[@inline] mark_off t off size =
   let last = (off + size - 1) lsr page_shift in
   if last <> off lsr page_shift then Bytes.unsafe_set t.dirty last '\xFF'
 
-(** Mark [addr, addr+size) dirty (used by bulk writes like {!blit_string};
-    the per-access paths mark inline). *)
+(* Mark [addr, addr+size) dirty (used by bulk writes like {!blit_string};
+   the per-access paths mark inline). *)
 let mark_dirty_range t ~addr ~size =
   if size > 0 then begin
     let first = (addr - t.base) lsr page_shift in
@@ -68,10 +68,6 @@ let mark_dirty_range t ~addr ~size =
 
 let page_is_dirty t page = Bytes.get t.dirty page <> '\000'
 
-(** Call [f i] for each non-zero byte [i] of [marks], in ascending order,
-    clearing it first.  A restore typically finds a few marks among
-    ~1024, so the bytes are scanned a word (eight marks) at a time.  The
-    one scan behind both {!revert} and the shadow planes' restore. *)
 let drain_marks marks f =
   let n = Bytes.length marks in
   let w = ref 0 in
@@ -90,35 +86,50 @@ let sync t image =
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   t.synced <- (if t.track_dirty then Some image else None)
 
-(** A copy of RAM, which becomes the synced image. *)
+let page_len t p = min page_size (Bytes.length t.bytes - (p lsl page_shift))
+let copy_page t p = Bytes.sub_string t.bytes (p lsl page_shift) (page_len t p)
+
+(* The synced image with its dirty pages replaced: O(pages written).  It
+   never reads the other pages, since reading a page the guest never
+   touched faults it in as much as writing it.  Without a synced image
+   every page is copied. *)
 let capture t =
-  let image = Bytes.copy t.bytes in
+  let image =
+    match t.synced with
+    | Some synced ->
+        let image = Array.copy synced in
+        drain_marks t.dirty (fun p -> image.(p) <- copy_page t p);
+        image
+    | None -> Array.init (page_count t) (copy_page t)
+  in
   sync t image;
   image
 
-(** [true] when {!revert} [~from:image] would copy only the dirty pages:
-    [image] is the synced image. *)
+let page image p = image.(p)
+
+let private_pages image =
+  Array.fold_left (fun n pg -> if pg == zero_page then n else n + 1) 0 image
+
 let is_synced t image =
   match t.synced with Some s -> s == image | None -> false
 
-(** Revert RAM to [from] (a full RAM-sized image), which becomes the
-    synced image.  Copies back only the dirty pages when [from] is already
-    the synced image, every page otherwise; returns the number of pages
-    copied. *)
 let revert t ~from =
-  if Bytes.length from <> Bytes.length t.bytes then
+  if Array.length from <> page_count t then
     invalid_arg "Ram.revert: size mismatch";
-  let total = Bytes.length t.bytes in
+  let copy p =
+    Bytes.blit_string from.(p) 0 t.bytes (p lsl page_shift) (page_len t p)
+  in
   if is_synced t from then begin
     let reverted = ref 0 in
     drain_marks t.dirty (fun p ->
-        let off = p lsl page_shift in
-        Bytes.blit from off t.bytes off (min page_size (total - off));
+        copy p;
         incr reverted);
     !reverted
   end
   else begin
-    Bytes.blit from 0 t.bytes 0 total;
+    for p = 0 to page_count t - 1 do
+      copy p
+    done;
     sync t from;
     page_count t
   end
@@ -150,11 +161,6 @@ let write8 t addr v =
   Bytes.unsafe_set t.bytes (addr - t.base) (Char.unsafe_chr (v land 0xFF));
   if t.track_dirty then
     Bytes.unsafe_set t.dirty ((addr - t.base) lsr page_shift) '\xFF'
-
-(* Width-specialized accessors.  The translator's allocation-free fast
-   path selects one of these at translation time, so the per-access code
-   has neither a width dispatch nor a {!Fault.access} record.  Callers
-   must have checked {!contains} first. *)
 
 let read16 t addr = Bytes.get_uint16_le t.bytes (addr - t.base)
 
@@ -189,7 +195,6 @@ let blit_string t ~addr s =
 
 let read_string t ~addr ~len = Bytes.sub_string t.bytes (addr - t.base) len
 
-(** Load all sections of a firmware image.  Raises if a section does not fit. *)
 let load_image t (image : Embsan_isa.Image.t) =
   List.iter
     (fun (s : Embsan_isa.Image.section) ->
@@ -197,4 +202,5 @@ let load_image t (image : Embsan_isa.Image.t) =
         invalid_arg
           (Printf.sprintf "Ram.load_image: section %s does not fit" s.sec_name);
       blit_string t ~addr:s.base s.data)
-    image.sections
+    image.sections;
+  if Option.is_some t.synced then ignore (capture t : image)

@@ -372,7 +372,7 @@ let embsan_firmware_mode ?(kcov = false) fw mode =
            (fw.fw_build ~kcov Codegen.Plain, Embsan_core.Prober.no_hints))
 
 let pp_table1_row fmt fw =
-  Fmt.pf fmt "%-22s %-15s %-8s %-9s %-7s %s" fw.fw_name fw.fw_base_os
+  Fmt.pf fmt "%-22s %-15s %-8s %-9s %-7s %-10s" fw.fw_name fw.fw_base_os
     (Arch.to_string fw.fw_arch) (inst_name fw.fw_inst)
     (match fw.fw_source with Open -> "Open" | Closed -> "Closed")
     (fuzzer_name fw.fw_fuzzer)

@@ -73,4 +73,6 @@ val embsan_firmware : ?kcov:bool -> firmware -> Embsan_core.Embsan.firmware
 val embsan_firmware_mode :
   ?kcov:bool -> firmware -> [ `C | `D ] -> Embsan_core.Embsan.firmware option
 
+(** One Table 1 row: name, base OS, arch, instrumentation, source and
+    fuzzer, each padded to its column, so every row has the same width. *)
 val pp_table1_row : Format.formatter -> firmware -> unit

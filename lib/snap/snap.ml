@@ -1,13 +1,16 @@
 (* Machine checkpoint/restore service (DESIGN.md "Snapshot service").
 
    A snapshot captures everything a fresh boot would establish: guest RAM
-   (full copy at capture), per-hart architectural state, device state (via
-   the {!Device.t} save/restore hooks) and, optionally, the host-side
+   (a {!Ram.image}), per-hart architectural state, device state (via the
+   {!Device.t} save/restore hooks) and, optionally, the host-side
    sanitizer runtime (shadow planes, KASAN/KCSAN/kmemleak tables, report
-   sink).  Restore costs what was written since: capture arms {!Ram}
-   dirty-page tracking, and restoring the image RAM is synced to (the
-   latest capture or restore, with tracking on throughout) reverts only
-   the pages written since, the shadow planes copy back only their dirty
+   sink).  Capture and restore cost what was written.  RAM and the shadow
+   planes start with dirty tracking on, synced to all-zero contents, and
+   loading the firmware re-syncs RAM, so a capture copies only the pages
+   and chunks written since the last sync and shares the rest with the
+   synced state.  Restoring the image RAM is synced to (the latest
+   capture or restore, with tracking on throughout) reverts only the
+   pages written since, the shadow planes copy back only their dirty
    chunks under the same rule, and the translation cache is revalidated
    instead of flushed.  Any other restore -- an older snapshot, or one
    after tracking was turned off -- copies every page and flushes.
@@ -36,7 +39,7 @@ type hart_state = {
 
 type t = {
   machine : Machine.t;
-  ram_image : Bytes.t; (* full RAM contents at capture *)
+  ram_image : Ram.image; (* RAM at capture, sharing unwritten pages *)
   harts : hart_state array;
   devices : (string * string) array; (* device name, opaque save blob *)
   total_insns : int;
@@ -48,6 +51,8 @@ type t = {
   runtime : (Embsan_core.Runtime.t * Embsan_core.Runtime.state) option;
   mutable restored : bool; (* a restore of this snapshot has flushed *)
 }
+
+let ram_image t = t.ram_image
 
 let save_hart (cpu : Cpu.t) =
   {
@@ -66,10 +71,11 @@ let restore_hart (cpu : Cpu.t) (h : hart_state) =
   cpu.Cpu.insns <- h.h_insns
 
 (** Checkpoint [machine] (and [runtime]'s host-side sanitizer state, when
-    given).  Enables dirty-page tracking — an O(1), flush-free site patch
-    (store sites read the flag at run time) — and syncs RAM to the
-    captured image, so the write set accumulated afterwards is exactly
-    "pages to revert". *)
+    given) and sync RAM to the captured image, so the write set
+    accumulated afterwards is exactly "pages to revert".  Turns dirty-page
+    tracking back on if it was off — an O(1), flush-free site patch (store
+    sites read the flag at run time); RAM then has no synced image and
+    the capture copies every page. *)
 let capture ?runtime (machine : Machine.t) =
   Machine.set_dirty_tracking machine true;
   {

@@ -336,6 +336,38 @@ let shadow_restore_qcheck =
         ops;
       !ok)
 
+(* [save] copies only the chunks written since the last sync: after
+   writes to k chunks (KASAN poison, or a KCSAN bump alone), every other
+   chunk of the new state is the synced state's buffer, and the first
+   save of fresh planes shares the one all-zero chunk throughout. *)
+let shadow_save_shares_unwritten_chunks () =
+  let s = mk_shadow () in
+  let chunks = Bytes.length s.Shadow.dirty in
+  let st0 = Shadow.save s in
+  for c = 1 to chunks - 1 do
+    if Shadow.chunk_of st0 c != Shadow.chunk_of st0 0 then
+      Alcotest.failf "fresh planes: chunk %d is not the zero chunk" c
+  done;
+  ignore
+    (List.fold_left
+       (fun prev written ->
+         List.iter
+           (fun c ->
+             let addr = base + (c * 4096) + 8 in
+             if c mod 2 = 0 then Shadow.poison s ~addr ~size:16 Shadow.Freed
+             else ignore (Shadow.kcsan_bump s addr : int))
+           written;
+         let st = Shadow.save s in
+         for c = 0 to chunks - 1 do
+           let shared = Shadow.chunk_of st c == Shadow.chunk_of prev c in
+           if shared = List.mem c written then
+             Alcotest.failf "%d chunks written: chunk %d shared = %b"
+               (List.length written) c shared
+         done;
+         st)
+       st0
+       [ []; [ 3 ]; [ 0; 1; 7; 15 ]; List.init chunks Fun.id ])
+
 (* [check] against a byte-wise reference over the same plane, after random
    poison/unpoison: an access is valid iff every byte of it, clamped to
    the end of RAM, is addressable (granule code 0, or a partial code
@@ -1376,6 +1408,8 @@ let () =
           Alcotest.test_case "guest lw past RAM end faults under KASAN" `Quick
             lw_past_ram_end_faults;
           QCheck_alcotest.to_alcotest shadow_restore_qcheck;
+          Alcotest.test_case "save shares unwritten chunks" `Quick
+            shadow_save_shares_unwritten_chunks;
           QCheck_alcotest.to_alcotest shadow_check_bytewise_qcheck;
         ] );
       ( "kasan",

@@ -1399,6 +1399,24 @@ let ram_width_contracts () =
   Ram.write8 ram 0x1_0011 0x7F;
   Alcotest.(check int) "width-1 read = read8" 0x7F (Ram.read ram 0x1_0011 1)
 
+(* [Ram.zeroed] hands out zeroed blocks whatever memory it recycles:
+   each size is allocated, checked, dirtied and dropped, with a full major
+   collection in between so that later rounds reuse the freed blocks.
+   The sizes straddle a page and the 128 KiB floor below which the stub
+   clears with memset instead of dropping the pages. *)
+let ram_zeroed_blocks () =
+  let floor = 128 * 1024 in
+  List.iter
+    (fun n ->
+      for round = 1 to 3 do
+        let b = Ram.zeroed n in
+        if not (Bytes.for_all (fun c -> c = '\000') b) then
+          Alcotest.failf "Ram.zeroed %d, round %d: not all zero" n round;
+        Bytes.fill b 0 n '\xFF';
+        Gc.full_major ()
+      done)
+    [ 0; 1; 4095; 4096; 4097; floor - 1; floor; floor + 1; (4 lsl 20) + 3 ]
+
 (* Pinned regression for a divergence the differential harness found
    (fast-vs-baseline oracle): a timer read in the middle of a translated
    block observed the fast engine's batched block pre-charge -- the whole
@@ -1537,6 +1555,7 @@ let () =
           Alcotest.test_case "straddling store fault" `Quick
             straddling_store_fault;
           Alcotest.test_case "ram width contracts" `Quick ram_width_contracts;
+          Alcotest.test_case "ram zeroed blocks" `Quick ram_zeroed_blocks;
           Alcotest.test_case "timer precise mid-block" `Quick
             timer_mid_block_precise;
         ] );

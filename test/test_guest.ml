@@ -162,6 +162,18 @@ let table1_inventory () =
   Alcotest.(check int) "25 syzbot bugs" 25
     (List.length Firmware_db.syzbot_suite_fw.fw_bugs)
 
+(* `embsan list` prints its Bugs column after each row: every row must
+   render at the width of the header's columns. *)
+let table1_rows_align () =
+  let widths =
+    List.sort_uniq compare
+      (List.map
+         (fun fw -> String.length (Fmt.str "%a" Firmware_db.pp_table1_row fw))
+         (Firmware_db.all @ Firmware_db.suites))
+  in
+  Alcotest.(check (list int)) "one row width" [ 22 + 15 + 8 + 9 + 7 + 10 + 5 ]
+    widths
+
 (* --- bug registry: reproducers and benign paths -------------------------------- *)
 
 let all_reproducers_detected () =
@@ -360,6 +372,7 @@ let () =
       ( "firmware",
         [
           Alcotest.test_case "table 1 inventory" `Quick table1_inventory;
+          Alcotest.test_case "table 1 rows align" `Quick table1_rows_align;
           Alcotest.test_case "all builds boot (4 modes)" `Slow firmware_boots;
           Alcotest.test_case "closed firmware stripped" `Quick
             closed_firmware_is_stripped;

@@ -225,7 +225,9 @@ let untracked_writes_restore_fully () =
    tracking toggles and restores of older snapshots came before, a
    restore leaves RAM equal to the snapshot's image.  A model of the rule
    predicts the cost: the pages written since the last sync when RAM is
-   synced to that snapshot, every page otherwise. *)
+   synced to that snapshot, every page otherwise.  It predicts what a
+   capture holds too: the synced image's buffer for every page not
+   written since, and a private copy of every other page. *)
 type step =
   | Capture
   | Store of int * int * int (* offset, width, value *)
@@ -283,9 +285,29 @@ let restore_equals_image =
       let kept = ref [] in
       (* the model: whether stores are tracked, the snapshot RAM is synced
          to, and the pages written since that sync *)
-      let tracking = ref false and synced = ref None and written = ref [] in
+      let tracking = ref true and synced = ref None and written = ref [] in
       let capture () =
+        let dirty = List.sort_uniq compare !written in
+        let prev = Option.map Snap.ram_image !synced in
         let snap = Snap.capture m in
+        let img = Snap.ram_image snap in
+        (match prev with
+        | Some prev ->
+            for p = 0 to Ram.page_count ram - 1 do
+              let shared = Ram.page img p == Ram.page prev p in
+              if shared = List.mem p dirty then
+                QCheck2.Test.fail_reportf "capture: page %d shared = %b" p
+                  shared
+            done
+        | None ->
+            (* the first capture's synced image is the all-zero one; with
+               none, every page is copied *)
+            let expected =
+              if !kept = [] then List.length dirty else Ram.page_count ram
+            in
+            if Ram.private_pages img <> expected then
+              QCheck2.Test.fail_reportf "capture holds %d pages, model %d"
+                (Ram.private_pages img) expected);
         kept :=
           List.filteri (fun i _ -> i < 3)
             ((snap, Bytes.copy ram.Ram.bytes) :: !kept);
@@ -330,6 +352,71 @@ let restore_equals_image =
               written := [];
               pages = expected && Bytes.equal ram.Ram.bytes image)
         steps)
+
+(* --- post-boot capture cost ------------------------------------------------ *)
+
+(* RAM starts synced to the all-zero image and loading the firmware
+   re-syncs it (leaving no page dirty), so the post-boot snapshot holds
+   privately exactly the pages the loader and the boot wrote; every other
+   page is the shared zero page.  The counts are pinned: a capture that
+   copies more than it must, or a boot that writes more, shows here. *)
+let post_boot_snapshot_is_sparse () =
+  List.iter
+    (fun (name, expected) ->
+      let fw = Option.get (Firmware_db.find name) in
+      (* booted as a KASAN campaign boots it *)
+      let kcov = fw.fw_fuzzer = Firmware_db.Syzkaller in
+      let sanitizers = Embsan.kasan_only in
+      let image = (Replay.session_for ~kcov fw sanitizers).s_image in
+      let inst = Replay.boot ~kcov fw (Replay.Embsan_cfg sanitizers) in
+      let ram = inst.Replay.machine.Machine.ram in
+      let pages = List.init (Ram.page_count ram) Fun.id in
+      let page addr = (addr - Ram.base ram) lsr Ram.page_shift in
+      let loaded p =
+        List.exists
+          (fun (s : Embsan_isa.Image.section) ->
+            s.data <> ""
+            && page s.base <= p
+            && p <= page (s.base + String.length s.data - 1))
+          image.sections
+      in
+      let written =
+        List.filter (fun p -> Ram.page_is_dirty ram p || loaded p) pages
+      in
+      let fresh =
+        Machine.create ~ram_base:(Ram.base ram) ~ram_size:(Ram.size ram)
+          ~arch:image.arch ()
+      in
+      Machine.load_image fresh image;
+      if List.exists (Ram.page_is_dirty fresh.Machine.ram) pages then
+        Alcotest.failf "%s: a page is dirty after load_image" name;
+      let img =
+        Snap.ram_image
+          (Snap.capture ?runtime:inst.Replay.rt inst.Replay.machine)
+      in
+      let held = Ram.private_pages img in
+      Alcotest.(check int) (name ^ ": pages held privately") expected held;
+      Alcotest.(check int)
+        (name ^ ": pages written")
+        held (List.length written);
+      (* the unwritten pages are one buffer, which the count above makes
+         the zero page *)
+      match List.filter (fun p -> not (List.mem p written)) pages with
+      | [] -> ()
+      | p0 :: rest ->
+          List.iter
+            (fun p ->
+              if Ram.page img p != Ram.page img p0 then
+                Alcotest.failf "%s: unwritten page %d is held privately" name
+                  p)
+            rest)
+    [
+      ("OpenWRT-bcm63xx", 12);
+      ("mmio-suite", 12);
+      ("OpenHarmony-stm32f407", 8);
+      ("InfiniTime", 8);
+      ("TP-Link WDR-7660", 8);
+    ]
 
 (* --- sanitizer runtime state ------------------------------------------------ *)
 
@@ -525,6 +612,8 @@ let () =
         ] );
       ( "runtime",
         [
+          Alcotest.test_case "post-boot snapshot holds only what boot wrote"
+            `Quick post_boot_snapshot_is_sparse;
           Alcotest.test_case "sanitizer state restores" `Quick
             runtime_state_restores;
         ] );
