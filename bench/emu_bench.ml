@@ -25,8 +25,12 @@
                     run may pass the 32-bit-token guard
 
    Ratio-based guards at the end fail the bench (non-zero exit) if the
-   engine regresses below the PR-4 floors.  Results are written to
-   BENCH_emu.json; see README.md for the schema. *)
+   engine regresses below their floors (see [guards]).  The guarded
+   throughput ratios are paired: the four throughput rows run in short
+   alternating slices in one process, and each ratio is the median over
+   rounds of a row's rate divided by the baseline rate of the same round
+   (see [rounds]).  Results are written to BENCH_emu.json; see README.md
+   for the schema. *)
 
 open Embsan_isa
 open Embsan_emu
@@ -34,14 +38,28 @@ module Embsan = Embsan_core.Embsan
 module Replay = Embsan_guest.Replay
 module Firmware_db = Embsan_guest.Firmware_db
 
-let hot_loop_insns = 4_000_000
-let probed_insns = 400_000
+(* Guest insns per repeat of the hot loop (~10 ms on the baseline engine)
+   and, at least, of the probed replay. *)
+let hot_loop_insns = 200_000
+let probed_insns = 100_000
 
-(* Minimum measured duration per configuration: the probed workloads
-   complete their insn budget in single-digit milliseconds, far too short
-   for stable numbers, so every measurement repeats its workload until
-   this much wall clock has accumulated and reports the repeat count. *)
+(* Minimum measured duration of the toggle storm, which runs alone: it
+   repeats its workload until this much wall clock has accumulated and
+   reports the repeat count. *)
 let min_bench_secs = 0.5
+
+(* The throughput rows are measured in [rounds] rounds.  Each round runs
+   one slice of every row in turn -- baseline, fast, KASAN-probed,
+   KCSAN-probed -- each slice repeating its workload until [slice_secs]
+   of wall clock have accumulated.  A guarded ratio is the median over
+   rounds of the row's slice rate divided by the same round's baseline
+   slice rate: host drift on a shared machine (neighbours' load,
+   frequency changes) moves both sides of a pair alike, so it cancels
+   in the ratio instead of landing in it.  The interquartile range over
+   rounds is printed and recorded with each median.  The rounds take
+   about 2 s in all. *)
+let rounds = 16
+let slice_secs = 0.03
 
 (* A hot loop exercising every translation template: W8/W16/W32 memory
    traffic, a call/ret pair, an AMO, ALU ops and a two-block inner loop. *)
@@ -82,37 +100,63 @@ type sample = { insns : int; secs : float; rate : float; repeats : int }
 
 let rate_of ~insns ~secs = float_of_int insns /. secs
 
-(* Repeat [workload ()] (which returns guest insns retired) until
-   [min_bench_secs] of wall clock have accumulated. *)
-let measure workload =
-  let insns = ref 0 and secs = ref 0.0 and repeats = ref 0 in
-  while !secs < min_bench_secs do
+(* Repeat [workload ()] (which returns guest insns retired) until [secs]
+   of wall clock have accumulated. *)
+let measure ?(secs = min_bench_secs) workload =
+  let insns = ref 0 and elapsed = ref 0.0 and repeats = ref 0 in
+  while !elapsed < secs do
     let t0 = Unix.gettimeofday () in
     let n = workload () in
-    secs := !secs +. (Unix.gettimeofday () -. t0);
+    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
     insns := !insns + n;
     incr repeats
   done;
-  { insns = !insns; secs = !secs;
-    rate = rate_of ~insns:!insns ~secs:!secs; repeats = !repeats }
+  { insns = !insns; secs = !elapsed;
+    rate = rate_of ~insns:!insns ~secs:!elapsed; repeats = !repeats }
 
-let run_engine engine =
+(* The sum of a row's slices. *)
+let total = function
+  | [] -> None
+  | slices ->
+      let insns = List.fold_left (fun n s -> n + s.insns) 0 slices in
+      let secs = List.fold_left (fun t s -> t +. s.secs) 0.0 slices in
+      Some
+        { insns; secs; rate = rate_of ~insns ~secs;
+          repeats = List.fold_left (fun n s -> n + s.repeats) 0 slices }
+
+(* A paired ratio's median and quartiles over rounds (linear
+   interpolation between order statistics). *)
+type paired = { median : float; q1 : float; q3 : float; pairs : int }
+
+let paired ratios =
+  let a = Array.of_list ratios in
+  Array.sort compare a;
+  let n = Array.length a in
+  let quantile q =
+    let pos = q *. float_of_int (n - 1) in
+    let i = int_of_float pos in
+    if i + 1 >= n then a.(n - 1)
+    else a.(i) +. ((pos -. float_of_int i) *. (a.(i + 1) -. a.(i)))
+  in
+  { median = quantile 0.5; q1 = quantile 0.25; q3 = quantile 0.75; pairs = n }
+
+(* The hot loop on [engine], its translation cache warmed so translation
+   time is excluded: one repeat runs [hot_loop_insns] insns. *)
+let engine_workload engine =
   let arch = Arch.Arm_ev in
   let m = Machine.create ~harts:1 ~arch () in
   Machine.load_image m (hot_image ~arch);
   Machine.set_engine m engine;
   Machine.boot m;
-  (* warm the translation cache so translation time is excluded *)
   ignore (Machine.run m ~max_insns:10_000);
-  let sample =
-    measure (fun () ->
-        let i0 = m.Machine.total_insns in
-        (match Machine.run m ~max_insns:hot_loop_insns with
-        | Machine.Budget_exhausted -> ()
-        | s -> Fmt.failwith "emu bench: unexpected stop %a" Machine.pp_stop s);
-        m.Machine.total_insns - i0)
+  let repeat () =
+    let i0 = m.Machine.total_insns in
+    (match Machine.run m ~max_insns:hot_loop_insns with
+    | Machine.Budget_exhausted -> ()
+    | s -> Fmt.failwith "emu bench: unexpected stop %a" Machine.pp_stop s);
+    m.Machine.total_insns - i0
   in
-  (sample, m.Machine.stats)
+  (repeat, m.Machine.stats)
 
 (* The hot loop with one instrumentation toggle per [toggle_chunk] retired
    insns: a fixed rotation over probe subscribe/unsubscribe, dirty
@@ -179,9 +223,10 @@ let run_gate use_cmplog =
   in
   (r, to_bug)
 
-(* Throughput with a live EmbSan-D runtime: boot the syzbot firmware,
-   replay its benign syscall sequences until the insn budget is spent. *)
-let run_probed sanitizers =
+(* Throughput with a live EmbSan-D runtime: boot the syzbot firmware; one
+   repeat replays its benign syscall sequences until [probed_insns] insns
+   have retired.  [None] when the row cannot run. *)
+let probed_workload sanitizers =
   let fw = Firmware_db.syzbot_suite_fw in
   match Replay.boot fw (Replay.Embsan_mode (sanitizers, `D)) with
   | exception Replay.Boot_failed msg ->
@@ -197,12 +242,12 @@ let run_probed sanitizers =
       else begin
         let m = inst.Replay.machine in
         Some
-          (measure (fun () ->
-               let i0 = m.Machine.total_insns in
-               while m.Machine.total_insns - i0 < probed_insns do
-                 ignore (Replay.replay inst calls)
-               done;
-               m.Machine.total_insns - i0))
+          (fun () ->
+            let i0 = m.Machine.total_insns in
+            while m.Machine.total_insns - i0 < probed_insns do
+              ignore (Replay.replay inst calls)
+            done;
+            m.Machine.total_insns - i0)
       end
 
 let sample_json s =
@@ -235,20 +280,74 @@ let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~storm_flushes
     ("cmplog solves the magic gate", gate_solved);
   ]
 
+let paired_json = function
+  | Some p ->
+      Printf.sprintf
+        {|{ "median": %.2f, "q1": %.2f, "q3": %.2f, "pairs": %d }|} p.median
+        p.q1 p.q3 p.pairs
+  | None -> "null"
+
+(* A throughput row of the alternating rounds: its workload's repeat
+   ([None] when the row cannot run), its slices and, for a row measured
+   against the baseline, each round's ratio, newest first. *)
+type row = {
+  work : (unit -> int) option;
+  mutable slices : sample list;
+  mutable ratios : float list;
+}
+
+let make_row work = { work; slices = []; ratios = [] }
+
+(* Run [rounds] rounds: a baseline slice, then one slice of each of
+   [rows], each paired with that round's baseline slice. *)
+let run_rounds baseline rows =
+  for _ = 1 to rounds do
+    let b = measure ~secs:slice_secs (Option.get baseline.work) in
+    baseline.slices <- b :: baseline.slices;
+    List.iter
+      (fun r ->
+        Option.iter
+          (fun work ->
+            let s = measure ~secs:slice_secs work in
+            r.slices <- s :: r.slices;
+            r.ratios <- (s.rate /. b.rate) :: r.ratios)
+          r.work)
+      rows
+  done
+
+let ratio r = if r.ratios = [] then None else Some (paired r.ratios)
+
 let run () =
-  Fmt.pr "@.Execution-engine throughput (host wall clock)@.";
-  let baseline, _ = run_engine Machine.Baseline in
-  let fast, stats = run_engine Machine.Fast in
-  let kasan = run_probed Embsan.kasan_only in
-  let kcsan = run_probed Embsan.kcsan_only in
-  let speedup = fast.rate /. baseline.rate in
+  Fmt.pr
+    "@.Execution-engine throughput (host wall clock; %d alternating rounds \
+     of %.0f ms slices, ratios are paired medians [IQR])@."
+    rounds (slice_secs *. 1000.);
+  let base_work, _ = engine_workload Machine.Baseline in
+  let fast_work, stats = engine_workload Machine.Fast in
+  let baseline_row = make_row (Some base_work) in
+  let fast_row = make_row (Some fast_work) in
+  let kasan_row = make_row (probed_workload Embsan.kasan_only) in
+  let kcsan_row = make_row (probed_workload Embsan.kcsan_only) in
+  run_rounds baseline_row [ fast_row; kasan_row; kcsan_row ];
+  let baseline = Option.get (total baseline_row.slices) in
+  let fast = Option.get (total fast_row.slices) in
+  let kasan = total kasan_row.slices and kcsan = total kcsan_row.slices in
+  let speedup = Option.get (ratio fast_row) in
+  let kasan_ratio = ratio kasan_row and kcsan_ratio = ratio kcsan_row in
   let row name (s : sample) note =
     Fmt.pr "  %-14s %10.2f M insns/sec   %s@." name (s.rate /. 1e6) note
   in
+  let vs_baseline p = Fmt.str "%.2fx baseline [%.2f-%.2f]" p.median p.q1 p.q3 in
   row "baseline" baseline "(pre-overhaul interpreter)";
-  row "fast" fast (Fmt.str "(%.2fx baseline)" speedup);
-  Option.iter (fun s -> row "kasan-probed" s "(EmbSan-D KASAN attached)") kasan;
-  Option.iter (fun s -> row "kcsan-probed" s "(EmbSan-D KCSAN attached)") kcsan;
+  row "fast" fast (vs_baseline speedup);
+  let probed name s p what =
+    Option.iter
+      (fun s ->
+        row name s (Fmt.str "%s (%s)" (vs_baseline (Option.get p)) what))
+      s
+  in
+  probed "kasan-probed" kasan kasan_ratio "EmbSan-D KASAN attached";
+  probed "kcsan-probed" kcsan kcsan_ratio "EmbSan-D KCSAN attached";
   Fmt.pr "  engine: %a@." Engine_stats.pp stats;
   Fmt.pr "@.Toggle storm (one toggle per %dk insns)@." (toggle_chunk / 1000);
   let storm, storm_toggles, storm_flushes = run_toggle () in
@@ -267,29 +366,33 @@ let run () =
   gate_row "cmplog-off" gate_off off_to_bug;
   gate_row "cmplog-on" gate_on on_to_bug;
   let chain_rate = Engine_stats.chain_rate stats in
-  let ratio_of = Option.map (fun (s : sample) -> s.rate /. baseline.rate) in
+  let median = Option.map (fun p -> p.median) in
   let checks =
-    guards ~speedup ~chain_rate ~kasan_ratio:(ratio_of kasan)
-      ~kcsan_ratio:(ratio_of kcsan) ~storm_flushes
+    guards ~speedup:speedup.median ~chain_rate ~kasan_ratio:(median kasan_ratio)
+      ~kcsan_ratio:(median kcsan_ratio) ~storm_flushes
       ~gate_solved:(off_to_bug = None && on_to_bug <> None)
   in
   let int_opt = function Some e -> string_of_int e | None -> "null" in
   let json =
     Printf.sprintf
       {|{
-  "schema": "embsan-emu-bench/4",
+  "schema": "embsan-emu-bench/5",
   "workload": {
     "uninstrumented": "synthetic hot loop (stores, loads, call/ret, AMO, branches), %d insns per repeat, cache warmed",
     "probed": "benign syscall replay on %s, >= %d insns per repeat",
     "toggle_storm": "hot loop, one instrumentation toggle per %d insns",
     "cmplog_gate": "campaign on %s, %d execs, seed 1, cmplog off vs on",
-    "min_wall_secs_per_config": %.2f
+    "rounds": %d,
+    "slice_secs": %.3f,
+    "toggle_storm_min_wall_secs": %.2f
   },
   "baseline": %s,
   "fast": %s,
-  "speedup_fast_vs_baseline": %.2f,
+  "speedup_fast_vs_baseline": %s,
   "kasan_probed": %s,
+  "kasan_probed_vs_baseline": %s,
   "kcsan_probed": %s,
+  "kcsan_probed_vs_baseline": %s,
   "toggle_storm": {
     "run": %s,
     "toggles": %d,
@@ -306,9 +409,11 @@ let run () =
 }
 |}
       hot_loop_insns Firmware_db.syzbot_suite_fw.fw_name probed_insns
-      toggle_chunk Firmware_db.cmplog_gate_fw.fw_name gate_execs
-      min_bench_secs (sample_json baseline) (sample_json fast) speedup
-      (opt_json kasan) (opt_json kcsan) (sample_json storm) storm_toggles
+      toggle_chunk Firmware_db.cmplog_gate_fw.fw_name gate_execs rounds
+      slice_secs min_bench_secs (sample_json baseline) (sample_json fast)
+      (paired_json (Some speedup)) (opt_json kasan) (paired_json kasan_ratio)
+      (opt_json kcsan) (paired_json kcsan_ratio) (sample_json storm)
+      storm_toggles
       storm_flushes
       (List.length gate_off.r_found)
       gate_off.r_coverage (int_opt off_to_bug)

@@ -4,11 +4,10 @@
    regressions show up as a trajectory, not an anecdote. *)
 
 type t = {
-  mutable translations : int;  (* blocks translated (misses + stale) *)
-  mutable cache_hits : int;  (* hashtable lookups that found a live block *)
+  mutable translations : int;  (* blocks translated *)
+  mutable cache_hits : int;  (* hashtable lookups that found the block *)
   mutable cache_misses : int;
-      (* lookups that found no live block: translated, or revived after
-         [Machine.revalidate_tcg] *)
+      (* lookups that found no block and translated one *)
   mutable chained : int;  (* control transfers served by a chain link *)
   (* [flushes_load] counts the unavoidable flush on [load_image];
      [flushes_invalidate] counts everything else ([flush_tcg],

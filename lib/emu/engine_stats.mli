@@ -2,11 +2,11 @@
     chaining (serialized into BENCH_emu.json). *)
 
 type t = {
-  mutable translations : int;  (** blocks translated (misses + stale) *)
-  mutable cache_hits : int;  (** lookups that found a live block *)
+  mutable translations : int;  (** blocks translated *)
+  mutable cache_hits : int;  (** lookups that found the block cached *)
   mutable cache_misses : int;
-      (** lookups that found no live block: translated, or revived after
-          [Machine.revalidate_tcg] *)
+      (** lookups that found no block and translated one; a restore that
+          [Machine.revalidate_tcg] keeps the cache across adds none *)
   mutable chained : int;  (** transfers served by a chain link *)
   mutable flushes_load : int;  (** [load_image] flushes *)
   mutable flushes_invalidate : int;

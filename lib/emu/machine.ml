@@ -22,20 +22,25 @@
      costs no table lookup.  An armed load/store site is "fire, then
      fast": it computes the address, runs its closure (labelled
      arguments, no event record) with the retired-insn counter rewound to
-     the instruction, then runs the same width-specialized access the
-     unarmed site runs -- so probing adds one call per access and no
+     the instruction, then performs the same width-specialized access the
+     unarmed site performs -- so probing adds one call per access and no
      allocation;
+   - one closure per instruction: every op template is a single closure
+     with its operator, register accesses and probe prelude written
+     inline -- no partially applied helper, no call into another module
+     on the path that does not leave RAM (see {!translate_fast});
    - block chaining: each translated block caches up to two successor
      links (generation-tagged), so straight-line code and loops transfer
      control without touching the block hashtable;
    - allocation-free RAM fast path: load/store templates are specialized
      at translation time per width and bounds-check straight into
      [Ram.bytes]; the {!Fault.access} record is only constructed on the
-     MMIO/fault slow path;
+     fault slow path, and a device access allocates nothing;
    - batched accounting: retired-instruction and cycle-cost counters are
-     charged once per block entry from translate-time totals, with a
-     prefix-sum correction on exceptional exits, instead of two mutable
-     increments per instruction;
+     charged once per block entry from translate-time totals, instead of
+     two mutable increments per instruction; one exception handler per
+     hart turn sets them to the block's entry values plus the retired
+     prefix when an op raises;
    - the [Baseline] engine mode keeps the original per-instruction,
      hashtable-every-block interpreter for semantics-equivalence tests and
      as the measured before/after baseline in BENCH_emu.json. *)
@@ -61,20 +66,17 @@ let pp_stop fmt = function
   | Deadlock -> Fmt.string fmt "deadlock"
 
 (* A translated block.  [b_gen] tags the translation-cache generation the
-   block (and anything it links to) was built under; a mismatch
-   invalidates the block and every chain link pointing at it.  Probe
-   state is NOT baked in -- ops carry patchable sites -- so there is no
-   probe epoch.  [b_insns]/[b_cost] are the translate-time totals charged
-   on entry; [b_cost_pfx.(i)] is the cost of ops 0..i inclusive, used to
-   correct the pre-charge when op [i] raises (op [i] is instruction [i],
-   so the retired-insn side of the correction needs no table).
-
-   A block kept stale by {!revalidate_tcg} is revived on its next lookup
-   rather than retranslated: its generation catches up, which also
-   revives every chain link pointing at it. *)
+   block was built under; only a flush moves the generation, so a link to
+   a block of an older one -- kept alive inside a block still running
+   when the flush happened -- is dead.  Probe state is NOT baked in --
+   ops carry patchable sites -- so there is no probe epoch.
+   [b_insns]/[b_cost] are the translate-time totals charged on entry;
+   [b_cost_pfx.(i)] is the cost of ops 0..i inclusive, used to correct
+   the pre-charge when op [i] raises (op [i] is instruction [i], so the
+   retired-insn side of the correction needs no table). *)
 type block = {
   b_base : int; (* guest pc this block was translated from *)
-  mutable b_gen : int; (* caught up by [lookup_block] when revived *)
+  b_gen : int;
   b_ops : (Cpu.t -> unit) array;
   b_insns : int;
   b_cost : int;
@@ -121,7 +123,7 @@ type t = {
   stats : Engine_stats.t;
   mutable engine : engine;
   mutable tcg_gen : int;
-      (* bumped by flush_tcg and revalidate_tcg; invalidates chain links *)
+      (* bumped by every flush, and only by one; invalidates chain links *)
   mutable suspects : (int * string) list;
       (* (base, source bytes) of blocks translated, while dirty tracking
          was on, from a page written since the last snapshot capture or
@@ -223,18 +225,14 @@ let flush_tcg t =
    written page, in which case it is a suspect whose source bytes were
    recorded.  So the cache is still exact unless some suspect's bytes
    differ from RAM now, which is the only case that flushes.  Otherwise
-   the generation bump makes every block stale, and [lookup_block]
-   revives each one in place: a warm cache replays exactly like a flushed
-   one, without the retranslation. *)
+   the cache stays live as it is, chain links and generation included:
+   a warm cache replays exactly like a flushed one, without the
+   retranslation, and the suspects start over from the reverted RAM. *)
 let revalidate_tcg t =
   let changed (base, src) =
     Ram.read_string t.ram ~addr:base ~len:(String.length src) <> src
   in
-  if List.exists changed t.suspects then flush_tcg t
-  else begin
-    t.suspects <- [];
-    t.tcg_gen <- t.tcg_gen + 1
-  end
+  if List.exists changed t.suspects then flush_tcg t else t.suspects <- []
 
 let set_engine t engine =
   if t.engine <> engine then begin
@@ -299,18 +297,19 @@ let boot t =
 (* --- Bus ------------------------------------------------------------------ *)
 
 (* Devices are kept sorted by base and do not overlap, so MMIO dispatch is
-   a binary search instead of the old linear list walk. *)
+   a binary search.  It returns the device's index in [t.devices], or -1,
+   so that dispatch allocates nothing. *)
 let find_device t addr =
   let ds = t.devices in
   let lo = ref 0 and hi = ref (Array.length ds - 1) in
-  let found = ref None in
+  let found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let d = ds.(mid) in
     if addr < d.Device.base then hi := mid - 1
     else if addr >= d.Device.base + d.Device.size then lo := mid + 1
     else begin
-      found := Some d;
+      found := mid;
       lo := !hi + 1
     end
   done;
@@ -319,96 +318,86 @@ let find_device t addr =
 let bus_read t (acc : Fault.access) =
   if Ram.contains t.ram acc.addr ~size:acc.size then Ram.read t.ram acc.addr acc.size
   else
-    match find_device t acc.addr with
-    | Some d -> d.read ~offset:(acc.addr - d.base) ~width:acc.size
-    | None -> (
-        match t.rehost with
-        | Some rh when acc.hart >= 0 && rh.rh_covers acc.addr ->
-            t.stats.rehost_reads <- t.stats.rehost_reads + 1;
-            rh.rh_read ~pc:acc.pc ~addr:acc.addr ~size:acc.size
-        | _ ->
-            Ram.check t.ram acc;
-            0)
+    let i = find_device t acc.addr in
+    if i >= 0 then
+      let d = t.devices.(i) in
+      d.read ~offset:(acc.addr - d.base) ~width:acc.size
+    else
+      match t.rehost with
+      | Some rh when acc.hart >= 0 && rh.rh_covers acc.addr ->
+          t.stats.rehost_reads <- t.stats.rehost_reads + 1;
+          rh.rh_read ~pc:acc.pc ~addr:acc.addr ~size:acc.size
+      | _ ->
+          Ram.check t.ram acc;
+          0
 
 let bus_write t (acc : Fault.access) value =
   if Ram.contains t.ram acc.addr ~size:acc.size then
     Ram.write t.ram acc.addr acc.size value
   else
-    match find_device t acc.addr with
-    | Some d -> d.write ~offset:(acc.addr - d.base) ~width:acc.size ~value
-    | None -> (
-        match t.rehost with
-        | Some rh when acc.hart >= 0 && rh.rh_covers acc.addr ->
-            rh.rh_write ~pc:acc.pc ~addr:acc.addr ~size:acc.size ~value
-        | _ -> Ram.check t.ram acc)
+    let i = find_device t acc.addr in
+    if i >= 0 then
+      let d = t.devices.(i) in
+      d.write ~offset:(acc.addr - d.base) ~width:acc.size ~value
+    else
+      match t.rehost with
+      | Some rh when acc.hart >= 0 && rh.rh_covers acc.addr ->
+          rh.rh_write ~pc:acc.pc ~addr:acc.addr ~size:acc.size ~value
+      | _ -> Ram.check t.ram acc
 
-(* The fast engine charges a whole block's retired-insn total on entry, so
+(* MMIO/fault slow paths for the translated fast-path templates.  They
+   allocate nothing until the fault path, where the {!Fault.access} record
+   is built after the RAM bounds check and device dispatch both missed.
+
+   The fast engine charges a whole block's retired-insn total on entry, so
    while the block's ops run [total_insns] is over-charged by the ops not
    yet executed.  That is invisible to pure guest code, but devices can
    observe the counter (the timer reads it) and probe callbacks key stall
-   windows off it, so a mid-block access must see exactly the count the
+   windows off it, so a mid-block callout must see exactly the count the
    per-instruction-ticking baseline engine would show.  [over] is the op's
-   translate-time distance from the block end; the counter is rewound
-   around the callback and restored even when it raises (power writes
-   raise [Halted], probes raise [Retry_at]), which keeps the
-   [exec_ops] prefix-sum rollback arithmetic intact. *)
-let rewound t ~over f =
-  if over = 0 then f ()
-  else begin
-    t.total_insns <- t.total_insns - over;
-    match f () with
-    | v ->
-        t.total_insns <- t.total_insns + over;
-        v
-    | exception e ->
-        t.total_insns <- t.total_insns + over;
-        raise e
-  end
-
-(* MMIO/fault slow paths for the translated fast-path templates: the
-   {!Fault.access} record is only allocated here, after the RAM bounds
-   check has already failed.  [over] rewinds the block pre-charge around
-   the device callback (see {!rewound}); the fault path needs no rewind
-   because fault records carry no counters. *)
+   translate-time distance from the block end; the counter is rewound by
+   it around each device, rehost or probe callout, inline and with no
+   handler of its own.  A callout that raises (power writes raise
+   [Halted], probes raise [Retry_at]) leaves the counter rewound; the hart
+   turn's handler then sets it absolutely (see {!exec_turn}).  The fault
+   path needs no rewind because fault records carry no counters. *)
 
 let slow_read t ~hart ~pc ~addr ~size ~over =
-  match find_device t addr with
-  | Some d ->
-      rewound t ~over (fun () ->
-          d.Device.read ~offset:(addr - d.base) ~width:size)
-  | None -> (
-      match t.rehost with
-      | Some rh when hart >= 0 && rh.rh_covers addr ->
-          t.stats.rehost_reads <- t.stats.rehost_reads + 1;
-          rewound t ~over (fun () -> rh.rh_read ~pc ~addr ~size)
-      | _ ->
-          Ram.check t.ram { hart; pc; addr; size; is_write = false };
-          0)
+  let i = find_device t addr in
+  if i >= 0 then begin
+    let d = t.devices.(i) in
+    t.total_insns <- t.total_insns - over;
+    let v = d.Device.read ~offset:(addr - d.base) ~width:size in
+    t.total_insns <- t.total_insns + over;
+    v
+  end
+  else
+    match t.rehost with
+    | Some rh when hart >= 0 && rh.rh_covers addr ->
+        t.stats.rehost_reads <- t.stats.rehost_reads + 1;
+        t.total_insns <- t.total_insns - over;
+        let v = rh.rh_read ~pc ~addr ~size in
+        t.total_insns <- t.total_insns + over;
+        v
+    | _ ->
+        Ram.check t.ram { hart; pc; addr; size; is_write = false };
+        0
 
 let slow_write t ~hart ~pc ~addr ~size ~over value =
-  match find_device t addr with
-  | Some d ->
-      rewound t ~over (fun () ->
-          d.Device.write ~offset:(addr - d.base) ~width:size ~value)
-  | None -> (
-      match t.rehost with
-      | Some rh when hart >= 0 && rh.rh_covers addr ->
-          rewound t ~over (fun () -> rh.rh_write ~pc ~addr ~size ~value)
-      | _ -> Ram.check t.ram { hart; pc; addr; size; is_write = true })
-
-(* The armed mem site's call: the counter is rewound by [over] (see
-   {!rewound}) only around the site's specialized closure, inline rather
-   than through a closure, and restored on return and on a raise (KCSAN
-   stalls with [Retry_at]).  The access itself runs afterwards in the op's
-   fast closure, whose device, rehost and fault slow paths rewind by the
-   same [over]. *)
-let fire_mem_rewound t ~over (site : Probe.mem_site) ~hart ~addr ~value =
-  t.total_insns <- t.total_insns - over;
-  match site ~hart ~addr ~value with
-  | () -> t.total_insns <- t.total_insns + over
-  | exception e ->
-      t.total_insns <- t.total_insns + over;
-      raise e
+  let i = find_device t addr in
+  if i >= 0 then begin
+    let d = t.devices.(i) in
+    t.total_insns <- t.total_insns - over;
+    d.Device.write ~offset:(addr - d.base) ~width:size ~value;
+    t.total_insns <- t.total_insns + over
+  end
+  else
+    match t.rehost with
+    | Some rh when hart >= 0 && rh.rh_covers addr ->
+        t.total_insns <- t.total_insns - over;
+        rh.rh_write ~pc ~addr ~size ~value;
+        t.total_insns <- t.total_insns + over
+    | _ -> Ram.check t.ram { hart; pc; addr; size; is_write = true }
 
 (* A specialized site cached in a translated op: [s_fn] is what [bind ()]
    returned under site generation [s_gen] ({!Probe.t.gen}).  [bound]
@@ -507,51 +496,91 @@ let collect_block t base =
       (base, Ram.read_string ram ~addr:base ~len:(end_pc - base)) :: t.suspects;
   block
 
+(* The fast templates' helpers.  Register indices are resolved at
+   translation time, register values are invariantly 32-bit-wrapped (only
+   [rset] and the loads write them, and they mask) and r0 is never
+   written, so the unchecked accesses are exact [Cpu.get]/[Cpu.set]
+   semantics.  Each helper is top-level and [@inline], so a template that
+   uses it is still one closure: dune's dev profile compiles with
+   [-opaque], which makes every call into another module ([Cpu.get],
+   [Word32.add]) a real call, and a partially applied local helper costs a
+   curry stub, the helper and the operator's own closure per execution. *)
+let[@inline] rget (cpu : Cpu.t) i = Array.unsafe_get cpu.regs i
+
+let[@inline] rset (cpu : Cpu.t) i v =
+  Array.unsafe_set cpu.regs i (v land 0xFFFF_FFFF)
+
+let[@inline] sgn v = if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v
+
+(* The cmplog site of a compare or branch: when recording is enabled the
+   operand pair feeds compare-operand coverage. *)
+let[@inline] cmp_site (cl : Cmplog.t) ~pc x y =
+  if cl.Cmplog.enabled then Cmplog.record cl ~pc ~lhs:x ~rhs:y
+
+(* The dirty-track site of a store: one byte write per store, two when the
+   access straddles a page boundary, and no allocation. *)
+let[@inline] mark_dirty dirtyb off n =
+  let shift = Ram.page_shift in
+  Bytes.unsafe_set dirtyb (off lsr shift) '\xFF';
+  let last = (off + n - 1) lsr shift in
+  if last <> off lsr shift then Bytes.unsafe_set dirtyb last '\xFF'
+
+(* The patchable mem site of a load/store/AMO template: with no
+   subscriber, one length check (an empty array specializes to no site);
+   otherwise a generation check, then the specialized closure unless the
+   subscribers have nothing to do here.  The closure runs with the counter
+   rewound by [over], like the slow paths' callouts, and before the
+   access, which uses the address and value computed before the call. *)
+let[@inline] probe_mem t (p : Probe.t) s ~over ~hart ~addr ~value =
+  if Array.length p.Probe.mem <> 0 then begin
+    let f = bound p s in
+    if f != Probe.no_site then begin
+      t.total_insns <- t.total_insns - over;
+      f ~hart ~addr ~value;
+      t.total_insns <- t.total_insns + over
+    end
+  end
+
+(* The call site of a call template, run after the transfer. *)
+let[@inline] probe_call (p : Probe.t) s ~hart ~target =
+  if Array.length p.Probe.calls <> 0 then begin
+    let f = bound p s in
+    if f != Probe.no_call_site then f ~hart ~target
+  end
+
 (* Translate one basic block starting at [base] for the fast engine.
+   Every instruction compiles to exactly one closure, with its operator,
+   register accesses and sites written inline (see the helpers above).
    Instrumentation points compile to *patchable sites*: each op that can
    be instrumented captures the machine's shared probe/cmplog/dirty state
    records and checks its armed condition at run time -- for mem and call
    ops, that a subscriber exists and then the generation of its cached
    specialized closure (see {!site}); for trap ops, the generation.
    Toggling a probe therefore patches every translated block at once,
-   with zero flushes.  Memory ops bounds-check straight into RAM
-   bytes with no allocation, exactly like an uninstrumented TCG template,
-   armed or not: an armed site only adds its closure's call before the
-   access (see {!fire_mem_rewound}).  Ops do not touch the retired-insn/
-   cost counters; those are charged per-block by the run loop. *)
+   with zero flushes.  Memory ops bounds-check straight into RAM bytes
+   with no allocation, exactly like an uninstrumented TCG template, armed
+   or not: an armed site only adds its closure's call before the access
+   (see {!probe_mem}).  Ops do not touch the retired-insn/cost counters;
+   those are charged per block by the run loop. *)
 let translate_fast t base =
   let p = t.probes in
   let cl = t.cmplog in
   let ram = t.ram in
-  (* Register indices, arithmetic ops and RAM bounds are all resolved at
-     translation time; the generated closures touch [cpu.regs] and the RAM
-     bytes directly.  Register values are invariantly 32-bit-wrapped (only
-     these stores write them, and they mask), and r0 is never written, so
-     unsafe reads of precomputed indices are exact [Cpu.get] semantics. *)
+  (* RAM bounds are resolved at translation time; the templates touch the
+     RAM bytes directly.  Dirty-page tracking is a patchable site too:
+     stores read [ram.track_dirty] at run time. *)
   let bytes = ram.Ram.bytes in
   let rbase = ram.Ram.base in
   let rlim = rbase + Bytes.length bytes in
-  (* Dirty-page tracking is a patchable site too: stores read
-     [ram.track_dirty] at run time.  The tracked store path adds one
-     byte write per store (two when the access straddles a page
-     boundary) and no allocation. *)
   let dirtyb = ram.Ram.dirty in
-  let pshift = Ram.page_shift in
-  let mark off n =
-    Bytes.unsafe_set dirtyb (off lsr pshift) '\xFF';
-    let last = (off + n - 1) lsr pshift in
-    if last <> off lsr pshift then Bytes.unsafe_set dirtyb last '\xFF'
-  in
   let ri = Reg.to_int in
-  let sgn v = if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v in
   let insns, end_pc = collect_block t base in
   let n_insns = List.length insns in
   (* [idx] is the op's position in the block; memory ops turn it into the
      [over] rewind distance so device reads and probe callbacks observe
      exact per-instruction counters despite the batched block pre-charge
-     (see {!rewound}).  The armed mem site of each memory op fires the
-     subscribers, then runs the op's [fast] closure: a subscriber must not
-     write hart registers, since [fast] re-reads them. *)
+     (see {!slow_read}).  A mem site's subscribers must not write hart
+     registers: the access uses the operands read before the call. *)
   let op_of idx (pc, insn) : Cpu.t -> unit =
     match (insn : Insn.t) with
     | Nop | Fence -> fun _cpu -> ()
@@ -560,269 +589,257 @@ let translate_fast t base =
         let d = ri rd and v = Word32.wrap imm in
         if d = 0 then fun _cpu -> ()
         else fun cpu -> Array.unsafe_set cpu.Cpu.regs d v
-    | Alu (op, rd, rs1, rs2) ->
+    | Alu (op, rd, rs1, rs2) -> (
         let d = ri rd and a = ri rs1 and b = ri rs2 in
         if d = 0 then fun _cpu -> () (* ALU ops are pure; r0 sink discards *)
         else
-          let bin f cpu =
-            let r = cpu.Cpu.regs in
-            Array.unsafe_set r d
-              (f (Array.unsafe_get r a) (Array.unsafe_get r b)
-              land 0xFFFF_FFFF)
-          in
-          (* reg-reg compares carry a cmplog site: when recording is
-             enabled the operand pair feeds compare-operand coverage *)
-          let cbin f cpu =
-            let r = cpu.Cpu.regs in
-            let x = Array.unsafe_get r a and y = Array.unsafe_get r b in
-            if cl.Cmplog.enabled then Cmplog.record cl ~pc ~lhs:x ~rhs:y;
-            Array.unsafe_set r d (f x y land 0xFFFF_FFFF)
-          in
-          (match (op : Insn.alu_op) with
-          | Add -> bin (fun x y -> x + y)
-          | Sub -> bin (fun x y -> x - y)
-          | Mul -> bin (fun x y -> x * y)
-          | Divu -> bin (fun x y -> if y = 0 then 0xFFFF_FFFF else x / y)
-          | Remu -> bin (fun x y -> if y = 0 then x else x mod y)
-          | And -> bin (fun x y -> x land y)
-          | Or -> bin (fun x y -> x lor y)
-          | Xor -> bin (fun x y -> x lxor y)
-          | Shl -> bin (fun x y -> x lsl (y land 31))
-          | Shru -> bin (fun x y -> x lsr (y land 31))
-          | Shrs -> bin (fun x y -> sgn x asr (y land 31))
-          | Slt -> cbin (fun x y -> if sgn x < sgn y then 1 else 0)
-          | Sltu -> cbin (fun x y -> if x < y then 1 else 0)
-          | Seq -> cbin (fun x y -> if x = y then 1 else 0)
-          | Sne -> cbin (fun x y -> if x <> y then 1 else 0))
-    | Alui (op, rd, rs1, imm) ->
+          (* reg-reg compares carry a cmplog site *)
+          match (op : Insn.alu_op) with
+          | Add -> fun cpu -> rset cpu d (rget cpu a + rget cpu b)
+          | Sub -> fun cpu -> rset cpu d (rget cpu a - rget cpu b)
+          | Mul -> fun cpu -> rset cpu d (rget cpu a * rget cpu b)
+          | Divu ->
+              fun cpu ->
+                let y = rget cpu b in
+                rset cpu d (if y = 0 then 0xFFFF_FFFF else rget cpu a / y)
+          | Remu ->
+              fun cpu ->
+                let x = rget cpu a and y = rget cpu b in
+                rset cpu d (if y = 0 then x else x mod y)
+          | And -> fun cpu -> rset cpu d (rget cpu a land rget cpu b)
+          | Or -> fun cpu -> rset cpu d (rget cpu a lor rget cpu b)
+          | Xor -> fun cpu -> rset cpu d (rget cpu a lxor rget cpu b)
+          | Shl -> fun cpu -> rset cpu d (rget cpu a lsl (rget cpu b land 31))
+          | Shru -> fun cpu -> rset cpu d (rget cpu a lsr (rget cpu b land 31))
+          | Shrs ->
+              fun cpu -> rset cpu d (sgn (rget cpu a) asr (rget cpu b land 31))
+          | Slt ->
+              fun cpu ->
+                let x = rget cpu a and y = rget cpu b in
+                cmp_site cl ~pc x y;
+                rset cpu d (if sgn x < sgn y then 1 else 0)
+          | Sltu ->
+              fun cpu ->
+                let x = rget cpu a and y = rget cpu b in
+                cmp_site cl ~pc x y;
+                rset cpu d (if x < y then 1 else 0)
+          | Seq ->
+              fun cpu ->
+                let x = rget cpu a and y = rget cpu b in
+                cmp_site cl ~pc x y;
+                rset cpu d (if x = y then 1 else 0)
+          | Sne ->
+              fun cpu ->
+                let x = rget cpu a and y = rget cpu b in
+                cmp_site cl ~pc x y;
+                rset cpu d (if x <> y then 1 else 0))
+    | Alui (op, rd, rs1, imm) -> (
         let d = ri rd and a = ri rs1 in
+        let w = Word32.wrap imm in
         if d = 0 then fun _cpu -> ()
         else
-          let unary f cpu =
-            let r = cpu.Cpu.regs in
-            Array.unsafe_set r d (f (Array.unsafe_get r a) land 0xFFFF_FFFF)
-          in
-          let w = Word32.wrap imm in
-          (* immediate-compare cmplog site: the immediate is the value the
-             guest is comparing against (a magic constant, when large) *)
-          let cunary f cpu =
-            let r = cpu.Cpu.regs in
-            let x = Array.unsafe_get r a in
-            if cl.Cmplog.enabled then Cmplog.record cl ~pc ~lhs:x ~rhs:w;
-            Array.unsafe_set r d (f x land 0xFFFF_FFFF)
-          in
-          (match (op : Insn.alu_op) with
-          | Add -> unary (fun x -> x + imm)
-          | Sub -> unary (fun x -> x - imm)
-          | Mul -> unary (fun x -> x * imm)
-          | Divu -> unary (fun x -> if w = 0 then 0xFFFF_FFFF else x / w)
-          | Remu -> unary (fun x -> if w = 0 then x else x mod w)
-          | And -> unary (fun x -> x land imm)
-          | Or -> unary (fun x -> x lor imm)
-          | Xor ->
+          (* immediate-compare cmplog sites record the immediate: the value
+             the guest is comparing against (a magic constant, when large) *)
+          match (op : Insn.alu_op) with
+          | Add -> fun cpu -> rset cpu d (rget cpu a + imm)
+          | Sub -> fun cpu -> rset cpu d (rget cpu a - imm)
+          | Mul -> fun cpu -> rset cpu d (rget cpu a * imm)
+          | Divu ->
+              if w = 0 then fun cpu -> rset cpu d 0xFFFF_FFFF
+              else fun cpu -> rset cpu d (rget cpu a / w)
+          | Remu ->
+              if w = 0 then fun cpu -> rset cpu d (rget cpu a)
+              else fun cpu -> rset cpu d (rget cpu a mod w)
+          | And -> fun cpu -> rset cpu d (rget cpu a land imm)
+          | Or -> fun cpu -> rset cpu d (rget cpu a lor imm)
+          | Xor when w > 0xFF ->
               (* [x == CONST] compiles to [xor rd, rs, CONST; sltu rd, rd,
                  1] (no Seq immediate form), so a large xor immediate IS
                  an equality guard's magic constant -- record it.  Small
                  immediates are overwhelmingly bit-twiddling; skip them to
                  bound the noise. *)
-              if w > 0xFF then cunary (fun x -> x lxor imm)
-              else unary (fun x -> x lxor imm)
-          | Shl -> unary (fun x -> x lsl (imm land 31))
-          | Shru -> unary (fun x -> x lsr (imm land 31))
-          | Shrs -> unary (fun x -> sgn x asr (imm land 31))
+              fun cpu ->
+                let x = rget cpu a in
+                cmp_site cl ~pc x w;
+                rset cpu d (x lxor imm)
+          | Xor -> fun cpu -> rset cpu d (rget cpu a lxor imm)
+          | Shl -> fun cpu -> rset cpu d (rget cpu a lsl (imm land 31))
+          | Shru -> fun cpu -> rset cpu d (rget cpu a lsr (imm land 31))
+          | Shrs -> fun cpu -> rset cpu d (sgn (rget cpu a) asr (imm land 31))
           | Slt ->
               let si = sgn w in
-              unary (fun x -> if sgn x < si then 1 else 0)
-          | Sltu -> unary (fun x -> if x < w then 1 else 0)
-          | Seq -> cunary (fun x -> if x = w then 1 else 0)
-          | Sne -> cunary (fun x -> if x <> w then 1 else 0))
-    | Load (w, signed, rd, rs1, imm) ->
+              fun cpu -> rset cpu d (if sgn (rget cpu a) < si then 1 else 0)
+          | Sltu -> fun cpu -> rset cpu d (if rget cpu a < w then 1 else 0)
+          | Seq ->
+              fun cpu ->
+                let x = rget cpu a in
+                cmp_site cl ~pc x w;
+                rset cpu d (if x = w then 1 else 0)
+          | Sne ->
+              fun cpu ->
+                let x = rget cpu a in
+                cmp_site cl ~pc x w;
+                rset cpu d (if x <> w then 1 else 0))
+    | Load (w, signed, rd, rs1, imm) -> (
         let size = Insn.width_bytes w in
         let over = n_insns - 1 - idx in
-        (* allocation-free fast path, width-specialized at translate time *)
         let d = ri rd and a = ri rs1 in
-        let set (r : int array) v = if d <> 0 then Array.unsafe_set r d v in
-        let fast : Cpu.t -> unit =
-          match (w : Insn.width) with
-          | W32 ->
-              fun cpu ->
-                let r = cpu.Cpu.regs in
-                let addr = (Array.unsafe_get r a + imm) land 0xFFFF_FFFF in
-                if addr >= rbase && addr + 4 <= rlim then
-                  set r
-                    (Int32.to_int (Bytes.get_int32_le bytes (addr - rbase))
-                    land 0xFFFF_FFFF)
-                else
-                  set r
-                    (Word32.wrap
-                       (slow_read t ~hart:cpu.id ~pc ~addr ~size:4 ~over))
-          | W16 ->
-              fun cpu ->
-                let r = cpu.Cpu.regs in
-                let addr = (Array.unsafe_get r a + imm) land 0xFFFF_FFFF in
-                let raw =
-                  if addr >= rbase && addr + 2 <= rlim then
-                    Bytes.get_uint16_le bytes (addr - rbase)
-                  else slow_read t ~hart:cpu.id ~pc ~addr ~size:2 ~over
-                in
-                set r (if signed then Word32.sext raw 16 else raw land 0xFFFF)
-          | W8 ->
-              fun cpu ->
-                let r = cpu.Cpu.regs in
-                let addr = (Array.unsafe_get r a + imm) land 0xFFFF_FFFF in
-                let raw =
-                  if addr >= rbase && addr + 1 <= rlim then
-                    Char.code (Bytes.unsafe_get bytes (addr - rbase))
-                  else slow_read t ~hart:cpu.id ~pc ~addr ~size:1 ~over
-                in
-                set r (if signed then Word32.sext raw 8 else raw land 0xFF)
-        in
-        (* the patchable site: with no subscriber, one length check (an
-           empty array specializes to no site); otherwise a generation
-           check, then the specialized closure unless the subscribers have
-           nothing to do here *)
         let s =
           site p (fun () ->
               Probe.mem_site p ~pc ~size ~is_write:false ~is_atomic:false)
         in
-        fun cpu ->
-          if Array.length p.Probe.mem <> 0 then begin
-            let f = bound p s in
-            if f != Probe.no_site then
-              fire_mem_rewound t ~over f ~hart:cpu.id
-                ~addr:
-                  ((Array.unsafe_get cpu.Cpu.regs a + imm) land 0xFFFF_FFFF)
-                ~value:0
-          end;
-          fast cpu
-    | Store (w, rs1, rs2, imm) ->
+        (* one closure per width: the probe prelude, then the RAM access
+           or its slow path.  A narrow load sign-extends as
+           [(raw lxor sx) - sx], where [sx] is the width's sign bit, or 0
+           for a zero-extending load. *)
+        match (w : Insn.width) with
+        | W32 ->
+            fun cpu ->
+              let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
+              probe_mem t p s ~over ~hart:cpu.id ~addr ~value:0;
+              let v =
+                if addr >= rbase && addr + 4 <= rlim then
+                  Int32.to_int (Bytes.get_int32_le bytes (addr - rbase))
+                else slow_read t ~hart:cpu.id ~pc ~addr ~size:4 ~over
+              in
+              if d <> 0 then rset cpu d v
+        | W16 ->
+            let sx = if signed then 0x8000 else 0 in
+            fun cpu ->
+              let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
+              probe_mem t p s ~over ~hart:cpu.id ~addr ~value:0;
+              let raw =
+                if addr >= rbase && addr + 2 <= rlim then
+                  Bytes.get_uint16_le bytes (addr - rbase)
+                else slow_read t ~hart:cpu.id ~pc ~addr ~size:2 ~over
+              in
+              if d <> 0 then rset cpu d ((raw land 0xFFFF lxor sx) - sx)
+        | W8 ->
+            let sx = if signed then 0x80 else 0 in
+            fun cpu ->
+              let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
+              probe_mem t p s ~over ~hart:cpu.id ~addr ~value:0;
+              let raw =
+                if addr >= rbase && addr + 1 <= rlim then
+                  Char.code (Bytes.unsafe_get bytes (addr - rbase))
+                else slow_read t ~hart:cpu.id ~pc ~addr ~size:1 ~over
+              in
+              if d <> 0 then rset cpu d ((raw land 0xFF lxor sx) - sx))
+    | Store (w, rs1, rs2, imm) -> (
         let size = Insn.width_bytes w in
         let over = n_insns - 1 - idx in
-        (* dirty marking consults [ram.track_dirty] at run time: the
-           dirty-track site of the store template *)
         let a = ri rs1 and v = ri rs2 in
-        let fast : Cpu.t -> unit =
-          match (w : Insn.width) with
-          | W32 ->
-              fun cpu ->
-                let r = cpu.Cpu.regs in
-                let addr = (Array.unsafe_get r a + imm) land 0xFFFF_FFFF in
-                if addr >= rbase && addr + 4 <= rlim then begin
-                  let off = addr - rbase in
-                  Bytes.set_int32_le bytes off
-                    (Int32.of_int (Array.unsafe_get r v));
-                  if ram.Ram.track_dirty then mark off 4
-                end
-                else
-                  slow_write t ~hart:cpu.id ~pc ~addr ~size:4 ~over
-                    (Array.unsafe_get r v)
-          | W16 ->
-              fun cpu ->
-                let r = cpu.Cpu.regs in
-                let addr = (Array.unsafe_get r a + imm) land 0xFFFF_FFFF in
-                if addr >= rbase && addr + 2 <= rlim then begin
-                  let off = addr - rbase in
-                  Bytes.set_uint16_le bytes off
-                    (Array.unsafe_get r v land 0xFFFF);
-                  if ram.Ram.track_dirty then mark off 2
-                end
-                else
-                  slow_write t ~hart:cpu.id ~pc ~addr ~size:2 ~over
-                    (Array.unsafe_get r v)
-          | W8 ->
-              fun cpu ->
-                let r = cpu.Cpu.regs in
-                let addr = (Array.unsafe_get r a + imm) land 0xFFFF_FFFF in
-                if addr >= rbase && addr + 1 <= rlim then begin
-                  let off = addr - rbase in
-                  Bytes.unsafe_set bytes off
-                    (Char.unsafe_chr (Array.unsafe_get r v land 0xFF));
-                  if ram.Ram.track_dirty then
-                    Bytes.unsafe_set dirtyb (off lsr pshift) '\xFF'
-                end
-                else
-                  slow_write t ~hart:cpu.id ~pc ~addr ~size:1 ~over
-                    (Array.unsafe_get r v)
-        in
         let s =
           site p (fun () ->
               Probe.mem_site p ~pc ~size ~is_write:true ~is_atomic:false)
         in
-        fun cpu ->
-          if Array.length p.Probe.mem <> 0 then begin
-            let f = bound p s in
-            if f != Probe.no_site then begin
-              let r = cpu.Cpu.regs in
-              fire_mem_rewound t ~over f ~hart:cpu.id
-                ~addr:((Array.unsafe_get r a + imm) land 0xFFFF_FFFF)
-                ~value:(Array.unsafe_get r v)
-            end
-          end;
-          fast cpu
+        (* one closure per width: the probe prelude, then the RAM store
+           with its dirty-track site, or the slow path *)
+        match (w : Insn.width) with
+        | W32 ->
+            fun cpu ->
+              let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
+              let value = rget cpu v in
+              probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
+              if addr >= rbase && addr + 4 <= rlim then begin
+                let off = addr - rbase in
+                Bytes.set_int32_le bytes off (Int32.of_int value);
+                if ram.Ram.track_dirty then mark_dirty dirtyb off 4
+              end
+              else slow_write t ~hart:cpu.id ~pc ~addr ~size:4 ~over value
+        | W16 ->
+            fun cpu ->
+              let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
+              let value = rget cpu v in
+              probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
+              if addr >= rbase && addr + 2 <= rlim then begin
+                let off = addr - rbase in
+                Bytes.set_uint16_le bytes off (value land 0xFFFF);
+                if ram.Ram.track_dirty then mark_dirty dirtyb off 2
+              end
+              else slow_write t ~hart:cpu.id ~pc ~addr ~size:2 ~over value
+        | W8 ->
+            fun cpu ->
+              let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
+              let value = rget cpu v in
+              probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
+              if addr >= rbase && addr + 1 <= rlim then begin
+                let off = addr - rbase in
+                Bytes.unsafe_set bytes off (Char.unsafe_chr (value land 0xFF));
+                if ram.Ram.track_dirty then
+                  Bytes.unsafe_set dirtyb (off lsr Ram.page_shift) '\xFF'
+              end
+              else slow_write t ~hart:cpu.id ~pc ~addr ~size:1 ~over value)
     | Amo (op, rd, rs1, rs2) ->
         let over = n_insns - 1 - idx in
         let d = ri rd and a = ri rs1 and v = ri rs2 in
         let is_add = match op with Amo_add -> true | Amo_swap -> false in
-        let fast cpu =
-          let r = cpu.Cpu.regs in
-          let addr = Array.unsafe_get r a in
+        let s =
+          site p (fun () ->
+              Probe.mem_site p ~pc ~size:4 ~is_write:true ~is_atomic:true)
+        in
+        fun cpu ->
+          let addr = rget cpu a in
+          let value = rget cpu v in
+          probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
           if addr >= rbase && addr + 4 <= rlim then begin
             let off = addr - rbase in
             let old =
               Int32.to_int (Bytes.get_int32_le bytes off) land 0xFFFF_FFFF
             in
             let next =
-              if is_add then (old + Array.unsafe_get r v) land 0xFFFF_FFFF
-              else Array.unsafe_get r v
+              if is_add then (old + value) land 0xFFFF_FFFF else value
             in
             Bytes.set_int32_le bytes off (Int32.of_int next);
-            if ram.Ram.track_dirty then mark off 4;
-            if d <> 0 then Array.unsafe_set r d old
+            if ram.Ram.track_dirty then mark_dirty dirtyb off 4;
+            if d <> 0 then Array.unsafe_set cpu.Cpu.regs d old
           end
           else begin
             let old = slow_read t ~hart:cpu.id ~pc ~addr ~size:4 ~over in
             let next =
-              if is_add then Word32.add old (Array.unsafe_get r v)
-              else Array.unsafe_get r v
+              if is_add then (old + value) land 0xFFFF_FFFF else value
             in
             slow_write t ~hart:cpu.id ~pc ~addr ~size:4 ~over next;
-            if d <> 0 then Array.unsafe_set r d (Word32.wrap old)
+            if d <> 0 then rset cpu d old
           end
-        in
-        let s =
-          site p (fun () ->
-              Probe.mem_site p ~pc ~size:4 ~is_write:true ~is_atomic:true)
-        in
-        fun cpu ->
-          if Array.length p.Probe.mem <> 0 then begin
-            let f = bound p s in
-            if f != Probe.no_site then begin
-              let r = cpu.Cpu.regs in
-              fire_mem_rewound t ~over f ~hart:cpu.id
-                ~addr:(Array.unsafe_get r a) ~value:(Array.unsafe_get r v)
-            end
-          end;
-          fast cpu
-    | Branch (c, rs1, rs2, imm) ->
+    | Branch (c, rs1, rs2, imm) -> (
         let a = ri rs1 and b = ri rs2 in
         let taken = Word32.add pc imm and ft = pc + Insn.size in
         (* the branch's cmplog site records the compared operand pair *)
-        let br test cpu =
-          let r = cpu.Cpu.regs in
-          let x = Array.unsafe_get r a and y = Array.unsafe_get r b in
-          if cl.Cmplog.enabled then Cmplog.record cl ~pc ~lhs:x ~rhs:y;
-          cpu.Cpu.pc <- (if test x y then taken else ft)
-        in
-        (match (c : Insn.cond) with
-        | Eq -> br (fun x y -> x = y)
-        | Ne -> br (fun x y -> x <> y)
-        | Lt -> br (fun x y -> sgn x < sgn y)
-        | Ltu -> br (fun x y -> x < y)
-        | Ge -> br (fun x y -> sgn x >= sgn y)
-        | Geu -> br (fun x y -> x >= y))
+        match (c : Insn.cond) with
+        | Eq ->
+            fun cpu ->
+              let x = rget cpu a and y = rget cpu b in
+              cmp_site cl ~pc x y;
+              cpu.pc <- (if x = y then taken else ft)
+        | Ne ->
+            fun cpu ->
+              let x = rget cpu a and y = rget cpu b in
+              cmp_site cl ~pc x y;
+              cpu.pc <- (if x <> y then taken else ft)
+        | Lt ->
+            fun cpu ->
+              let x = rget cpu a and y = rget cpu b in
+              cmp_site cl ~pc x y;
+              cpu.pc <- (if sgn x < sgn y then taken else ft)
+        | Ltu ->
+            fun cpu ->
+              let x = rget cpu a and y = rget cpu b in
+              cmp_site cl ~pc x y;
+              cpu.pc <- (if x < y then taken else ft)
+        | Ge ->
+            fun cpu ->
+              let x = rget cpu a and y = rget cpu b in
+              cmp_site cl ~pc x y;
+              cpu.pc <- (if sgn x >= sgn y then taken else ft)
+        | Geu ->
+            fun cpu ->
+              let x = rget cpu a and y = rget cpu b in
+              cmp_site cl ~pc x y;
+              cpu.pc <- (if x >= y then taken else ft))
     | Jal (rd, imm) ->
         let target = Word32.add pc imm in
-        let link = pc + Insn.size in
+        let link = Word32.wrap (pc + Insn.size) in
         let d = ri rd in
         if Reg.equal rd Reg.ra then begin
           (* call site, specialized on its static target: the site runs
@@ -832,50 +849,43 @@ let translate_fast t base =
             site p (fun () -> Probe.call_site p ~pc ~target:(Some target))
           in
           fun cpu ->
-            Cpu.set cpu rd link;
+            Array.unsafe_set cpu.Cpu.regs d link;
             cpu.pc <- target;
-            if Array.length p.Probe.calls <> 0 then begin
-              let f = bound p s in
-              if f != Probe.no_call_site then f ~hart:cpu.id ~target
-            end
+            probe_call p s ~hart:cpu.id ~target
         end
+        else if d = 0 then fun cpu -> cpu.Cpu.pc <- target
         else fun cpu ->
-          if d <> 0 then Array.unsafe_set cpu.Cpu.regs d link;
+          Array.unsafe_set cpu.Cpu.regs d link;
           cpu.Cpu.pc <- target
     | Jalr (rd, rs1, imm) ->
-        let is_call = Reg.equal rd Reg.ra in
-        let is_ret = Reg.equal rd Reg.zero && Reg.equal rs1 Reg.ra in
-        let link = pc + Insn.size in
-        if is_call then begin
+        let d = ri rd and a = ri rs1 in
+        let link = Word32.wrap (pc + Insn.size) in
+        if Reg.equal rd Reg.ra then begin
           let s = site p (fun () -> Probe.call_site p ~pc ~target:None) in
           fun cpu ->
-            let target = Word32.add (Cpu.get cpu rs1) imm in
-            Cpu.set cpu rd link;
+            let target = (rget cpu a + imm) land 0xFFFF_FFFF in
+            Array.unsafe_set cpu.Cpu.regs d link;
             cpu.pc <- target;
-            if Array.length p.Probe.calls <> 0 then begin
-              let f = bound p s in
-              if f != Probe.no_call_site then f ~hart:cpu.id ~target
-            end
+            probe_call p s ~hart:cpu.id ~target
         end
-        else if is_ret then (fun cpu ->
-          let target = Word32.add (Cpu.get cpu rs1) imm in
-          Cpu.set cpu rd link;
-          cpu.pc <- target;
-          if Array.length p.Probe.rets > 0 then
-            Probe.fire_ret p
-              {
-                r_hart = cpu.id;
-                r_pc = pc;
-                r_target = target;
-                r_retval = Cpu.get cpu Reg.a0;
-              })
-        else
-          let d = ri rd and a = ri rs1 in
+        else if Reg.equal rd Reg.zero && Reg.equal rs1 Reg.ra then begin
+          let a0 = ri Reg.a0 in
           fun cpu ->
-            let r = cpu.Cpu.regs in
-            let target = (Array.unsafe_get r a + imm) land 0xFFFF_FFFF in
-            if d <> 0 then Array.unsafe_set r d link;
-            cpu.Cpu.pc <- target
+            let target = (rget cpu a + imm) land 0xFFFF_FFFF in
+            cpu.pc <- target;
+            if Array.length p.Probe.rets > 0 then
+              Probe.fire_ret p
+                {
+                  r_hart = cpu.id;
+                  r_pc = pc;
+                  r_target = target;
+                  r_retval = rget cpu a0;
+                }
+        end
+        else fun cpu ->
+          let target = (rget cpu a + imm) land 0xFFFF_FFFF in
+          if d <> 0 then Array.unsafe_set cpu.Cpu.regs d link;
+          cpu.Cpu.pc <- target
     | Trap num ->
         let next_pc = pc + Insn.size in
         (* the handler bound to this site, through the one trap table *)
@@ -1056,20 +1066,15 @@ let translate t base =
   | Fast -> translate_fast t base
   | Baseline -> translate_baseline t base
 
+(* Every block in the table belongs to the current generation: a flush
+   empties the table as it moves the generation, and nothing else moves
+   it. *)
 let lookup_block t pc =
-  match Hashtbl.find_opt t.block_cache pc with
-  | Some b when b.b_gen = t.tcg_gen ->
+  match Hashtbl.find t.block_cache pc with
+  | b ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
       b
-  | Some b ->
-      (* kept by [revalidate_tcg] (a flush empties the table): revive it
-         in O(1).  Its links stay; each one is live again once its target
-         is revived too, and a link only skips a lookup that would find
-         the same block. *)
-      t.stats.cache_misses <- t.stats.cache_misses + 1;
-      b.b_gen <- t.tcg_gen;
-      b
-  | None ->
+  | exception Not_found ->
       t.stats.cache_misses <- t.stats.cache_misses + 1;
       let b = translate t pc in
       Hashtbl.replace t.block_cache pc b;
@@ -1077,48 +1082,12 @@ let lookup_block t pc =
 
 (* --- Run loop -------------------------------------------------------------- *)
 
-(* Execute one translated block with batched accounting: charge the
-   translate-time totals up front, run the ops, and on an exceptional exit
-   roll the counters back to exactly what per-instruction accounting would
-   have charged (ops 0..i inclusive when op [i] raised -- an instruction
-   that raises *after* starting, e.g. a faulting store or a probe-stalled
-   retry, still counts as retired-then-rolled-back, matching the baseline
-   engine's tick-before-access order).  Op [i] is instruction [i],
-   except the synthetic fall-through pc-setter, which retires nothing. *)
-let exec_ops t (b : block) (cpu : Cpu.t) =
-  t.total_insns <- t.total_insns + b.b_insns;
-  t.cost <- t.cost + b.b_cost;
-  cpu.insns <- cpu.insns + b.b_insns;
-  let ops = b.b_ops in
-  let n = Array.length ops in
-  let i = ref 0 in
-  try
-    while !i < n do
-      (Array.unsafe_get ops !i) cpu;
-      incr i
-    done
-  with e ->
-    let ran_insns = min (!i + 1) b.b_insns in
-    let ran_cost = b.b_cost_pfx.(!i) in
-    t.total_insns <- t.total_insns - b.b_insns + ran_insns;
-    t.cost <- t.cost - b.b_cost + ran_cost;
-    cpu.insns <- cpu.insns - b.b_insns + ran_insns;
-    raise e
-
 (* Blocks executed per hart turn.  The chain budget is a constant so the
    schedule depends only on guest control flow and retired-insn counts --
    never on probe subscriptions or translation-cache state -- which is
    what makes probed and unprobed executions architecturally identical
    (the differential-semantics test pins this). *)
 let chain_limit = 16
-
-let link_lookup (b : block) pc gen =
-  match b.l0 with
-  | Some nb when b.l0_pc = pc && nb.b_gen = gen -> Some nb
-  | _ -> (
-      match b.l1 with
-      | Some nb when b.l1_pc = pc && nb.b_gen = gen -> Some nb
-      | _ -> None)
 
 let link_set (b : block) pc nb =
   match b.l0 with
@@ -1131,36 +1100,84 @@ let link_set (b : block) pc nb =
       b.l1_pc <- pc;
       b.l1 <- Some nb
 
-let rec chain_exec t (cpu : Cpu.t) b budget ~deadline =
-  exec_ops t b cpu;
-  let budget = budget - 1 in
-  if
-    budget > 0
-    && t.total_insns < deadline
-    && cpu.status = Running
-    && cpu.stall_until <= t.total_insns
-  then begin
-    let pc = cpu.pc in
-    if Probe.has_blocks t.probes then
-      Probe.fire_block t.probes { b_hart = cpu.id; b_pc = pc };
-    let nb =
-      match link_lookup b pc t.tcg_gen with
-      | Some nb ->
-          t.stats.chained <- t.stats.chained + 1;
-          nb
-      | None ->
-          let nb = lookup_block t pc in
-          link_set b pc nb;
-          nb
-    in
-    chain_exec t cpu nb budget ~deadline
-  end
+(* The block at [pc] after [b]: through a live chain link when [b] has
+   one (a link into an older generation is dead), else through the
+   table, linking [b] to what it finds. *)
+let[@inline] chain_next t (b : block) pc =
+  let gen = t.tcg_gen in
+  match (b.l0, b.l1) with
+  | Some nb, _ when b.l0_pc = pc && nb.b_gen = gen ->
+      t.stats.chained <- t.stats.chained + 1;
+      nb
+  | _, Some nb when b.l1_pc = pc && nb.b_gen = gen ->
+      t.stats.chained <- t.stats.chained + 1;
+      nb
+  | _ ->
+      let nb = lookup_block t pc in
+      link_set b pc nb;
+      nb
 
+(* One fast-engine hart turn: up to [chain_limit] chained blocks, each
+   charged its translate-time totals on entry.  One exception handler
+   covers the whole turn.  [op] is the index of the op in flight, or -1
+   between blocks.  When an op raises, the handler sets the three counters
+   to the block's entry values plus exactly what per-instruction
+   accounting would have charged: ops 0..op inclusive -- an instruction
+   that raises *after* starting, e.g. a faulting store or a probe-stalled
+   retry, still counts as retired-then-rolled-back, matching the baseline
+   engine's tick-before-access order.  Op [i] is instruction [i], except
+   the synthetic fall-through pc-setter, which retires nothing.  The
+   rollback is absolute, not relative to the counters' current values,
+   because a callout that raised may have left [total_insns] rewound (see
+   {!slow_read}); nothing else writes the counters while a block runs.
+   An exception from the chain step itself (the next block's lookup or
+   translation, a block probe) is not rolled back: the previous block
+   retired whole. *)
 let exec_turn t (cpu : Cpu.t) ~deadline =
-  if Probe.has_blocks t.probes then
+  if Array.length t.probes.Probe.blocks <> 0 then
     Probe.fire_block t.probes { b_hart = cpu.id; b_pc = cpu.pc };
-  let b = lookup_block t cpu.pc in
-  chain_exec t cpu b chain_limit ~deadline
+  let b = ref (lookup_block t cpu.pc) in
+  let op = ref (-1) in
+  let insns0 = ref 0 and cost0 = ref 0 and hart0 = ref 0 in
+  let budget = ref chain_limit in
+  try
+    while !budget > 0 do
+      let blk = !b in
+      insns0 := t.total_insns;
+      cost0 := t.cost;
+      hart0 := cpu.insns;
+      t.total_insns <- !insns0 + blk.b_insns;
+      t.cost <- !cost0 + blk.b_cost;
+      cpu.insns <- !hart0 + blk.b_insns;
+      let ops = blk.b_ops in
+      let n = Array.length ops in
+      op := 0;
+      while !op < n do
+        (Array.unsafe_get ops !op) cpu;
+        incr op
+      done;
+      op := -1;
+      decr budget;
+      if
+        !budget > 0
+        && t.total_insns < deadline
+        && cpu.status = Running
+        && cpu.stall_until <= t.total_insns
+      then begin
+        let pc = cpu.pc in
+        if Array.length t.probes.Probe.blocks <> 0 then
+          Probe.fire_block t.probes { b_hart = cpu.id; b_pc = pc };
+        b := chain_next t blk pc
+      end
+      else budget := 0
+    done
+  with e when !op >= 0 ->
+    let blk = !b in
+    let ran_insns = min (!op + 1) blk.b_insns in
+    t.total_insns <- !insns0 + ran_insns;
+    t.cost <- !cost0 + blk.b_cost_pfx.(!op);
+    cpu.insns <- !hart0 + ran_insns;
+    raise e
 
 (* Baseline engine: one hashtable lookup and one block per turn. *)
 let exec_block_baseline t (cpu : Cpu.t) =

@@ -16,9 +16,10 @@
     then runs the unarmed site's allocation-free access (see
     {!Probe.mem_site} for the contract).
 
-    The fast engine chains translated blocks (generation-tagged successor
-    links), specializes allocation-free RAM load/store templates at
-    translation time, and batches retired-insn/cost accounting per block.
+    The fast engine translates each instruction into one closure, chains
+    translated blocks (generation-tagged successor links), specializes
+    allocation-free RAM load/store templates at translation time, and
+    batches retired-insn/cost accounting per block.
     A fast-engine hart turn ends only where the chain budget, the deadline
     and guest control flow put it, never where the translation cache
     does; see DESIGN.md "Execution engine" and "Fuzzing-first engine" for
@@ -76,8 +77,9 @@ type t = {
   stats : Engine_stats.t;
   mutable engine : engine;
   mutable tcg_gen : int;
-      (** bumped by {!flush_tcg} and {!revalidate_tcg}; invalidates chain
-          links *)
+      (** translation-cache generation, bumped only by a flush
+          ({!flush_tcg}, {!set_engine}, {!load_image}, or
+          {!revalidate_tcg} when it flushes); invalidates chain links *)
   mutable suspects : (int * string) list;
       (** (base, source bytes) of the blocks translated, while dirty
           tracking was on, from a page written since the last snapshot
@@ -137,13 +139,15 @@ val flush_tcg : t -> unit
 (** Keep the translation cache across a snapshot restore that reverted
     RAM through the dirty-page path.  Flushes (as {!flush_tcg}) only if
     some [suspects] block's source bytes differ from RAM now; otherwise
-    every block goes stale and its next lookup revives it in O(1), chain
-    links included, so execution is identical to a flushed cache.  Sound
-    only if, since the last flush, dirty tracking stayed on and every
-    snapshot capture or restore left RAM as it is now.  [Snap.restore]
-    enforces this: turning tracking off forgets RAM's synced image, and
-    a restore RAM is not synced to copies every page and flushes
-    instead, as does a snapshot's first restore. *)
+    it only clears the suspects: every block, chain link and the
+    generation stay as they are, so the next exec finds its blocks
+    through the table and its links as before the restore, and executes
+    exactly as on a flushed cache.  Sound only if, since the last flush,
+    dirty tracking stayed on and every snapshot capture or restore left
+    RAM as it is now.  [Snap.restore] enforces this: turning tracking off
+    forgets RAM's synced image, and a restore RAM is not synced to copies
+    every page and flushes instead, as does a snapshot's first
+    restore. *)
 val revalidate_tcg : t -> unit
 
 (** Switch execution engines; flushes the translation cache when the mode

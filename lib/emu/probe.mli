@@ -23,9 +23,9 @@
     happens: the translated site runs it, then performs the same
     width-specialized access an unarmed site runs ("fire, then fast").
     It may raise (e.g. [Fault.Retry_at] to stall the hart; the access is
-    then not performed), but must not write hart registers, because the
-    access re-reads its operands after the call.  No event record is
-    built, so an armed site allocates nothing. *)
+    then not performed), but must not write hart registers: on both
+    engines the access uses the address and value read before the call.
+    No event record is built, so an armed site allocates nothing. *)
 type mem_site = hart:int -> addr:int -> value:int -> unit
 
 (** A mem subscriber: the site specializer for an access at [pc] of

@@ -73,6 +73,21 @@ let uart_console () =
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check string) "console" "hi" (Machine.console_output m)
 
+(* The retired-insn total, the modeled cost and each hart's own count:
+   what a raise mid-block must leave exactly as per-instruction
+   accounting does. *)
+let counters (m : Machine.t) =
+  ( m.total_insns,
+    Machine.total_cost m,
+    Array.to_list (Array.map (fun (c : Cpu.t) -> c.insns) m.harts) )
+
+let check_counters =
+  Alcotest.(check (triple int int (list int)))
+    "fast counters = baseline counters"
+
+(* The power device raises [Halted] from inside the store that writes it,
+   and the store sits mid-block: on both engines the counters must end
+   where the per-instruction baseline leaves them. *)
 let power_device_halts () =
   let open Asm in
   let text =
@@ -81,11 +96,20 @@ let power_device_halts () =
       li Reg.t0 Devices.power_base;
       li Reg.t1 7;
       store W32 Reg.t0 Reg.t1 0;
+      addi Reg.t2 Reg.t2 1;
+      addi Reg.t2 Reg.t2 1;
+      addi Reg.t2 Reg.t2 1;
       halt;
     ]
   in
-  let m, _ = assemble_and_load [ unit_ text [] ] in
-  Alcotest.check check_stop "power code" (Machine.Halted 7) (Machine.run m ~max_insns:100)
+  let run engine =
+    let m, _ = assemble_and_load [ unit_ text [] ] in
+    Machine.set_engine m engine;
+    Alcotest.check check_stop "power code" (Machine.Halted 7)
+      (Machine.run m ~max_insns:100);
+    counters m
+  in
+  check_counters (run Machine.Baseline) (run Machine.Fast)
 
 (* With a mem subscriber armed the access runs after the subscriber call,
    so a faulting access reaches the fault through the armed site: on both
@@ -314,9 +338,36 @@ let amo_atomicity () =
   Alcotest.check check_stop "sum exact" (Machine.Halted 2000)
     (Machine.run m ~max_insns:1_000_000)
 
+(* A scheduler both engines interleave identically under: the running
+   hart keeps its turn until [quantum] insns have retired since it began
+   or it stops being runnable; then the next runnable hart in id order
+   starts one.  Both engines end a turn at the first block boundary at or
+   past its deadline. *)
+let quantum_sched ~quantum : Machine.scheduler =
+  let cur = ref 0 and turn_end = ref 0 in
+  fun m ->
+    let n = Array.length m.harts in
+    if Machine.runnable m m.harts.(!cur) && m.total_insns < !turn_end then
+      Some (m.harts.(!cur), !turn_end)
+    else
+      let rec pick k =
+        if k > n then None
+        else
+          let i = (!cur + k) mod n in
+          if Machine.runnable m m.harts.(i) then begin
+            cur := i;
+            turn_end := m.total_insns + quantum;
+            Some (m.harts.(i), !turn_end)
+          end
+          else pick (k + 1)
+      in
+      pick 1
+
 let stall_and_retry () =
   (* a probe stalls the first store of hart0; verify hart1 runs during the
-     stall window and the store still completes afterwards *)
+     stall window and the store still completes afterwards.  The store
+     sits mid-block, so under a scheduler both engines interleave alike
+     and must end with the same counters. *)
   let open Asm in
   let text =
     [
@@ -324,6 +375,9 @@ let stall_and_retry () =
       la Reg.t0 "cell";
       li Reg.t1 123;
       store W32 Reg.t0 Reg.t1 0;
+      addi Reg.t2 Reg.t2 1;
+      addi Reg.t2 Reg.t2 1;
+      addi Reg.t2 Reg.t2 1;
       halt;
       Label "side";
       la Reg.t0 "side_cell";
@@ -333,31 +387,43 @@ let stall_and_retry () =
       j "side_spin";
     ]
   in
-  let m, img =
-    assemble_and_load
-      [ unit_ text [ Label "cell"; Words [ 0 ]; Label "side_cell"; Words [ 0 ] ] ]
+  let run ?sched engine =
+    let m, img =
+      assemble_and_load
+        [
+          unit_ text [ Label "cell"; Words [ 0 ]; Label "side_cell"; Words [ 0 ] ];
+        ]
+    in
+    Machine.set_engine m engine;
+    Machine.set_sched m sched;
+    Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "side")
+      ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
+    let cell = Image.symbol_addr_exn img "cell" in
+    let side_cell = Image.symbol_addr_exn img "side_cell" in
+    let stalled = ref false in
+    let side_value_during_stall = ref (-1) in
+    Probe.on_mem m.probes
+      (Probe.every_mem
+         (fun ~hart:_ ~pc ~addr ~size:_ ~is_write ~is_atomic:_ ~value:_ ->
+           if addr = cell && is_write && not !stalled then begin
+             stalled := true;
+             m.harts.(0).stall_until <- m.total_insns + 200;
+             raise (Fault.Retry_at pc)
+           end
+           else if addr = cell && is_write then
+             side_value_during_stall :=
+               Machine.read_mem m ~addr:side_cell ~width:4));
+    ignore (Machine.run m ~max_insns:10_000);
+    Alcotest.(check bool) "stall happened" true !stalled;
+    Alcotest.(check int) "hart1 progressed during stall" 1
+      !side_value_during_stall;
+    Alcotest.(check int) "store completed" 123
+      (Machine.read_mem m ~addr:cell ~width:4);
+    counters m
   in
-  Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "side")
-    ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
-  let cell = Image.symbol_addr_exn img "cell" in
-  let side_cell = Image.symbol_addr_exn img "side_cell" in
-  let stalled = ref false in
-  let side_value_during_stall = ref (-1) in
-  Probe.on_mem m.probes
-    (Probe.every_mem
-       (fun ~hart:_ ~pc ~addr ~size:_ ~is_write ~is_atomic:_ ~value:_ ->
-         if addr = cell && is_write && not !stalled then begin
-           stalled := true;
-           m.harts.(0).stall_until <- m.total_insns + 200;
-           raise (Fault.Retry_at pc)
-         end
-         else if addr = cell && is_write then
-           side_value_during_stall :=
-             Machine.read_mem m ~addr:side_cell ~width:4));
-  ignore (Machine.run m ~max_insns:10_000);
-  Alcotest.(check bool) "stall happened" true !stalled;
-  Alcotest.(check int) "hart1 progressed during stall" 1 !side_value_during_stall;
-  Alcotest.(check int) "store completed" 123 (Machine.read_mem m ~addr:cell ~width:4)
+  ignore (run Machine.Fast : int * int * int list);
+  let scheduled engine = run ~sched:(quantum_sched ~quantum:50) engine in
+  check_counters (scheduled Machine.Baseline) (scheduled Machine.Fast)
 
 let cost_model_counts () =
   let open Asm in
@@ -1055,6 +1121,49 @@ let armed_site_allocates_nothing () =
     Alcotest.failf "armed run allocated %.0f minor words, unarmed %.0f" armed
       unarmed
 
+(* A device access from translated code allocates nothing either: device
+   dispatch returns an index and the counter rewind around the callout is
+   inline.  A loop of 100000 timer reads and UART writes allocates no more
+   minor-heap words on the fast engine than the same loop against RAM
+   (the UART's growing console buffer stays within the tolerance). *)
+let device_access_allocates_nothing () =
+  let iters = 100_000 in
+  let run ~devices =
+    let open Asm in
+    let text =
+      [
+        Label "main";
+        (if devices then li Reg.t0 Devices.timer_base else la Reg.t0 "buf");
+        (if devices then li Reg.t3 Devices.uart_base else la Reg.t3 "out");
+        li Reg.t1 0;
+        li Reg.t2 iters;
+        Label "loop";
+        load W32 Reg.t4 Reg.t0 0;
+        store W8 Reg.t3 Reg.t4 0;
+        addi Reg.t1 Reg.t1 1;
+        bltu Reg.t1 Reg.t2 "loop";
+        li Reg.a0 0;
+        halt;
+      ]
+    in
+    let m, _ =
+      assemble_and_load ~harts:1
+        [ unit_ text [ Label "buf"; Words [ 0 ]; Label "out"; Words [ 0 ] ] ]
+    in
+    let w0 = Gc.minor_words () in
+    let stop = Machine.run m ~max_insns:10_000_000 in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.check check_stop "loop completes" (Machine.Halted 0) stop;
+    Alcotest.(check int) "console bytes" (if devices then iters else 0)
+      (String.length (Machine.console_output m));
+    words
+  in
+  let ram = run ~devices:false in
+  let devices = run ~devices:true in
+  if devices -. ram > 1000. then
+    Alcotest.failf "device loop allocated %.0f minor words, RAM loop %.0f"
+      devices ram
+
 (* --- Specialized sites and the site generation ---------------------------- *)
 
 (* Run [f engine] on both engines; [f] gets a fresh machine loaded with
@@ -1501,6 +1610,8 @@ let () =
           Alcotest.test_case "uart console" `Quick uart_console;
           Alcotest.test_case "power halts" `Quick power_device_halts;
           Alcotest.test_case "mailbox protocol" `Quick mailbox_protocol;
+          Alcotest.test_case "device access allocates nothing" `Quick
+            device_access_allocates_nothing;
         ] );
       ( "faults",
         [

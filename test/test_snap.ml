@@ -496,6 +496,57 @@ let warm_cache_replays_like_cold () =
     Alcotest.failf "warm cache translated %d blocks, flushed %d (want < 5%%)"
       warm_n cold_n
 
+(* A restore that revalidates keeps the translation cache live, chain
+   links and generation included.  After a snapshot's first restore,
+   which flushes, each input is replayed once to warm the cache and its
+   links; every later restore + replay cycle of the same input must then
+   translate nothing, miss nothing, leave the generation where it is and
+   repeat the same table-hit and chained-transfer counts. *)
+let revalidating_restore_keeps_cache_live () =
+  let fw = Firmware_db.mmio_suite_fw in
+  let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.kasan_only) in
+  let m = inst.Replay.machine in
+  let cov = Coverage.create ~harts:2 in
+  Coverage.attach_tcg cov m;
+  let ctl = Campaign.controls ~sched:false ~rehost:true ~irq:true m in
+  let snap = Snap.capture ?runtime:inst.Replay.rt m in
+  let s = m.Machine.stats in
+  (* one exec as the campaign runs it, and the engine traffic it caused:
+     translations, misses, generation moves, table hits, chained
+     transfers, and the insns it retired *)
+  let cycle (prog, seed) =
+    let t0 = s.translations and mi0 = s.cache_misses and g0 = m.tcg_gen in
+    let h0 = s.cache_hits and c0 = s.chained in
+    ignore (Snap.restore snap : int);
+    Campaign.arm ctl ~sched:None ~rehost:(Some seed);
+    Coverage.reset_edges cov;
+    let o = Replay.replay inst (Prog.to_reproducer prog) in
+    ( (s.translations - t0, s.cache_misses - mi0, m.tcg_gen - g0),
+      (s.cache_hits - h0, s.chained - c0, o.Replay.o_insns) )
+  in
+  let rng = Rng.create ~seed:3 in
+  for i = 1 to 4 do
+    let input =
+      (Prog.gen rng fw.Firmware_db.fw_syscalls, Rng.next rng land 0x3FFF_FFFF)
+    in
+    ignore (cycle input);
+    let live, traffic = cycle input in
+    let name what = Printf.sprintf "input %d: %s" i what in
+    Alcotest.(check (triple int int int))
+      (name "translations, misses, generation moves")
+      (0, 0, 0) live;
+    let _, chained, _ = traffic in
+    Alcotest.(check bool) (name "chained transfers") true (chained > 0);
+    for _ = 1 to 3 do
+      let live', traffic' = cycle input in
+      Alcotest.(check (triple int int int))
+        (name "still live") (0, 0, 0) live';
+      Alcotest.(check (triple int int int))
+        (name "hits, chained, insns repeat")
+        traffic traffic'
+    done
+  done
+
 (* Code written after capture.  A block translated before the write runs
    stale until the restore reverts the write, and is then reused without
    retranslation.  A block translated from the written bytes is a suspect:
@@ -609,6 +660,8 @@ let () =
             warm_cache_replays_like_cold;
           Alcotest.test_case "self-modifying code after capture" `Quick
             self_modifying_code;
+          Alcotest.test_case "a revalidating restore keeps the cache live"
+            `Quick revalidating_restore_keeps_cache_live;
         ] );
       ( "runtime",
         [
