@@ -177,7 +177,7 @@ let run_toggle () =
     | 0 -> (
         match !sub with
         | None ->
-            sub := Some (Probe.subscribe_block m.Machine.probes (fun _ -> ()))
+            sub := Some (Probe.subscribe_block m.Machine.probes (fun ~hart:_ ~pc:_ -> ()))
         | Some s ->
             Probe.unsubscribe s;
             sub := None)

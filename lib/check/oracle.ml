@@ -96,12 +96,14 @@ let ignore_mem =
     (fun ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ -> ())
 
 let ignore_call = Probe.every_call ignore
+let ignore_ret = Probe.every_ret ignore
+let ignore_block ~hart:_ ~pc:_ = ()
 
 let no_op_probes (m : Machine.t) =
   Probe.on_mem m.probes ignore_mem;
   Probe.on_call m.probes ignore_call;
-  Probe.on_ret m.probes (fun _ -> ());
-  Probe.on_block m.probes (fun _ -> ())
+  Probe.on_ret m.probes ignore_ret;
+  Probe.on_block m.probes ignore_block
 
 (* Run [ma] (reference) and [mb] (variant) in lockstep; [between] perturbs
    [mb] between sync points (metamorphic knob).  Returns the first
@@ -196,8 +198,8 @@ let toggle_storm ~cfg (p : Progen.t) =
             match Rng.below rng 4 with
             | 0 -> Probe.subscribe_mem mb.Machine.probes ignore_mem
             | 1 -> Probe.subscribe_call mb.Machine.probes ignore_call
-            | 2 -> Probe.subscribe_ret mb.Machine.probes (fun _ -> ())
-            | _ -> Probe.subscribe_block mb.Machine.probes (fun _ -> ())
+            | 2 -> Probe.subscribe_ret mb.Machine.probes ignore_ret
+            | _ -> Probe.subscribe_block mb.Machine.probes ignore_block
           in
           subs := s :: !subs
       | _ -> (

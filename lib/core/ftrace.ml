@@ -430,6 +430,7 @@ module Plugin = struct
     else fun ~hart ~addr ->
       on_access t ~pc ~addr ~size ~is_write ~is_atomic:false ~hart
 
+  let clean_count _ = None
   let event _ _ = ()
   let scan _ ~now:_ = 0
 

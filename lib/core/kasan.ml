@@ -16,7 +16,9 @@ type t = {
   quarantine : int Queue.t; (* recently freed pointers, FIFO *)
   quarantine_max : int; (* bounded tracking of freed blocks *)
   mutable redzone : int;
-  mutable access_checks : int;
+  access_checks : int ref;
+      (* a cell, so an inline guard in the translated template can bump
+         it (see [Plugin.clean_count]) *)
   mutable alloc_events : int;
   mutable free_events : int;
 }
@@ -30,7 +32,7 @@ let create ?(quarantine_max = 512) ~shadow ~sink ~symbolize () =
     quarantine = Queue.create ();
     quarantine_max;
     redzone = 16;
-    access_checks = 0;
+    access_checks = ref 0;
     alloc_events = 0;
     free_events = 0;
   }
@@ -58,7 +60,7 @@ let save t =
       Hashtbl.fold (fun ptr i acc -> (ptr, copy_info i) :: acc) t.allocs [];
     s_quarantine = List.rev (Queue.fold (fun acc p -> p :: acc) [] t.quarantine);
     s_redzone = t.redzone;
-    s_access_checks = t.access_checks;
+    s_access_checks = !(t.access_checks);
     s_alloc_events = t.alloc_events;
     s_free_events = t.free_events;
   }
@@ -69,7 +71,7 @@ let restore t (s : state) =
   Queue.clear t.quarantine;
   List.iter (fun p -> Queue.push p t.quarantine) s.s_quarantine;
   t.redzone <- s.s_redzone;
-  t.access_checks <- s.s_access_checks;
+  t.access_checks := s.s_access_checks;
   t.alloc_events <- s.s_alloc_events;
   t.free_events <- s.s_free_events
 
@@ -165,9 +167,11 @@ let describe_owner t addr =
         | None -> "")
   | None -> "no nearby allocation"
 
+let null_page_end = 0x1000
+
 let on_access t ~addr ~size ~is_write ~pc ~hart =
-  t.access_checks <- t.access_checks + 1;
-  if addr < 0x1000 then
+  incr t.access_checks;
+  if addr < null_page_end then
     report t ~kind:Report.Null_deref ~addr ~size ~is_write ~pc ~hart
       ~detail:(fun () -> "dereference in the first page")
   else
@@ -187,15 +191,31 @@ let on_access t ~addr ~size ~is_write ~pc ~hart =
               (describe_owner t addr))
 
 (* The specialized check of an access of [size] bytes at [pc].  Above the
-   null page, an access that one shadow byte shows valid
-   ({!Shadow.fits_valid}: MMIO, or one addressable granule) only counts
-   the check; anything else takes [on_access]'s full path, which counts,
+   null page, an access that one shadow byte shows valid only counts the
+   check: one that starts outside RAM (MMIO and fault logic own it), or
+   lies in one granule of RAM whose shadow byte makes all of it
+   addressable -- {!Shadow.check}'s [Valid], found from one byte, with no
+   call.  Anything else takes [on_access]'s full path, which counts,
    re-checks and reports. *)
 let site t ~pc ~size ~is_write : Sanitizer.site =
-  let fits_valid = Shadow.fits_valid t.shadow ~size in
+  let sh = t.shadow in
+  let plane = sh.Shadow.kasan and base = sh.base and limit = sh.limit in
+  let shift = Shadow.granule_shift and gmask = Shadow.granule - 1 in
+  let tail = size - 1 in
+  let checks = t.access_checks in
   fun ~hart ~addr ->
-    if addr >= 0x1000 && fits_valid addr then
-      t.access_checks <- t.access_checks + 1
+    let last = addr + tail in
+    if
+      addr >= null_page_end
+      && (addr < base || addr >= limit
+         || last < limit
+            && (addr - base) lsr shift = (last - base) lsr shift
+            &&
+            let b =
+              Char.code (Bytes.unsafe_get plane ((last - base) lsr shift))
+            in
+            b = 0 || (b < 8 && last land gmask < b))
+    then checks := !checks + 1
     else on_access t ~addr ~size ~is_write ~pc ~hart
 
 (* --- Plugin ------------------------------------------------------------------ *)
@@ -220,6 +240,12 @@ module Plugin = struct
     create ~shadow:ctx.shadow ~sink:ctx.sink ~symbolize:ctx.symbolize ()
 
   let access t ~pc ~size ~is_write ~is_atomic:_ = site t ~pc ~size ~is_write
+
+  (* On a clean granule above the null page [site] only counts; a shadow
+     that reaches into the null page promises nothing. *)
+  let clean_count t =
+    if t.shadow.Shadow.base >= null_page_end then Some t.access_checks
+    else None
 
   let event t = function
     | Sanitizer.Alloc { ptr; size; pc; now = _ } -> on_alloc t ~ptr ~size ~pc
@@ -246,7 +272,7 @@ module Plugin = struct
 
   let stats t =
     [
-      ("access_checks", t.access_checks);
+      ("access_checks", !(t.access_checks));
       ("alloc_events", t.alloc_events);
       ("free_events", t.free_events);
     ]

@@ -15,7 +15,8 @@ type t = {
   quarantine : int Queue.t;
   quarantine_max : int;
   mutable redzone : int;
-  mutable access_checks : int;
+  access_checks : int ref;
+      (** a cell, so the translated template's inline guard can bump it *)
   mutable alloc_events : int;
   mutable free_events : int;
 }
@@ -62,8 +63,12 @@ val on_access :
 
 (** The specialized check of an access of [size] bytes at [pc] (the
     plugin's access site): counts and reports exactly as {!on_access}
-    does, but only counts an access above the null page that
-    {!Shadow.fits_valid} shows valid from one shadow byte. *)
+    does, but only counts an access above the null page that one shadow
+    byte shows valid (it starts outside RAM, or lies in one granule whose
+    byte makes all of it addressable), with no call.  On a clean granule
+    (byte 0) it does nothing else, which the plugin declares as its
+    {!Sanitizer.S.clean_count} when the shadow lies above the null
+    page. *)
 val site : t -> pc:int -> size:int -> is_write:bool -> Sanitizer.site
 
 (** The registry plugin ({!Sanitizer.S} implementation).  Its [Ready]

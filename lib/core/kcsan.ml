@@ -206,6 +206,7 @@ module Plugin = struct
       m.external_cost <- m.external_cost + p.check_cost;
       on_access p.k m ~addr ~size ~is_write ~pc ~hart
 
+  let clean_count _ = None
   let event _ _ = ()
   let scan _ ~now:_ = 0
 

@@ -113,6 +113,7 @@ module Plugin = struct
 
   (* never planned at P_load/P_store *)
   let access _ ~pc:_ ~size:_ ~is_write:_ ~is_atomic:_ = Sanitizer.no_site
+  let clean_count _ = None
 
   let event t = function
     | Sanitizer.Alloc { ptr; size; pc; now } -> on_alloc t ~ptr ~size ~pc ~now

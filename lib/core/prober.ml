@@ -318,7 +318,8 @@ let probe_binary ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
         records := r :: !records;
         pending := (ev.c_hart, ev.c_pc + Insn.size, r) :: !pending
       end);
-  Probe.on_ret m.probes (fun ev ->
+  Probe.on_ret m.probes
+  @@ Probe.every_ret (fun ev ->
       match
         List.partition
           (fun (h, ra, _) -> h = ev.r_hart && ra = ev.r_target)

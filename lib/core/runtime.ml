@@ -17,10 +17,14 @@
    arrays of handler closures, so the hot path performs no [Dsl.wants]
    list scans and no option matches.  Both backends construct the same
    typed {!Sanitizer.event}s feeding the same plans, and bind the same
-   per-instruction {!access_site}s: an EmbSan-D probed load/store/AMO and
-   an EmbSan-C check callout each evaluate once what their instruction
-   fixes (exempt pc, plugins with nothing to do there), and a direct call
-   to anything but an allocator compiles to no call at all.
+   per-instruction plugin checks ({!checks}): an EmbSan-D probed
+   load/store/AMO and an EmbSan-C check callout each evaluate once what
+   their instruction fixes (exempt pc, plugins with nothing to do there),
+   and a direct call to anything but an allocator compiles to no call at
+   all.  Where a single plugin checks an EmbSan-D access and declares
+   what its site does on a clean granule, the access also gets an inline
+   guard ({!access_guard}), so the translated template itself handles
+   the common clean access.
 
    Host-side work is charged to the machine's external cost counter using
    {!Embsan_emu.Cost_model}, which is what the overhead bench (Figure 2)
@@ -115,8 +119,9 @@ type t = {
   instances : Sanitizer.instance array; (* spec.sanitizers order *)
   (* compiled dispatch plans: one flat closure array per interception
      point, fixed at attach time *)
-  load_plan : Sanitizer.access_fn array; (* site specializers *)
-  store_plan : Sanitizer.access_fn array;
+  (* site specializers, each with its plugin's clean-granule counter *)
+  load_plan : (Sanitizer.access_fn * int ref option) array;
+  store_plan : (Sanitizer.access_fn * int ref option) array;
   alloc_plan : (Sanitizer.event -> unit) array;
   free_plan : (Sanitizer.event -> unit) array;
   global_plan : (Sanitizer.event -> unit) array;
@@ -133,7 +138,7 @@ type t = {
   exempt_lo : int array;
   exempt_hi : int array;
   token : unit ref; (* identity guard for save/restore pairing *)
-  mutable mem_events : int;
+  mem_events : int ref; (* a cell: inline guards bump it too *)
   mutable callouts : int;
   mutable intercepted_calls : int;
 }
@@ -188,29 +193,69 @@ let run_sites (a : Sanitizer.site array) ~hart ~addr =
     (Array.unsafe_get a i) ~hart ~addr
   done
 
-(* The access site of one instruction, shared by both backends (an
-   EmbSan-D probed load/store/AMO, an EmbSan-C check callout).  What the
-   instruction fixes is evaluated here, once: an exempt pc compiles to
-   counting only (no plugin call), plugins with nothing to do at this
-   instruction drop out, and a single remaining plugin site is called
-   directly ({!Probe.compose}).  Every access still counts and charges
-   the mode's event cost once the firmware is ready ([ready] is read per
-   access: EmbSan-D probes run through boot). *)
+(* The plugin checks of one instruction, shared by both backends (an
+   EmbSan-D probed load/store/AMO, an EmbSan-C check callout), in plan
+   order: the live plugin sites, each with its plugin's clean-granule
+   counter.  What the instruction fixes is evaluated here, once: an
+   exempt pc has none (the access is only counted), and plugins with
+   nothing to do at this instruction drop out. *)
+let checks t ~pc ~size ~is_write ~is_atomic =
+  if pc_exempt t pc then []
+  else
+    List.filter
+      (fun (s, _) -> s != Sanitizer.no_site)
+      (List.map
+         (fun ((f : Sanitizer.access_fn), clean) ->
+           (f ~pc ~size ~is_write ~is_atomic, clean))
+         (Array.to_list (if is_write then t.store_plan else t.load_plan)))
+
+(* One check: a single plugin site is called directly. *)
+let compose_checks l =
+  Probe.compose ~none:Sanitizer.no_site ~seq:run_sites fst (Array.of_list l)
+
+(* The access site of one EmbSan-D instruction.  Every access counts and
+   charges the mode's event cost once the firmware is ready ([ready] is
+   read per access: EmbSan-D probes run through boot), then runs the
+   instruction's check. *)
 let access_site t ~pc ~size ~is_write ~is_atomic : Probe.mem_site =
   let units = t.event_units in
-  let check =
-    if pc_exempt t pc then Sanitizer.no_site
-    else
-      Probe.compose ~none:Sanitizer.no_site ~seq:run_sites
-        (fun (f : Sanitizer.access_fn) -> f ~pc ~size ~is_write ~is_atomic)
-        (if is_write then t.store_plan else t.load_plan)
-  in
+  let check = compose_checks (checks t ~pc ~size ~is_write ~is_atomic) in
   fun ~hart ~addr ~value:_ ->
     if t.ready then begin
-      t.mem_events <- t.mem_events + 1;
+      t.mem_events := !(t.mem_events) + 1;
       charge t units;
       if check != Sanitizer.no_site then check ~hart ~addr
     end
+
+(* The inline guard of the same instruction ({!Probe.guard}): offered
+   only once the firmware is ready, at a pc that is not exempt, where
+   exactly one plugin checks the access and declares that on a clean
+   granule its site only bumps one counter.  A clean access then does
+   what [access_site] would: one event, the mode's cost, that plugin's
+   count.  [ready] is fixed here, so every change of it bumps the site
+   generation. *)
+let access_guard t ~pc ~size ~is_write ~is_atomic : Probe.guard =
+  if not t.ready then Probe.no_guard
+  else
+    match checks t ~pc ~size ~is_write ~is_atomic with
+    | [ (_, Some counter) ] ->
+        let sh = t.shadow in
+        {
+          Probe.g_plane = sh.Shadow.kasan;
+          g_base = sh.base;
+          g_limit = sh.limit;
+          g_shift = Shadow.granule_shift;
+          g_events = t.mem_events;
+          g_checks = counter;
+          g_cost = t.event_units;
+        }
+    | _ -> Probe.no_guard
+
+let set_ready t ready =
+  if t.ready <> ready then begin
+    t.ready <- ready;
+    Probe.invalidate t.machine.probes
+  end
 
 (* --- Init routine ------------------------------------------------------------- *)
 
@@ -237,81 +282,100 @@ let apply_init_action t (a : Dsl.init_action) =
 
 let on_ready t () =
   if not t.ready then begin
-    t.ready <- true;
+    set_ready t true;
     List.iter (apply_init_action t) t.spec.Dsl.init;
     broadcast t Sanitizer.Ready
   end
 
 (* --- Backends ------------------------------------------------------------------ *)
 
-let install_mem_probes t = Probe.on_mem t.machine.probes (access_site t)
+let install_mem_probes t =
+  Probe.on_mem ~guard:(access_guard t) t.machine.probes (access_site t)
 
 let install_call_interception t =
-  let allocs = Hashtbl.create 16 and frees = Hashtbl.create 16 in
+  (* allocator and free entry points; an allocator wins over a free at
+     the same address *)
+  let kinds = Machine.Pc_table.create 16 in
   List.iter
     (fun (f : Dsl.func_sig) ->
-      match f.f_kind with
-      | `Alloc size_arg -> Hashtbl.replace allocs f.f_addr size_arg
-      | `Free ptr_arg -> Hashtbl.replace frees f.f_addr ptr_arg)
+      match (f.f_kind, Machine.Pc_table.find_opt kinds f.f_addr) with
+      | `Free _, Some (`Alloc _) -> ()
+      | kind, _ -> Machine.Pc_table.replace kinds f.f_addr kind)
     t.spec.Dsl.functions;
-  if Hashtbl.length allocs > 0 || Hashtbl.length frees > 0 then begin
+  if Machine.Pc_table.length kinds > 0 then begin
     let harts = t.machine.harts in
-    let intercepted () =
+    (* a call at [pc] to an allocator pushes the pending frame, one to a
+       free runs the free plan *)
+    let intercept ~pc ~hart kind =
       t.intercepted_calls <- t.intercepted_calls + 1;
-      charge t Cost_model.embsan_d_probe
+      charge t Cost_model.embsan_d_probe;
+      match kind with
+      | `Alloc size_arg ->
+          let size = Cpu.get harts.(hart) Reg.args.(size_arg) in
+          pending_push t.pending ~hart ~ra:(pc + Insn.size) ~size
+      | `Free ptr_arg ->
+          let ptr = Cpu.get harts.(hart) Reg.args.(ptr_arg) in
+          run_event_plan t.free_plan (Sanitizer.Free { ptr; pc; hart })
     in
-    (* the site of a call at [pc] to [target]: an allocator's pushes the
-       pending frame, a free's runs the free plan, anything else has
-       nothing to do *)
-    let bind ~pc target : Probe.call_site =
-      match (Hashtbl.find_opt allocs target, Hashtbl.find_opt frees target) with
-      | Some size_arg, _ ->
-          fun ~hart ~target:_ ->
-            intercepted ();
-            let size = Cpu.get harts.(hart) Reg.args.(size_arg) in
-            pending_push t.pending ~hart ~ra:(pc + Insn.size) ~size
-      | None, Some ptr_arg ->
-          fun ~hart ~target:_ ->
-            intercepted ();
-            let ptr = Cpu.get harts.(hart) Reg.args.(ptr_arg) in
-            run_event_plan t.free_plan (Sanitizer.Free { ptr; pc; hart })
-      | None, None -> Probe.no_call_site
-    in
-    (* a direct call binds once; an indirect one binds per call *)
+    (* a direct call binds once, to nothing at all unless it calls an
+       allocator or a free; an indirect one looks its target up per call,
+       with no allocation on a miss *)
     Probe.on_call t.machine.probes (fun ~pc ~target ->
         match target with
-        | Some target -> bind ~pc target
-        | None -> fun ~hart ~target -> (bind ~pc target) ~hart ~target);
-    Probe.on_ret t.machine.probes (fun (ev : Probe.ret_event) ->
-        match pending_pop t.pending ~hart:ev.r_hart ~ra:ev.r_target with
+        | Some target -> (
+            match Machine.Pc_table.find_opt kinds target with
+            | Some kind -> fun ~hart ~target:_ -> intercept ~pc ~hart kind
+            | None -> Probe.no_call_site)
+        | None -> (
+            fun ~hart ~target ->
+              match Machine.Pc_table.find_opt kinds target with
+              | Some kind -> intercept ~pc ~hart kind
+              | None -> ()));
+    (* every return binds this one site, which returns at once when the
+       hart has no allocator call in flight *)
+    let ret_site ~hart ~target ~retval =
+      if pending_depth_of t.pending ~hart <> 0 then
+        match pending_pop t.pending ~hart ~ra:target with
         | Some size ->
             (* attribute the allocation to its call site, not to the
                allocator's return instruction *)
             run_event_plan t.alloc_plan
               (Sanitizer.Alloc
                  {
-                   ptr = ev.r_retval;
+                   ptr = retval;
                    size;
-                   pc = ev.r_target - Insn.size;
+                   pc = target - Insn.size;
                    now = t.machine.total_insns;
                  })
-        | None -> ())
+        | None -> ()
+    in
+    Probe.on_ret t.machine.probes (fun ~pc:_ -> ret_site)
   end
 
 let install_callout_traps t =
   let m = t.machine in
-  (* a check callout binds, per trap site, the access site of the
+  (* a check callout binds, per trap site, the plugin check of the
      instruction it checks: the trap number fixes (is_write, size), the
-     trap's pc is the access's *)
+     trap's pc is the access's.  The handler is the access site written
+     out: the runtime's count and cost, then the check, on [a0]. *)
+  let units = t.event_units and a0 = Reg.to_int Reg.a0 in
   List.iter
     (fun num ->
       Machine.set_trap_site m num (fun ~pc ->
           match Hypercall.decode_check num with
           | Some (is_write, size) ->
-              let site = access_site t ~pc ~size ~is_write ~is_atomic:false in
+              let check =
+                compose_checks (checks t ~pc ~size ~is_write ~is_atomic:false)
+              in
               fun _m cpu ->
                 t.callouts <- t.callouts + 1;
-                site ~hart:cpu.Cpu.id ~addr:(Cpu.get cpu Reg.a0) ~value:0
+                if t.ready then begin
+                  t.mem_events := !(t.mem_events) + 1;
+                  charge t units;
+                  if check != Sanitizer.no_site then
+                    check ~hart:cpu.Cpu.id
+                      ~addr:(Array.unsafe_get cpu.Cpu.regs a0)
+                end
           | None -> assert false))
     [ 16; 17; 18; 19; 20; 21 ];
   let update num f =
@@ -365,11 +429,22 @@ let install_callout_traps t =
 
 (* --- Attachment ---------------------------------------------------------------- *)
 
-let symbolize_of_image (image : Image.t option) pc =
+(* A report's location, memoized per pc: a repeat of a known bug's report
+   looks its pc up once, not the whole symbol list again. *)
+let symbolize_of_image (image : Image.t option) =
   match image with
-  | None -> None
+  | None -> fun _ -> None
   | Some img ->
-      Option.map (fun (s : Image.symbol) -> s.name) (Image.symbol_at img pc)
+      let memo = Machine.Pc_table.create 64 in
+      fun pc ->
+        match Machine.Pc_table.find_opt memo pc with
+        | Some name -> name
+        | None ->
+            let name =
+              Option.map (fun (s : Image.symbol) -> s.name) (Image.symbol_at img pc)
+            in
+            Machine.Pc_table.replace memo pc name;
+            name
 
 (* Instances named by the intercept's handlers, in handler order, filtered
    to created instances that subscribe to the point; one slot per
@@ -427,7 +502,10 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
   in
   let planned point = planned_instances instances spec point in
   let access_plan point =
-    Array.of_list (List.map Sanitizer.access (planned point))
+    Array.of_list
+      (List.map
+         (fun i -> (Sanitizer.access i, Sanitizer.clean_count i))
+         (planned point))
   in
   let event_plan point =
     Array.of_list (List.map (fun i -> Sanitizer.event i) (planned point))
@@ -479,7 +557,7 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
       exempt_lo;
       exempt_hi;
       token = ref ();
-      mem_events = 0;
+      mem_events = ref 0;
       callouts = 0;
       intercepted_calls = 0;
     }
@@ -537,7 +615,7 @@ let save t =
     r_sink = Report.save_sink t.sink;
     r_ready = t.ready;
     r_pending = pending_save t.pending;
-    r_mem_events = t.mem_events;
+    r_mem_events = !(t.mem_events);
     r_callouts = t.callouts;
     r_intercepted_calls = t.intercepted_calls;
   }
@@ -548,9 +626,9 @@ let restore t (s : state) =
   Shadow.restore t.shadow s.r_shadow;
   List.iter (fun (_name, thunk) -> thunk ()) s.r_plugins;
   Report.restore_sink t.sink s.r_sink;
-  t.ready <- s.r_ready;
+  set_ready t s.r_ready;
   pending_restore t.pending s.r_pending;
-  t.mem_events <- s.r_mem_events;
+  t.mem_events := s.r_mem_events;
   t.callouts <- s.r_callouts;
   t.intercepted_calls <- s.r_intercepted_calls
 
@@ -573,5 +651,5 @@ let plugin_stats t =
 let pp_stats fmt t =
   Fmt.pf fmt
     "%s: %d mem events, %d callouts, %d intercepted calls, %d unique reports"
-    (mode_name t.mode) t.mem_events t.callouts t.intercepted_calls
+    (mode_name t.mode) !(t.mem_events) t.callouts t.intercepted_calls
     (Report.count t.sink)

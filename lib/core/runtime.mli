@@ -8,9 +8,14 @@
     spec's intercepts once into flat per-interception-point dispatch plans
     (arrays of handler closures), which both backends feed with the same
     typed {!Sanitizer.event}s; memory accesses run per-instruction
-    access sites, shared by both backends, built from the load/store
-    plans: an exempt pc compiles to counting only, and plugins whose
-    specializer returns {!Sanitizer.no_site} there drop out.  Host-side
+    checks, shared by both backends, built from the load/store plans: an
+    exempt pc compiles to counting only, and plugins whose specializer
+    returns {!Sanitizer.no_site} there drop out.  An EmbSan-D access
+    also gets an inline guard ({!Embsan_emu.Probe.guard}) when the
+    firmware is ready, its pc is not exempt, and exactly one plugin
+    checks it and declares a {!Sanitizer.S.clean_count}: the translated
+    template then handles a clean-granule access itself, bumping
+    [mem_events], that plugin's counter and the event cost.  Host-side
     work is charged to the machine's external cost counter. *)
 
 type inst_mode = C | D
@@ -31,8 +36,10 @@ type t = {
   sink : Report.sink;
   shadow : Shadow.t;
   instances : Sanitizer.instance array;  (** spec.sanitizers order *)
-  load_plan : Sanitizer.access_fn array;  (** site specializers *)
-  store_plan : Sanitizer.access_fn array;
+  load_plan : (Sanitizer.access_fn * int ref option) array;
+      (** site specializers, each with its plugin's
+          {!Sanitizer.S.clean_count} *)
+  store_plan : (Sanitizer.access_fn * int ref option) array;
   alloc_plan : (Sanitizer.event -> unit) array;
   free_plan : (Sanitizer.event -> unit) array;
   global_plan : (Sanitizer.event -> unit) array;
@@ -42,12 +49,15 @@ type t = {
   event_units : int;
   mutable ready : bool;
       (** EmbSan-D: set when the firmware signals readiness; access sites
-          count nothing before.  EmbSan-C: set at attach. *)
+          count nothing before.  EmbSan-C: set at attach.  Inline guards
+          are offered only while it is set, so every change of it (the
+          ready doorbell, {!restore}) bumps the probe generation. *)
   pending : pending;
   exempt_lo : int array;  (** sorted disjoint exempt ranges (parallel) *)
   exempt_hi : int array;
   token : unit ref;
-  mutable mem_events : int;
+  mem_events : int ref;
+      (** accesses counted once ready; a cell, so inline guards bump it *)
   mutable callouts : int;
   mutable intercepted_calls : int;
 }

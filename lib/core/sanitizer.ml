@@ -85,6 +85,15 @@ module type S = sig
       contains P_load or P_store.  The result may depend only on the
       static arguments and on state fixed at [create]. *)
 
+  val clean_count : t -> int ref option
+  (** [Some c] declares that on a clean-granule access -- one that lies
+      inside one granule of the shadowed RAM whose KASAN shadow byte is 0
+      -- every site [access] returns does nothing but bump [c] by one.
+      The runtime may then run that test inline in the translated
+      template and skip the site (an inline guard, see
+      {!Embsan_emu.Probe.guard}).  Fixed at [create]; [None] promises
+      nothing. *)
+
   val event : t -> event -> unit
   (** Cold-path handler: plan-routed alloc/free/global/stack events plus
       broadcast state maintenance (poison/unpoison/ready).  Plugins ignore
@@ -114,6 +123,7 @@ let instantiate (module P : S) ctx = Instance ((module P), P.create ctx)
 let instance_name (Instance ((module P), _)) = P.name
 let instance_points (Instance ((module P), _)) = P.points
 let access (Instance ((module P), x)) = P.access x
+let clean_count (Instance ((module P), x)) = P.clean_count x
 let event (Instance ((module P), x)) ev = P.event x ev
 let scan (Instance ((module P), x)) ~now = P.scan x ~now
 let checkpoint (Instance ((module P), x)) = P.checkpoint x

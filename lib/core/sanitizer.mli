@@ -67,6 +67,15 @@ module type S = sig
       then per instruction.  Only meaningful when [points] includes
       P_load or P_store. *)
 
+  val clean_count : t -> int ref option
+  (** The clean-granule declaration.  [Some c] promises that on an
+      access lying inside one granule of the shadowed RAM whose KASAN
+      shadow byte is 0, every site [access] returns does nothing but
+      bump [c] by one.  The runtime may then test that inline in the
+      translated template and skip the site (an
+      {!Embsan_emu.Probe.guard}).  Fixed at [create]; [None] promises
+      nothing. *)
+
   val event : t -> event -> unit
   (** Cold-path handler; plugins ignore events they do not care about. *)
 
@@ -92,6 +101,7 @@ val instantiate : plugin -> ctx -> instance
 val instance_name : instance -> string
 val instance_points : instance -> Api_spec.point list
 val access : instance -> access_fn
+val clean_count : instance -> int ref option
 val event : instance -> event -> unit
 val scan : instance -> now:int -> int
 val checkpoint : instance -> unit -> unit

@@ -78,7 +78,8 @@ type t = {
       (* the state the planes equal outside the dirty chunks *)
 }
 
-let granule = 8
+let granule_shift = 3
+let granule = 1 lsl granule_shift
 
 (* Both planes start zeroed on demand (see {!Embsan_emu.Ram.zeroed}) and
    synced to the all-zero state. *)
@@ -153,22 +154,6 @@ let check t ~addr ~size =
       if sh0 = 0 then Valid else Invalid (code_of_byte sh0)
     end
   end
-
-(** The one-shadow-byte test for accesses of [size] bytes: [true] at
-    [addr] when the access starts outside RAM, or lies in one granule of
-    RAM whose shadow makes all of it addressable -- {!check}'s [Valid],
-    found from one byte.  [false] only means "ask {!check}". *)
-let fits_valid t ~size =
-  let tail = size - 1 in
-  fun addr ->
-    let last = addr + tail in
-    (not (covers t addr))
-    || last < t.limit
-       && index t addr = index t last
-       &&
-       (* [addr..last] lies in RAM *)
-       let sh = Char.code (Bytes.unsafe_get t.kasan (index t last)) in
-       sh = 0 || (sh < 8 && last land (granule - 1) < sh)
 
 (* --- Snapshot support --------------------------------------------------------- *)
 

@@ -50,6 +50,9 @@ type t = private {
 
 val granule : int
 
+(** [granule = 1 lsl granule_shift]. *)
+val granule_shift : int
+
 val create : ram_base:int -> ram_size:int -> t
 
 (** Is [addr] inside the shadowed guest RAM? *)
@@ -73,13 +76,6 @@ type verdict = Valid | Invalid of code
     guest RAM are [Valid] (MMIO and fault logic own them), and only the
     bytes of an access up to the end of RAM are checked. *)
 val check : t -> addr:int -> size:int -> verdict
-
-(** [fits_valid t ~size] is the one-shadow-byte test for accesses of
-    [size] (1/2/4) bytes, specialized once per size: [true] at [addr] when
-    the access starts outside RAM, or lies in one granule of RAM whose
-    shadow makes all of it addressable -- {!check}'s [Valid], found from
-    one byte.  [false] only means "ask {!check}". *)
-val fits_valid : t -> size:int -> int -> bool
 
 (** Bump and return the KCSAN sampling counter of [addr]'s granule. *)
 val kcsan_bump : t -> int -> int

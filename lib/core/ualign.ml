@@ -66,6 +66,7 @@ module Plugin = struct
   let access t ~pc ~size ~is_write ~is_atomic:_ : Sanitizer.site =
    fun ~hart ~addr -> on_access t ~addr ~size ~is_write ~pc ~hart
 
+  let clean_count _ = None
   let event _ _ = ()
   let scan _ ~now:_ = 0
 

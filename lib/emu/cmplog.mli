@@ -20,6 +20,10 @@ type t = {
 (** First feature index; everything below is {!Coverage} edge space. *)
 val feature_base : int
 
+(** Number of feature slots: every feature index lies in
+    [\[feature_base, feature_base + feature_slots)]. *)
+val feature_slots : int
+
 val create : unit -> t
 
 (** Record one compare.  O(1), allocation-free; dedups the exact triple

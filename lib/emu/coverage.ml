@@ -56,8 +56,7 @@ let record t ~hart ~pc =
   t.blocks_seen <- t.blocks_seen + 1
 
 let attach_tcg t (m : Machine.t) =
-  Probe.on_block m.probes (fun (ev : Probe.block_event) ->
-      record t ~hart:ev.b_hart ~pc:ev.b_pc)
+  Probe.on_block m.probes (fun ~hart ~pc -> record t ~hart ~pc)
 
 (** Hypercall number reserved for guest kcov reporting. *)
 let kcov_trap = 9
@@ -85,12 +84,39 @@ let bucket v =
   else if v <= 127 then 7
   else 8
 
+(* Shell sort gaps (Ciura's, then x2.25), largest first. *)
+let gaps = [| 40412; 17961; 7983; 3548; 1577; 701; 301; 132; 57; 23; 10; 4; 1 |]
+
+(* Sort [a.(0 .. n-1)] ascending in place: int compares, no closure and
+   no merge buffer.  An exec's ~20 indices take the last two or three
+   gaps, mostly the final insertion pass. *)
+let sort_ints (a : int array) n =
+  for g = 0 to Array.length gaps - 1 do
+    let gap = Array.unsafe_get gaps g in
+    for i = gap to n - 1 do
+      let v = a.(i) in
+      let j = ref i in
+      while !j >= gap && a.(!j - gap) > v do
+        a.(!j) <- a.(!j - gap);
+        j := !j - gap
+      done;
+      a.(!j) <- v
+    done
+  done
+
 (** Touched indices in ascending order, each with its hit-count bucket. *)
 let signature t =
-  let idx = Array.init t.n_touched (touched_at t) in
-  Array.stable_sort Int.compare idx;
-  Array.fold_right
-    (fun i acc -> (i, bucket (Bytes.get_uint8 t.bitmap i)) :: acc)
-    idx []
+  let n = t.n_touched in
+  let idx = Array.make n 0 in
+  for k = 0 to n - 1 do
+    idx.(k) <- touched_at t k
+  done;
+  sort_ints idx n;
+  let acc = ref [] in
+  for k = n - 1 downto 0 do
+    let i = idx.(k) in
+    acc := (i, bucket (Bytes.get_uint8 t.bitmap i)) :: !acc
+  done;
+  !acc
 
 let edge_count t = t.n_touched

@@ -32,7 +32,8 @@ val reset_edges : t -> unit
 
 (** Non-zero edges bucketed into AFL-style hit-count classes, in strictly
     ascending index order (callers append {!Cmplog.features} after it and
-    rely on that order).  O(k log k) in the k edges hit. *)
+    rely on that order).  The touched indices are shell-sorted in an int
+    array: no closure compare; about O(k{^ 1.3}) in the k edges hit. *)
 val signature : t -> (int * int) list
 
 (** Number of non-zero edges, [List.length (signature t)]; O(1). *)

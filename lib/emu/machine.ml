@@ -25,6 +25,10 @@
      the instruction, then performs the same width-specialized access the
      unarmed site performs -- so probing adds one call per access and no
      allocation;
+   - inline guards: a load/store/AMO whose one live subscriber attached a
+     {!Probe.guard} tests the access against it first, and an access
+     inside one clean granule only bumps the guard's counters -- no call
+     at all (native inline KASAN's shape);
    - one closure per instruction: every op template is a single closure
      with its operator, register accesses and probe prelude written
      inline -- no partially applied helper, no call into another module
@@ -89,6 +93,17 @@ type block = {
 
 type engine = Fast | Baseline
 
+(* Tables keyed by guest pc (the translation cache, the runtime's
+   allocator targets), with an int hash: a lookup is an int compare per
+   bucket entry, not the polymorphic hash and compare.  Instructions are
+   8 bytes, so code pcs are multiples of 8. *)
+module Pc_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash pc = pc lsr 3
+end)
+
 (* Model-free MMIO rehosting hook (implemented by lib/rehost; the record
    of closures keeps the emulator free of fuzzer dependencies).  When
    installed, unmapped-bus accesses from guest code (hart >= 0) whose
@@ -115,7 +130,7 @@ type t = {
   harts : Cpu.t array;
   probes : Probe.t;
   cmplog : Cmplog.t;
-  block_cache : (int, block) Hashtbl.t;
+  block_cache : block Pc_table.t;
   trap_handlers : (int, pc:int -> handler) Hashtbl.t;
       (* trap number -> handler specializer, bound per trap site; change
          only through set_trap_site/set_trap_handler/remove_trap_handler,
@@ -181,7 +196,7 @@ let create ?(harts = 2) ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
         harts = Array.init harts Cpu.create;
         probes = Probe.create ();
         cmplog = Cmplog.create ();
-        block_cache = Hashtbl.create 1024;
+        block_cache = Pc_table.create 1024;
         trap_handlers = Hashtbl.create 16;
         stats = Engine_stats.create ();
         engine = Fast;
@@ -203,7 +218,7 @@ let add_device t dev =
   t.devices <- sort_devices (Array.append t.devices [| dev |])
 
 let flush_raw t =
-  Hashtbl.reset t.block_cache;
+  Pc_table.reset t.block_cache;
   t.suspects <- [];
   (* chained links inside still-referenced blocks survive the hashtable
      reset; bumping the generation invalidates them *)
@@ -415,6 +430,44 @@ let[@inline] bound (p : Probe.t) s =
   end;
   s.s_fn
 
+(* The site cache of a translated load/store/AMO: the closure and the
+   guard {!Probe.mem_binding} returned for the instruction under site
+   generation [m_gen].  One cache, so one generation check, serves both;
+   an access the guard passes runs no closure (see {!probe_mem}). *)
+type mem_cache = {
+  mutable m_gen : int;
+  mutable m_fn : Probe.mem_site;
+  mutable m_guard : Probe.guard;
+  m_pc : int;
+  m_size : int;
+  m_write : bool;
+  m_atomic : bool;
+}
+
+let rebind_mem (p : Probe.t) c =
+  let f, g =
+    Probe.mem_binding p ~pc:c.m_pc ~size:c.m_size ~is_write:c.m_write
+      ~is_atomic:c.m_atomic
+  in
+  c.m_fn <- f;
+  c.m_guard <- g;
+  c.m_gen <- p.Probe.gen
+
+let mem_cache (p : Probe.t) ~pc ~size ~is_write ~is_atomic =
+  let c =
+    {
+      m_gen = p.Probe.gen;
+      m_fn = Probe.no_site;
+      m_guard = Probe.no_guard;
+      m_pc = pc;
+      m_size = size;
+      m_write = is_write;
+      m_atomic = is_atomic;
+    }
+  in
+  rebind_mem p c;
+  c
+
 (* The handler of trap [num] bound to the trap site at [pc]. *)
 let bind_trap t ~pc num : handler =
   match Hashtbl.find_opt t.trap_handlers num with
@@ -527,17 +580,38 @@ let[@inline] mark_dirty dirtyb off n =
 
 (* The patchable mem site of a load/store/AMO template: with no
    subscriber, one length check (an empty array specializes to no site);
-   otherwise a generation check, then the specialized closure unless the
-   subscribers have nothing to do here.  The closure runs with the counter
-   rewound by [over], like the slow paths' callouts, and before the
-   access, which uses the address and value computed before the call. *)
-let[@inline] probe_mem t (p : Probe.t) s ~over ~hart ~addr ~value =
+   otherwise a generation check, then the guard's inline test
+   ({!Probe.guard}): an access of [size] bytes inside one clean granule
+   bumps the guard's counters and cost and makes no call.  An unguarded
+   site's guard is {!Probe.no_guard}, which fails the first compare.
+   Anything else runs the specialized closure unless the subscribers
+   have nothing to do here.  The closure runs with the counter rewound by
+   [over], like the slow paths' callouts, and before the access, which
+   uses the address and value computed before the call. *)
+let[@inline] probe_mem t (p : Probe.t) c ~over ~size ~hart ~addr ~value =
   if Array.length p.Probe.mem <> 0 then begin
-    let f = bound p s in
-    if f != Probe.no_site then begin
-      t.total_insns <- t.total_insns - over;
-      f ~hart ~addr ~value;
-      t.total_insns <- t.total_insns + over
+    if c.m_gen <> p.Probe.gen then rebind_mem p c;
+    let g = c.m_guard in
+    if
+      addr >= g.Probe.g_base
+      && addr + size <= g.g_limit
+      &&
+      let off = addr - g.g_base in
+      let i = off lsr g.g_shift in
+      i = (off + size - 1) lsr g.g_shift
+      && Bytes.unsafe_get g.g_plane i = '\000'
+    then begin
+      g.g_events := !(g.g_events) + 1;
+      g.g_checks := !(g.g_checks) + 1;
+      t.external_cost <- t.external_cost + g.g_cost
+    end
+    else begin
+      let f = c.m_fn in
+      if f != Probe.no_site then begin
+        t.total_insns <- t.total_insns - over;
+        f ~hart ~addr ~value;
+        t.total_insns <- t.total_insns + over
+      end
     end
   end
 
@@ -684,10 +758,7 @@ let translate_fast t base =
         let size = Insn.width_bytes w in
         let over = n_insns - 1 - idx in
         let d = ri rd and a = ri rs1 in
-        let s =
-          site p (fun () ->
-              Probe.mem_site p ~pc ~size ~is_write:false ~is_atomic:false)
-        in
+        let s = mem_cache p ~pc ~size ~is_write:false ~is_atomic:false in
         (* one closure per width: the probe prelude, then the RAM access
            or its slow path.  A narrow load sign-extends as
            [(raw lxor sx) - sx], where [sx] is the width's sign bit, or 0
@@ -696,7 +767,7 @@ let translate_fast t base =
         | W32 ->
             fun cpu ->
               let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
-              probe_mem t p s ~over ~hart:cpu.id ~addr ~value:0;
+              probe_mem t p s ~over ~size:4 ~hart:cpu.id ~addr ~value:0;
               let v =
                 if addr >= rbase && addr + 4 <= rlim then
                   Int32.to_int (Bytes.get_int32_le bytes (addr - rbase))
@@ -707,7 +778,7 @@ let translate_fast t base =
             let sx = if signed then 0x8000 else 0 in
             fun cpu ->
               let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
-              probe_mem t p s ~over ~hart:cpu.id ~addr ~value:0;
+              probe_mem t p s ~over ~size:2 ~hart:cpu.id ~addr ~value:0;
               let raw =
                 if addr >= rbase && addr + 2 <= rlim then
                   Bytes.get_uint16_le bytes (addr - rbase)
@@ -718,7 +789,7 @@ let translate_fast t base =
             let sx = if signed then 0x80 else 0 in
             fun cpu ->
               let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
-              probe_mem t p s ~over ~hart:cpu.id ~addr ~value:0;
+              probe_mem t p s ~over ~size:1 ~hart:cpu.id ~addr ~value:0;
               let raw =
                 if addr >= rbase && addr + 1 <= rlim then
                   Char.code (Bytes.unsafe_get bytes (addr - rbase))
@@ -729,10 +800,7 @@ let translate_fast t base =
         let size = Insn.width_bytes w in
         let over = n_insns - 1 - idx in
         let a = ri rs1 and v = ri rs2 in
-        let s =
-          site p (fun () ->
-              Probe.mem_site p ~pc ~size ~is_write:true ~is_atomic:false)
-        in
+        let s = mem_cache p ~pc ~size ~is_write:true ~is_atomic:false in
         (* one closure per width: the probe prelude, then the RAM store
            with its dirty-track site, or the slow path *)
         match (w : Insn.width) with
@@ -740,7 +808,7 @@ let translate_fast t base =
             fun cpu ->
               let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
               let value = rget cpu v in
-              probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
+              probe_mem t p s ~over ~size:4 ~hart:cpu.id ~addr ~value;
               if addr >= rbase && addr + 4 <= rlim then begin
                 let off = addr - rbase in
                 Bytes.set_int32_le bytes off (Int32.of_int value);
@@ -751,7 +819,7 @@ let translate_fast t base =
             fun cpu ->
               let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
               let value = rget cpu v in
-              probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
+              probe_mem t p s ~over ~size:2 ~hart:cpu.id ~addr ~value;
               if addr >= rbase && addr + 2 <= rlim then begin
                 let off = addr - rbase in
                 Bytes.set_uint16_le bytes off (value land 0xFFFF);
@@ -762,7 +830,7 @@ let translate_fast t base =
             fun cpu ->
               let addr = (rget cpu a + imm) land 0xFFFF_FFFF in
               let value = rget cpu v in
-              probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
+              probe_mem t p s ~over ~size:1 ~hart:cpu.id ~addr ~value;
               if addr >= rbase && addr + 1 <= rlim then begin
                 let off = addr - rbase in
                 Bytes.unsafe_set bytes off (Char.unsafe_chr (value land 0xFF));
@@ -774,14 +842,11 @@ let translate_fast t base =
         let over = n_insns - 1 - idx in
         let d = ri rd and a = ri rs1 and v = ri rs2 in
         let is_add = match op with Amo_add -> true | Amo_swap -> false in
-        let s =
-          site p (fun () ->
-              Probe.mem_site p ~pc ~size:4 ~is_write:true ~is_atomic:true)
-        in
+        let s = mem_cache p ~pc ~size:4 ~is_write:true ~is_atomic:true in
         fun cpu ->
           let addr = rget cpu a in
           let value = rget cpu v in
-          probe_mem t p s ~over ~hart:cpu.id ~addr ~value;
+          probe_mem t p s ~over ~size:4 ~hart:cpu.id ~addr ~value;
           if addr >= rbase && addr + 4 <= rlim then begin
             let off = addr - rbase in
             let old =
@@ -869,18 +934,17 @@ let translate_fast t base =
             probe_call p s ~hart:cpu.id ~target
         end
         else if Reg.equal rd Reg.zero && Reg.equal rs1 Reg.ra then begin
+          (* return site, run after the transfer *)
           let a0 = ri Reg.a0 in
+          let s = site p (fun () -> Probe.ret_site p ~pc) in
           fun cpu ->
             let target = (rget cpu a + imm) land 0xFFFF_FFFF in
             cpu.pc <- target;
-            if Array.length p.Probe.rets > 0 then
-              Probe.fire_ret p
-                {
-                  r_hart = cpu.id;
-                  r_pc = pc;
-                  r_target = target;
-                  r_retval = rget cpu a0;
-                }
+            if Array.length p.Probe.rets <> 0 then begin
+              let f = bound p s in
+              if f != Probe.no_ret_site then
+                f ~hart:cpu.id ~target ~retval:(rget cpu a0)
+            end
         end
         else fun cpu ->
           let target = (rget cpu a + imm) land 0xFFFF_FFFF in
@@ -1070,14 +1134,14 @@ let translate t base =
    empties the table as it moves the generation, and nothing else moves
    it. *)
 let lookup_block t pc =
-  match Hashtbl.find t.block_cache pc with
+  match Pc_table.find t.block_cache pc with
   | b ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
       b
   | exception Not_found ->
       t.stats.cache_misses <- t.stats.cache_misses + 1;
       let b = translate t pc in
-      Hashtbl.replace t.block_cache pc b;
+      Pc_table.replace t.block_cache pc b;
       b
 
 (* --- Run loop -------------------------------------------------------------- *)
@@ -1135,7 +1199,7 @@ let[@inline] chain_next t (b : block) pc =
    retired whole. *)
 let exec_turn t (cpu : Cpu.t) ~deadline =
   if Array.length t.probes.Probe.blocks <> 0 then
-    Probe.fire_block t.probes { b_hart = cpu.id; b_pc = cpu.pc };
+    Probe.fire_block t.probes ~hart:cpu.id ~pc:cpu.pc;
   let b = ref (lookup_block t cpu.pc) in
   let op = ref (-1) in
   let insns0 = ref 0 and cost0 = ref 0 and hart0 = ref 0 in
@@ -1166,7 +1230,7 @@ let exec_turn t (cpu : Cpu.t) ~deadline =
       then begin
         let pc = cpu.pc in
         if Array.length t.probes.Probe.blocks <> 0 then
-          Probe.fire_block t.probes { b_hart = cpu.id; b_pc = pc };
+          Probe.fire_block t.probes ~hart:cpu.id ~pc;
         b := chain_next t blk pc
       end
       else budget := 0
@@ -1182,8 +1246,7 @@ let exec_turn t (cpu : Cpu.t) ~deadline =
 (* Baseline engine: one hashtable lookup and one block per turn. *)
 let exec_block_baseline t (cpu : Cpu.t) =
   let pc = cpu.pc in
-  if Probe.has_blocks t.probes then
-    Probe.fire_block t.probes { b_hart = cpu.id; b_pc = pc };
+  if Probe.has_blocks t.probes then Probe.fire_block t.probes ~hart:cpu.id ~pc;
   let block = lookup_block t pc in
   let ops = block.b_ops in
   for i = 0 to Array.length ops - 1 do
@@ -1200,63 +1263,66 @@ let runnable t (cpu : Cpu.t) =
 
 let set_sched t sched = t.sched <- sched
 
+(* The round-robin pick: the index of the first runnable hart from
+   [next_hart + k] on, or -1.  Top-level, so a turn's pick allocates
+   nothing. *)
+let rec pick_round_robin t n k =
+  if k >= n then -1
+  else
+    let i = (t.next_hart + k) mod n in
+    if runnable t (Array.unsafe_get t.harts i) then i
+    else pick_round_robin t n (k + 1)
+
 (** Run until a stop condition.  [until] is checked between hart turns and
     makes the machine pause (reported as [Budget_exhausted]?  no: returns
     [None]).  Returns [Some stop] for a definitive machine stop, [None]
-    when [until] fired or all work is done without halting. *)
+    when [until] fired or all work is done without halting.  The loop's
+    closures are made once per slice; the built-in round-robin turn
+    allocates nothing. *)
 let run_slice t ~max_insns ~(until : unit -> bool) =
   let deadline = t.total_insns + max_insns in
   let n = Array.length t.harts in
   let rec loop idle_rounds =
     if until () then None
     else if t.total_insns >= deadline then Some Budget_exhausted
-    else begin
+    else
       (* pick next runnable hart: external scheduler when armed (with its
          own per-turn deadline, clamped to the slice), else round-robin *)
-      let picked =
-        match t.sched with
-        | Some sched -> (
-            match sched t with
-            | Some (cpu, turn_end) -> Some (cpu, min turn_end deadline)
-            | None -> None)
-        | None ->
-            let rec pick k =
-              if k >= n then None
-              else
-                let cpu = t.harts.((t.next_hart + k) mod n) in
-                if runnable t cpu then Some (cpu, deadline) else pick (k + 1)
-            in
-            pick 0
-      in
-      match picked with
-      | Some (cpu, turn_deadline) -> (
-          t.next_hart <- (cpu.id + 1) mod n;
-          match step t cpu ~deadline:turn_deadline with
-          | () -> loop 0
-          | exception Fault.Halted code -> Some (Halted code)
-          | exception Fault.Memory_fault (acc, reason) -> Some (Fault (acc, reason))
-          | exception Fault.Retry_at pc ->
-              cpu.pc <- pc;
-              loop 0
-          | exception Trap_unhandled (pc, num) -> Some (Unhandled_trap { pc; num })
-          | exception Codec.Decode_error { addr; reason } ->
-              Some (Decode_fault { pc = addr; reason }))
+      match t.sched with
+      | Some sched -> (
+          match sched t with
+          | Some (cpu, turn_end) -> turn cpu (min turn_end deadline)
+          | None -> idle idle_rounds)
       | None ->
-          (* all harts parked/halted/stalled: advance time past the nearest
-             stall, or report deadlock *)
-          let nearest =
-            Array.fold_left
-              (fun acc (cpu : Cpu.t) ->
-                if cpu.status = Running && cpu.stall_until > t.total_insns then
-                  min acc cpu.stall_until
-                else acc)
-              max_int t.harts
-          in
-          if nearest = max_int || idle_rounds > 2 then Some Deadlock
-          else begin
-            t.total_insns <- nearest;
-            loop (idle_rounds + 1)
-          end
+          let i = pick_round_robin t n 0 in
+          if i >= 0 then turn t.harts.(i) deadline else idle idle_rounds
+  and turn (cpu : Cpu.t) turn_deadline =
+    t.next_hart <- (cpu.id + 1) mod n;
+    match step t cpu ~deadline:turn_deadline with
+    | () -> loop 0
+    | exception Fault.Halted code -> Some (Halted code)
+    | exception Fault.Memory_fault (acc, reason) -> Some (Fault (acc, reason))
+    | exception Fault.Retry_at pc ->
+        cpu.pc <- pc;
+        loop 0
+    | exception Trap_unhandled (pc, num) -> Some (Unhandled_trap { pc; num })
+    | exception Codec.Decode_error { addr; reason } ->
+        Some (Decode_fault { pc = addr; reason })
+  and idle idle_rounds =
+    (* all harts parked/halted/stalled: advance time past the nearest
+       stall, or report deadlock *)
+    let nearest =
+      Array.fold_left
+        (fun acc (cpu : Cpu.t) ->
+          if cpu.status = Running && cpu.stall_until > t.total_insns then
+            min acc cpu.stall_until
+          else acc)
+        max_int t.harts
+    in
+    if nearest = max_int || idle_rounds > 2 then Some Deadlock
+    else begin
+      t.total_insns <- nearest;
+      loop (idle_rounds + 1)
     end
   in
   loop 0

@@ -44,6 +44,11 @@ type block
     time. *)
 type engine = Fast | Baseline
 
+(** Tables keyed by guest pc, with an int hash (no polymorphic hash or
+    compare per lookup): the translation cache, the sanitizer runtime's
+    allocator targets and symbol memo. *)
+module Pc_table : Hashtbl.S with type key = int
+
 (** Model-free MMIO rehosting hook (implemented by [lib/rehost]; a record
     of closures so the emulator stays free of fuzzer dependencies).  When
     installed, unmapped-bus accesses from guest code (hart >= 0) whose
@@ -70,7 +75,7 @@ type t = {
   harts : Cpu.t array;
   probes : Probe.t;
   cmplog : Cmplog.t;  (** compare-operand coverage sink (see {!Cmplog}) *)
-  block_cache : (int, block) Hashtbl.t;
+  block_cache : block Pc_table.t;
   trap_handlers : (int, pc:int -> handler) Hashtbl.t;
       (** trap number -> handler specializer ({!set_trap_site}); change it
           only through the setters, which bump the site generation *)

@@ -13,6 +13,10 @@
     {!field-gen} it was built under and asks again once [gen] has moved;
     every subscribe, unsubscribe, {!clear} and {!invalidate} bumps it.
 
+    Return subscribers are specializers too; block subscribers are plain
+    functions of the hart and the block's pc.  No site takes an event
+    record, so firing one allocates nothing.
+
     {b Contract.}  A specializer's result may depend only on its static
     arguments and on state fixed when the subscriber was attached.
     Anything that can change later must be read by the returned closure
@@ -33,6 +37,32 @@ type mem_site = hart:int -> addr:int -> value:int -> unit
     (marked accesses for KCSAN). *)
 type mem_fn = pc:int -> size:int -> is_write:bool -> is_atomic:bool -> mem_site
 
+(** An inline clean-access guard, attached by a mem subscriber to the
+    site it binds.  An access of [size] bytes at [addr] is {e clean} when
+    [g_base <= addr], [addr + size <= g_limit], the access lies inside one
+    granule ([1 lsl g_shift] bytes, counted from [g_base]), and that
+    granule's byte in [g_plane] is 0.  On a clean access the fast
+    templates bump [g_events] and [g_checks], add [g_cost] to the
+    machine's external cost, and do not call the site: the subscriber
+    promises that this is all its site would do there.  Every other
+    access calls the site as usual.  Only the rule "a zero byte means the
+    site would only count" lives here; what a non-zero byte means is the
+    subscriber's business. *)
+type guard = {
+  g_plane : Bytes.t;
+  g_base : int;
+  g_limit : int;
+  g_shift : int;
+  g_events : int ref;
+  g_checks : int ref;
+  g_cost : int;
+}
+
+(** A guard specializer: the guard of the site the subscriber binds for
+    the same instruction, or {!no_guard}.  The {!Probe} contract applies:
+    what may change later bumps a generation. *)
+type guard_fn = pc:int -> size:int -> is_write:bool -> is_atomic:bool -> guard
+
 (** A call site, run after the transfer with the hart and the call's
     dynamic target. *)
 type call_site = hart:int -> target:int -> unit
@@ -42,15 +72,28 @@ type call_site = hart:int -> target:int -> unit
     indirect one. *)
 type call_fn = pc:int -> target:int option -> call_site
 
+(** A return site, run after the transfer with the hart, the return's
+    target and the value in [a0]. *)
+type ret_site = hart:int -> target:int -> retval:int -> unit
+
+(** A return subscriber: the site specializer for a return at [pc]. *)
+type ret_fn = pc:int -> ret_site
+
+(** A block subscriber: run with the hart and the pc of each block it
+    enters. *)
+type block_fn = hart:int -> pc:int -> unit
+
 type call_event = { c_hart : int; c_pc : int; c_target : int }
 type ret_event = { r_hart : int; r_pc : int; r_target : int; r_retval : int }
-type block_event = { b_hart : int; b_pc : int }
+
+(** A mem subscriber: its site and guard specializers. *)
+type mem_sub = { m_site : mem_fn; m_guard : guard_fn }
 
 type t = {
-  mutable mem : mem_fn array;
+  mutable mem : mem_sub array;
   mutable calls : call_fn array;
-  mutable rets : (ret_event -> unit) array;
-  mutable blocks : (block_event -> unit) array;
+  mutable rets : ret_fn array;
+  mutable blocks : block_fn array;
   mutable gen : int;
       (** generation of every specialized site; bumped by each change to
           the subscriber arrays and by {!invalidate} *)
@@ -66,6 +109,10 @@ val create : unit -> t
 
 val no_site : mem_site
 val no_call_site : call_site
+val no_ret_site : ret_site
+
+(** The guard of no access: the inline test fails at its first compare. *)
+val no_guard : guard
 
 (** Bump the generation: every specialized site asks its specializers
     again on its next execution.  For site tables kept outside this
@@ -73,12 +120,14 @@ val no_call_site : call_site
 val invalidate : t -> unit
 
 (** [subscribe_*] append a subscriber (fire order = registration order)
-    and return a handle; O(1) site patch, zero flushes. *)
+    and return a handle; O(1) site patch, zero flushes.  A mem
+    subscriber's [guard] (default: none) is consulted only where its site
+    is the only live one (see {!mem_binding}). *)
 
-val subscribe_mem : t -> mem_fn -> sub
+val subscribe_mem : ?guard:guard_fn -> t -> mem_fn -> sub
 val subscribe_call : t -> call_fn -> sub
-val subscribe_ret : t -> (ret_event -> unit) -> sub
-val subscribe_block : t -> (block_event -> unit) -> sub
+val subscribe_ret : t -> ret_fn -> sub
+val subscribe_block : t -> block_fn -> sub
 
 (** Remove exactly the subscriber the handle added; idempotent, O(1)
     patch, zero flushes.  A no-op on an already-dead handle. *)
@@ -86,10 +135,10 @@ val unsubscribe : sub -> unit
 
 (** [on_*]: handle-free subscription for callers that never detach. *)
 
-val on_mem : t -> mem_fn -> unit
+val on_mem : ?guard:guard_fn -> t -> mem_fn -> unit
 val on_call : t -> call_fn -> unit
-val on_ret : t -> (ret_event -> unit) -> unit
-val on_block : t -> (block_event -> unit) -> unit
+val on_ret : t -> ret_fn -> unit
+val on_block : t -> block_fn -> unit
 
 (** Unsubscribe everything (also an O(1) site patch). *)
 val clear : t -> unit
@@ -114,7 +163,20 @@ val compose : none:'s -> seq:('s array -> 's) -> ('f -> 's) -> 'f array -> 's
 val mem_site :
   t -> pc:int -> size:int -> is_write:bool -> is_atomic:bool -> mem_site
 
+(** [mem_site] together with the instruction's guard: the guard of the
+    subscriber whose site is the only live one, {!no_guard} when none or
+    several are live.  So a second live subscriber turns the guard off and
+    sees every access.  What a fast-engine mem op caches. *)
+val mem_binding :
+  t ->
+  pc:int ->
+  size:int ->
+  is_write:bool ->
+  is_atomic:bool ->
+  mem_site * guard
+
 val call_site : t -> pc:int -> target:int option -> call_site
+val ret_site : t -> pc:int -> ret_site
 
 (** Specialize, then fire: the per-event path of the reference engine.
     [direct] says whether [target] is the call's static target. *)
@@ -147,6 +209,9 @@ val every_mem :
   mem_fn
 
 val every_call : (call_event -> unit) -> call_fn
+val every_ret : (ret_event -> unit) -> ret_fn
 
+(** Specialize the return site at [r_pc], then fire it. *)
 val fire_ret : t -> ret_event -> unit
-val fire_block : t -> block_event -> unit
+
+val fire_block : t -> hart:int -> pc:int -> unit

@@ -40,8 +40,8 @@ let attach ?(capacity = 256) ?(mem = false) ?(blocks = true) (m : Machine.t) =
     }
   in
   if blocks then
-    Probe.on_block m.probes (fun (ev : Probe.block_event) ->
-        push t (Block { bt_hart = ev.b_hart; bt_pc = ev.b_pc }));
+    Probe.on_block m.probes (fun ~hart ~pc ->
+        push t (Block { bt_hart = hart; bt_pc = pc }));
   Probe.on_call m.probes
     (Probe.every_call (fun (ev : Probe.call_event) ->
          let cpu = m.harts.(ev.c_hart) in
@@ -52,8 +52,10 @@ let attach ?(capacity = 256) ?(mem = false) ?(blocks = true) (m : Machine.t) =
            (Call
               { ct_hart = ev.c_hart; ct_pc = ev.c_pc; ct_target = ev.c_target;
                 ct_args = args })));
-  Probe.on_ret m.probes (fun (ev : Probe.ret_event) ->
-      push t (Return { rt_hart = ev.r_hart; rt_pc = ev.r_pc; rt_retval = ev.r_retval }));
+  Probe.on_ret m.probes
+    (Probe.every_ret (fun (ev : Probe.ret_event) ->
+         push t
+           (Return { rt_hart = ev.r_hart; rt_pc = ev.r_pc; rt_retval = ev.r_retval })));
   if mem then
     Probe.on_mem m.probes
       (Probe.every_mem (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic:_ ~value ->

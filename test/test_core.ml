@@ -543,7 +543,7 @@ let kasan_site_agrees_qcheck =
             ~hart:0;
           Report.total_hits sink_a = Report.total_hits sink_b)
         accesses
-      && ka.access_checks = kb.access_checks
+      && !(ka.access_checks) = !(kb.access_checks)
       && report_view sink_a = report_view sink_b)
 
 (* --- End-to-end: EmbSan on real firmware ------------------------------------------- *)
@@ -1044,6 +1044,11 @@ let pending_allocs_bounded_and_restored () =
   | () -> Alcotest.fail "expected Invalid_argument on cross-runtime restore"
   | exception Invalid_argument _ -> ()
 
+(* A mem subscriber whose site is live everywhere and does nothing. *)
+let live_no_op_mem =
+  Probe.every_mem
+    (fun ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ -> ())
+
 (* Every per-access counter the modeled overhead (Figure 2) is computed
    from, pinned on a fixed program list -- each bug's benign sequence,
    then its reproducer unless it crashes the machine -- replayed on one
@@ -1051,12 +1056,14 @@ let pending_allocs_bounded_and_restored () =
    (OpenWRT-armvirt), under KASAN and under KCSAN.  Access-site
    specialization must not change what is counted or charged (an exempt
    site still counts, an atomic KCSAN site still charges its event). *)
-let counter_summary fw_name sanitizers =
+let counter_summary ?(no_guards = false) fw_name sanitizers =
   let module Replay = Embsan_guest.Replay in
   let module Defs = Embsan_guest.Defs in
   let fw = Option.get (Embsan_guest.Firmware_db.find fw_name) in
   let inst = Replay.boot fw (Replay.Embsan_cfg sanitizers) in
   let rt = Option.get inst.Replay.rt in
+  (* a live no-op mem subscriber turns every inline guard off *)
+  if no_guards then Probe.on_mem inst.machine.probes live_no_op_mem;
   List.iter
     (fun (b : Defs.bug) ->
       ignore (Replay.replay inst b.b_benign);
@@ -1065,7 +1072,7 @@ let counter_summary fw_name sanitizers =
   let m = inst.machine in
   String.concat " "
     ([
-       Printf.sprintf "mem_events=%d" rt.mem_events;
+       Printf.sprintf "mem_events=%d" !(rt.mem_events);
        Printf.sprintf "callouts=%d" rt.callouts;
        Printf.sprintf "intercepted_calls=%d" rt.intercepted_calls;
      ]
@@ -1082,7 +1089,11 @@ let counters_pinned () =
   List.iter
     (fun (fw_name, sanitizers, expected) ->
       Alcotest.(check string) fw_name expected
-        (counter_summary fw_name sanitizers))
+        (counter_summary fw_name sanitizers);
+      Alcotest.(check string)
+        (fw_name ^ " with the inline guards composed away")
+        expected
+        (counter_summary ~no_guards:true fw_name sanitizers))
     [
       ( "OpenWRT-bcm63xx",
         Embsan.kasan_only,
@@ -1105,6 +1116,239 @@ let counters_pinned () =
          kcsan.access_events=4097 kcsan.watchpoints_set=32 kcsan.races=0 \
          external_cost=2031580 total_cost=2439120" );
     ]
+
+(* --- Inline clean-granule guards ------------------------------------------- *)
+
+(* A KASAN-only EmbSan-D runtime on a bare 64 KiB machine.  Each access is
+   a stub [li t0 addr; li t1 v; access; halt] run on its own; the stubs
+   flagged [exempt] sit inside a range the spec exempts.  The code lives in
+   the middle of RAM, so the accesses near both RAM ends never touch it. *)
+let guard_ram_base = 0x1_0000
+let guard_ram_size = 0x1_0000
+
+type guard_access = { ga_addr : int; ga_size : int; ga_write : bool; ga_exempt : bool }
+
+let guard_machine accesses =
+  let open Asm in
+  let stub i a =
+    let w = match a.ga_size with 1 -> Insn.W8 | 2 -> Insn.W16 | _ -> Insn.W32 in
+    [
+      Label (Printf.sprintf "a%d" i);
+      li Reg.t0 a.ga_addr;
+      li Reg.t1 0x5A5A_5A5A;
+      (if a.ga_write then store w Reg.t0 Reg.t1 0 else load w Reg.t2 Reg.t0 0);
+      halt;
+    ]
+  in
+  let indexed = List.mapi (fun i a -> (i, a)) accesses in
+  let stubs exempt =
+    List.concat_map
+      (fun (i, a) -> if a.ga_exempt = exempt then stub i a else [])
+      indexed
+  in
+  let text =
+    [ Label "main"; halt ] @ stubs false
+    @ [ Label "exempt_lo" ] @ stubs true @ [ Label "exempt_hi"; halt ]
+  in
+  let img =
+    Asm.assemble ~arch:Arch.Arm_ev ~text_base:(guard_ram_base + 0x8000)
+      ~entry:"main" [ { Asm.unit_name = "g"; text; data = [] } ]
+  in
+  let m =
+    Machine.create ~harts:1 ~ram_base:guard_ram_base ~ram_size:guard_ram_size
+      ~arch:Arch.Arm_ev ()
+  in
+  Machine.load_image m img;
+  let lo = Image.symbol_addr_exn img "exempt_lo" in
+  let hi = Image.symbol_addr_exn img "exempt_hi" in
+  let spec =
+    {
+      (Distiller.distill [ Api_spec.kasan () ]) with
+      Dsl.exempts = [ { Dsl.e_name = "helper"; e_addr = lo; e_size = hi - lo } ];
+    }
+  in
+  let rt = Runtime.attach ~spec ~mode:Runtime.D m in
+  let run_all () =
+    List.map
+      (fun (i, _) ->
+        Machine.start_hart m 0
+          ~pc:(Image.symbol_addr_exn img (Printf.sprintf "a%d" i))
+          ~sp:(guard_ram_base + guard_ram_size - 16);
+        Machine.run m ~max_insns:10)
+      indexed
+  in
+  (m, rt, run_all)
+
+(* The inline guard is exact: a guarded fast run and the same run with its
+   guards composed away by a live no-op mem subscriber agree on every
+   report and counter, over random poisons and unpoisons and accesses of
+   1, 2 and 4 bytes -- straddles, partial granules, both RAM ends, MMIO,
+   the null page and exempt pcs -- before and after the ready doorbell. *)
+let inline_guard_exact_qcheck =
+  let open QCheck2 in
+  let off =
+    Gen.(
+      oneof
+        [ int_range 0 0x100; map (fun d -> guard_ram_size - d) (int_range (-8) 0x40) ])
+  in
+  let code =
+    Gen.oneofl Shadow.[ Heap_redzone; Stack_redzone; Global_redzone; Freed ]
+  in
+  let op =
+    Gen.(
+      oneof
+        [
+          map3 (fun a n c -> `Poison (a, n, c)) off (int_range 1 40) code;
+          map2 (fun a n -> `Unpoison (a, n)) off (int_range 1 40);
+        ])
+  in
+  let addr =
+    Gen.(
+      frequency
+        [
+          (6, map (fun o -> guard_ram_base + o) off);
+          (1, int_range 0 0xFFF);
+          (1, oneofl [ Devices.uart_base; Devices.timer_base + 4 ]);
+        ])
+  in
+  let access =
+    Gen.(
+      map
+        (fun (ga_addr, (ga_size, ga_write, ga_exempt)) ->
+          { ga_addr; ga_size; ga_write; ga_exempt })
+        (pair addr (triple (oneofl [ 1; 2; 4 ]) bool (frequency [ (3, return false); (1, return true) ]))))
+  in
+  Test.make ~name:"inline guard = composed-away guard" ~count:150
+    Gen.(
+      triple
+        (list_size (int_range 0 10) op)
+        (list_size (int_range 0 6) op)
+        (list_size (int_range 1 24) access))
+    (fun (ops1, ops2, accesses) ->
+      let run ~composed_away =
+        let m, rt, run_all = guard_machine accesses in
+        if composed_away then Probe.on_mem m.probes live_no_op_mem;
+        let apply =
+          List.iter (function
+            | `Poison (a, n, c) ->
+                Shadow.poison rt.shadow ~addr:(guard_ram_base + a) ~size:n c
+            | `Unpoison (a, n) ->
+                Shadow.unpoison rt.shadow ~addr:(guard_ram_base + a) ~size:n)
+        in
+        apply ops1;
+        let before = run_all () in
+        m.mailbox.Devices.on_ready ();
+        let after = run_all () in
+        apply ops2;
+        let again = run_all () in
+        let kasan =
+          List.assoc "kasan" (Runtime.plugin_stats rt) |> List.assoc "access_checks"
+        in
+        ( List.map
+            (fun (r : Report.t) ->
+              (r.kind, r.addr, r.size, r.is_write, r.pc, r.detail))
+            (Runtime.reports rt),
+          Report.total_hits rt.sink,
+          (!(rt.mem_events), kasan, m.external_cost),
+          List.map (Fmt.str "%a" Machine.pp_stop) (before @ after @ again) )
+      in
+      run ~composed_away:false = run ~composed_away:true)
+
+(* The load/store/AMO instructions of an image's text, as (pc, size,
+   is_write, is_atomic). *)
+let mem_insns (img : Image.t) =
+  match Image.section img "text" with
+  | None -> []
+  | Some sec ->
+      List.filter_map
+        (fun k ->
+          let pc = sec.base + (k * Insn.size) in
+          match Codec.decode img.arch ~addr:pc sec.data (k * Insn.size) with
+          | Insn.Load (w, _, _, _, _) -> Some (pc, Insn.width_bytes w, false, false)
+          | Store (w, _, _, _) -> Some (pc, Insn.width_bytes w, true, false)
+          | Amo _ -> Some (pc, 4, true, true)
+          | _ -> None
+          | exception Codec.Decode_error _ -> None)
+        (List.init (String.length sec.data / Insn.size) Fun.id)
+
+(* Which sites bind a guard, on an EmbSan-D firmware: after ready, every
+   non-exempt load, store and AMO of a KASAN-only machine binds one, with
+   the runtime's event cell and KASAN's plane; none binds one before
+   ready, at an exempt pc, or where KCSAN checks too (KCSAN has nothing to
+   do at an AMO, so KASAN alone checks there).  With a second, counting
+   mem subscriber attached no site binds a guard, and that subscriber
+   counts every access the runtime counts. *)
+let guards_bound_where_offered () =
+  let module Firmware_db = Embsan_guest.Firmware_db in
+  let module Replay = Embsan_guest.Replay in
+  let module Defs = Embsan_guest.Defs in
+  let fw = Option.get (Firmware_db.find "OpenWRT-bcm63xx") in
+  let guard_of m (pc, size, is_write, is_atomic) =
+    snd (Probe.mem_binding m.Machine.probes ~pc ~size ~is_write ~is_atomic)
+  in
+  let boot sanitizers =
+    let session =
+      Embsan.prepare ~sanitizers ~firmware:(Firmware_db.embsan_firmware fw) ()
+    in
+    let m = Embsan.make_machine session in
+    Machine.set_trap_handler m Hypercall.san_sync (fun _ _ -> ());
+    let rt = Embsan.attach session m in
+    (session, m, rt)
+  in
+  let session, m, rt = boot Embsan.kasan_only in
+  let insns = mem_insns session.s_image in
+  let exempt (pc, _, _, _) = Runtime.pc_exempt rt pc in
+  let n_exempt = List.length (List.filter exempt insns) in
+  if n_exempt = 0 || n_exempt = List.length insns then
+    Alcotest.failf "want exempt and checked sites, got %d of %d exempt" n_exempt
+      (List.length insns);
+  List.iter
+    (fun i ->
+      if guard_of m i != Probe.no_guard then
+        Alcotest.failf "guard bound before ready at 0x%x" (let pc, _, _, _ = i in pc))
+    insns;
+  (match Machine.run_until_ready m ~max_insns:50_000_000 with
+  | None -> ()
+  | Some stop -> Alcotest.failf "boot: %a" Machine.pp_stop stop);
+  List.iter
+    (fun ((pc, _, _, _) as i) ->
+      let g = guard_of m i in
+      if exempt i then begin
+        if g != Probe.no_guard then Alcotest.failf "guard at exempt pc 0x%x" pc
+      end
+      else if
+        not (g.g_events == rt.mem_events && g.g_plane == rt.shadow.Shadow.kasan)
+      then Alcotest.failf "no runtime guard at 0x%x" pc)
+    insns;
+  let _, m2, rt2 = boot Embsan.all_sanitizers in
+  (match Machine.run_until_ready m2 ~max_insns:50_000_000 with
+  | None -> ()
+  | Some stop -> Alcotest.failf "boot (KASAN+KCSAN): %a" Machine.pp_stop stop);
+  List.iter
+    (fun ((pc, _, _, is_atomic) as i) ->
+      let guarded = guard_of m2 i != Probe.no_guard in
+      if guarded <> (is_atomic && not (Runtime.pc_exempt rt2 pc)) then
+        Alcotest.failf "KASAN+KCSAN: guard %b at 0x%x" guarded pc)
+    insns;
+  let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.kasan_only) in
+  let rt3 = Option.get inst.Replay.rt in
+  let seen = ref 0 in
+  Probe.on_mem inst.machine.probes
+    (Probe.every_mem
+       (fun ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ ->
+         incr seen));
+  List.iter
+    (fun i ->
+      if guard_of inst.machine i != Probe.no_guard then
+        Alcotest.fail "a guard survived a second live subscriber")
+    insns;
+  let events0 = !(rt3.mem_events) in
+  List.iter
+    (fun (b : Defs.bug) -> ignore (Replay.replay inst b.b_benign))
+    fw.fw_bugs;
+  let counted = !(rt3.mem_events) - events0 in
+  if counted = 0 then Alcotest.fail "replay made no access";
+  Alcotest.(check int) "second subscriber sees every access" counted !seen
 
 (* The fourth sanitizer: ualign plugs in through Api_spec + registry only
    (no runtime/machine/probe edits) and works under both backends, with
@@ -1446,6 +1690,9 @@ let () =
             embsan_ualign_fourth_sanitizer;
           Alcotest.test_case "per-access counters pinned" `Quick
             counters_pinned;
+          QCheck_alcotest.to_alcotest inline_guard_exact_qcheck;
+          Alcotest.test_case "guards bound where offered" `Quick
+            guards_bound_where_offered;
         ] );
       ( "ftrace",
         [

@@ -264,7 +264,7 @@ let call_ret_probes () =
   let m, img = assemble_and_load [ unit_ text [] ] in
   let calls = ref [] and rets = ref [] in
   Probe.on_call m.probes (Probe.every_call (fun ev -> calls := ev :: !calls));
-  Probe.on_ret m.probes (fun ev -> rets := ev :: !rets);
+  Probe.on_ret m.probes (Probe.every_ret (fun ev -> rets := ev :: !rets));
   ignore (Machine.run m ~max_insns:100);
   let callee = Image.symbol_addr_exn img "callee" in
   (match !calls with
@@ -754,7 +754,8 @@ let probe_registration_order () =
   let m, _ = make () in
   let order = ref [] in
   List.iter
-    (fun tag -> Probe.on_block m.probes (fun _ -> order := tag :: !order))
+    (fun tag ->
+      Probe.on_block m.probes (fun ~hart:_ ~pc:_ -> order := tag :: !order))
     [ 1; 2; 3; 4 ];
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check (list int))
@@ -1119,16 +1120,51 @@ let armed_site_allocates_nothing () =
   let armed = run ~armed:true in
   if armed -. unarmed > 1000. then
     Alcotest.failf "armed run allocated %.0f minor words, unarmed %.0f" armed
-      unarmed
+      unarmed;
+  (* the same loop under a ready EmbSan-D KASAN runtime that intercepts an
+     allocator: its 100000 returns each run the runtime's return site,
+     and its accesses the inline guard or KASAN's site.  Measured on a
+     second run, once the blocks are translated and the sites bound. *)
+  let m, img = assemble_and_load ~harts:1 [ access_loop 100_000 ] in
+  let spec =
+    {
+      (Embsan_core.Distiller.distill [ Embsan_core.Api_spec.kasan () ]) with
+      Embsan_core.Dsl.functions =
+        [
+          {
+            Embsan_core.Dsl.f_name = "kmalloc";
+            f_addr = Image.symbol_addr_exn img "main";
+            f_size = 0;
+            f_kind = `Alloc 0;
+          };
+        ];
+    }
+  in
+  let rt = Embsan_core.Runtime.attach ~spec ~mode:Embsan_core.Runtime.D m in
+  m.mailbox.Devices.on_ready ();
+  Alcotest.(check bool) "returns probed" true (Probe.has_rets m.probes);
+  ignore (Machine.run m ~max_insns:10_000_000);
+  Machine.boot m;
+  let events0 = !(rt.mem_events) in
+  let w0 = Gc.minor_words () in
+  let stop = Machine.run m ~max_insns:10_000_000 in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.check check_stop "runtime loop completes" (Machine.Halted 200_000)
+    stop;
+  Alcotest.(check int) "runtime events" 400_001 (!(rt.mem_events) - events0);
+  if words > 1000. then
+    Alcotest.failf "runtime-probed run allocated %.0f minor words" words
 
 (* A device access from translated code allocates nothing either: device
    dispatch returns an index and the counter rewind around the callout is
    inline.  A loop of 100000 timer reads and UART writes allocates no more
    minor-heap words on the fast engine than the same loop against RAM
-   (the UART's growing console buffer stays within the tolerance). *)
+   (the UART's growing console buffer stays within the tolerance).  The
+   RAM loop itself allocates under half a word per hart turn, and no more
+   with a block subscriber attached. *)
 let device_access_allocates_nothing () =
   let iters = 100_000 in
-  let run ~devices =
+  let run ?(blocks = false) ~devices () =
     let open Asm in
     let text =
       [
@@ -1150,19 +1186,36 @@ let device_access_allocates_nothing () =
       assemble_and_load ~harts:1
         [ unit_ text [ Label "buf"; Words [ 0 ]; Label "out"; Words [ 0 ] ] ]
     in
+    let entered = ref 0 in
+    if blocks then Probe.on_block m.probes (fun ~hart:_ ~pc:_ -> incr entered);
     let w0 = Gc.minor_words () in
     let stop = Machine.run m ~max_insns:10_000_000 in
     let words = Gc.minor_words () -. w0 in
     Alcotest.check check_stop "loop completes" (Machine.Halted 0) stop;
     Alcotest.(check int) "console bytes" (if devices then iters else 0)
       (String.length (Machine.console_output m));
+    if blocks && !entered < iters then
+      Alcotest.failf "block subscriber saw %d blocks" !entered;
     words
   in
-  let ram = run ~devices:false in
-  let devices = run ~devices:true in
+  let ram = run ~devices:false () in
+  let devices = run ~devices:true () in
   if devices -. ram > 1000. then
     Alcotest.failf "device loop allocated %.0f minor words, RAM loop %.0f"
-      devices ram
+      devices ram;
+  (* and the RAM loop itself: its one-iteration blocks end a hart turn
+     every 16 blocks (the chain limit), and a turn allocates nothing; what
+     is left is translation *)
+  let turns = float_of_int iters /. 16. in
+  if ram /. turns > 0.5 then
+    Alcotest.failf "RAM loop allocated %.0f minor words over %.0f hart turns"
+      ram turns;
+  (* a block subscriber gets the hart and pc as labelled arguments, so
+     attaching one to the RAM loop allocates no event record per block *)
+  let blocks = run ~blocks:true ~devices:false () in
+  if blocks -. ram > 1000. then
+    Alcotest.failf "RAM loop with a block subscriber allocated %.0f minor words, \
+                    without %.0f" blocks ram
 
 (* --- Specialized sites and the site generation ---------------------------- *)
 
@@ -1396,8 +1449,8 @@ let run_differential ~probed =
   if probed then begin
     Probe.on_mem m.probes ignore_mem;
     Probe.on_call m.probes (Probe.every_call ignore);
-    Probe.on_ret m.probes (fun _ -> ());
-    Probe.on_block m.probes (fun _ -> ())
+    Probe.on_ret m.probes (Probe.every_ret (fun _ -> ()));
+    Probe.on_block m.probes (fun ~hart:_ ~pc:_ -> ())
   end;
   let stop = Machine.run m ~max_insns:1_000_000 in
   (stop, fingerprint m)

@@ -217,6 +217,62 @@ let corpus_triage () =
   Alcotest.(check int) "coverage pairs" 3 (Corpus.coverage c);
   Alcotest.(check int) "programs retained" 2 (List.length (Corpus.programs c))
 
+(* The corpus against the hashtable-and-list corpus it replaced: random
+   signatures (buckets 1-8, edge indices and cmplog features, repeats
+   included) admit exactly what a [Hashtbl] of (index, bucket) pairs
+   admits, with the same size and coverage, and [pick] draws the same
+   entries as [Rng.pick] over the newest-first list from the same [Rng]
+   state. *)
+let corpus_matches_hashtable_qcheck =
+  let open QCheck2 in
+  let module Cmplog = Embsan_emu.Cmplog in
+  let top = Cmplog.feature_base + Cmplog.feature_slots - 1 in
+  let index =
+    Gen.(
+      frequency
+        [
+          (4, int_range 0 63);
+          (1, int_range 0 (Cmplog.feature_base - 1));
+          (2, map (fun k -> Cmplog.feature_base + k) (int_range 0 31));
+          (1, int_range (top - 3) top);
+        ])
+  in
+  let signature = Gen.(list_size (int_range 0 12) (pair index (int_range 1 8))) in
+  Test.make ~name:"bitmap admission = Hashtbl reference" ~count:300
+    Gen.(pair (list_size (int_range 1 40) signature) (int_range 0 1000))
+    (fun (signatures, seed) ->
+      let c = Corpus.create () in
+      let seen = Hashtbl.create 64 and entries = ref [] and pairs = ref 0 in
+      let reference k signature =
+        let fresh = List.filter (fun p -> not (Hashtbl.mem seen p)) signature in
+        if fresh = [] then false
+        else begin
+          List.iter (fun p -> Hashtbl.replace seen p ()) fresh;
+          pairs := !pairs + List.length fresh;
+          entries := k :: !entries;
+          true
+        end
+      in
+      let prog k = [ { Prog.nr = k; args = [||] } ] in
+      List.for_all
+        (fun (k, signature) ->
+          Corpus.consider c (prog k) ~sched:k signature = reference k signature
+          && Corpus.size c = List.length !entries
+          && Corpus.coverage c = !pairs)
+        (List.mapi (fun k sg -> (k, sg)) signatures)
+      &&
+      let rng_a = Rng.create ~seed and rng_b = Rng.create ~seed in
+      List.for_all
+        (fun _ ->
+          match (Corpus.pick rng_a c, !entries) with
+          | None, [] -> true
+          | Some (p, sched, _), l ->
+              let k = Rng.pick rng_b l in
+              p = prog k && sched = Some k
+          | None, _ :: _ -> false)
+        (List.init 20 Fun.id)
+      && Corpus.programs c = List.rev_map prog !entries)
+
 (* --- campaigns ------------------------------------------------------------------- *)
 
 let small_fw () = Option.get (Firmware_db.find "OpenHarmony-stm32f407")
@@ -462,7 +518,11 @@ let () =
           QCheck_alcotest.to_alcotest mutate_preserves_validity;
           Alcotest.test_case "flag domains" `Quick flag_domain_respected;
         ] );
-      ("corpus", [ Alcotest.test_case "triage" `Quick corpus_triage ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "triage" `Quick corpus_triage;
+          QCheck_alcotest.to_alcotest corpus_matches_hashtable_qcheck;
+        ] );
       ( "campaign",
         [
           Alcotest.test_case "finds and confirms bugs" `Slow campaign_finds_bugs;
