@@ -159,8 +159,8 @@ let engine_workload engine =
   (repeat, m.Machine.stats)
 
 (* The hot loop with one instrumentation toggle per [toggle_chunk] retired
-   insns: a fixed rotation over probe subscribe/unsubscribe, dirty
-   tracking and cmplog, each of which just pokes the site table. *)
+   insns: a fixed rotation over probe subscribe/unsubscribe and cmplog,
+   each of which just pokes the site table. *)
 let toggle_chunk = 50_000
 
 let run_toggle () =
@@ -172,8 +172,7 @@ let run_toggle () =
   let sub = ref None in
   let phase = ref 0 in
   let toggle () =
-    let on = (!phase / 3) land 1 = 0 in
-    (match !phase mod 3 with
+    (match !phase mod 2 with
     | 0 -> (
         match !sub with
         | None ->
@@ -181,8 +180,7 @@ let run_toggle () =
         | Some s ->
             Probe.unsubscribe s;
             sub := None)
-    | 1 -> Machine.set_dirty_tracking m on
-    | _ -> Machine.set_cmplog m on);
+    | _ -> Machine.set_cmplog m ((!phase / 2) land 1 = 0));
     incr phase
   in
   let toggles = ref 0 in

@@ -104,8 +104,8 @@ let capture_cost name =
     c_fw = name;
     c_boot_usecs = 1e6 *. median (List.map (fun (b, _, _, _) -> b) runs);
     c_capture_usecs = 1e6 *. median (List.map (fun (_, c, _, _) -> c) runs);
-    c_pages = Ram.page_count m.Machine.ram;
-    c_private_pages = Ram.private_pages (Snap.ram_image snap);
+    c_pages = Pages.page_count m.Machine.ram.Ram.mem;
+    c_private_pages = Pages.private_pages (Snap.ram_image snap);
   }
 
 let within_share c =

@@ -361,15 +361,7 @@ let check_cmd =
               exit 2)
     in
     let config =
-      {
-        Embsan_check.Harness.default_config with
-        execs;
-        seed;
-        sync;
-        max_insns;
-        archs;
-        oracles;
-      }
+      { Embsan_check.Harness.execs; seed; sync; max_insns; archs; oracles }
     in
     (match Embsan_check.Harness.selected_oracles config with
     | _ -> ()

@@ -12,9 +12,11 @@ type config = {
   sync : int;
   max_insns : int;
   archs : Arch.t list;
-  max_divergences : int; (* stop collecting after this many *)
   oracles : string list; (* oracle-name filter; [] = all *)
 }
+
+(* A campaign stops collecting after this many divergences. *)
+let max_divergences = 5
 
 let default_config =
   {
@@ -23,7 +25,6 @@ let default_config =
     sync = 512;
     max_insns = 4096;
     archs = Arch.all;
-    max_divergences = 5;
     oracles = [];
   }
 
@@ -77,7 +78,7 @@ let run config =
   let bump cls = Hashtbl.replace stops cls (1 + Option.value ~default:0 (Hashtbl.find_opt stops cls)) in
   let programs = ref 0 and runs = ref 0 in
   let divergences = ref [] and n_div = ref 0 in
-  let capped () = !n_div >= config.max_divergences in
+  let capped () = !n_div >= max_divergences in
   List.iter
     (fun arch ->
       for index = 0 to config.execs - 1 do

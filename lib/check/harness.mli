@@ -1,6 +1,6 @@
 (** Campaign driver for the differential oracles: seeded program
     generation per arch flavor, every program through every oracle, with a
-    stop histogram and the first few divergences collected.  Deterministic
+    stop histogram and the first five divergences collected.  Deterministic
     given [config]. *)
 
 type config = {
@@ -9,7 +9,6 @@ type config = {
   sync : int;  (** retired instructions between state comparisons *)
   max_insns : int;  (** instruction budget per run *)
   archs : Embsan_isa.Arch.t list;
-  max_divergences : int;  (** stop collecting after this many *)
   oracles : string list;  (** oracle-name filter; [[]] runs all *)
 }
 

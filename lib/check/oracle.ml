@@ -20,11 +20,10 @@
      in flight -- cached blocks and chain links survive, but every
      already-translated site must see the new subscriber list immediately;
    - toggle-storm: seeded random toggling of every run-time
-     instrumentation knob (probe subscriptions, dirty tracking, cmplog)
-     between sync points, against an unperturbed
-     fast machine.  Doubles as the retranslation-free pin: after the run,
-     [flushes_invalidate] must be exactly 0 -- no toggle is allowed to
-     flush the translation cache;
+     instrumentation knob (probe subscriptions, cmplog) between sync
+     points, against an unperturbed fast machine.  Doubles as the
+     retranslation-free pin: after the run, [flushes_invalidate] must be
+     exactly 0 -- no toggle is allowed to flush the translation cache;
    - sched-transparency: a two-hart machine driven by an armed
      fuzzer-controlled scheduler ({!Embsan_sched.Sched}) with identical
      draw streams on [Machine.Fast] and [Machine.Baseline].  Scheduler
@@ -190,10 +189,9 @@ let toggle_storm ~cfg (p : Progen.t) =
   let subs = ref [] in
   let storm mb =
     for _ = 1 to Rng.range rng 1 4 do
-      match Rng.below rng 4 with
-      | 0 -> Machine.set_dirty_tracking mb (Rng.chance rng ~percent:50)
-      | 1 -> Machine.set_cmplog mb (Rng.chance rng ~percent:50)
-      | 2 ->
+      match Rng.below rng 3 with
+      | 0 -> Machine.set_cmplog mb (Rng.chance rng ~percent:50)
+      | 1 ->
           let s =
             match Rng.below rng 4 with
             | 0 -> Probe.subscribe_mem mb.Machine.probes ignore_mem

@@ -47,7 +47,7 @@ val subscription_churn :
   cfg:cfg -> Progen.t -> divergence option * Embsan_emu.Machine.stop
 
 (** Seeded random toggling of every run-time instrumentation knob (probe
-    subscriptions, dirty tracking, cmplog) between sync points.  Also pins
+    subscriptions, cmplog) between sync points.  Also pins
     the retranslation-free property: a non-zero [flushes_invalidate]
     count after the run is reported as a divergence (at sync point -1)
     even when guest state never split. *)

@@ -46,7 +46,7 @@ let capture ?stop (m : Machine.t) =
     harts = Array.map hart m.harts;
     total_insns = m.total_insns;
     cost = m.cost;
-    ram_digest = Digest.bytes m.ram.Ram.bytes;
+    ram_digest = Digest.bytes m.ram.Ram.mem.Pages.bytes;
     console = Machine.console_output m;
     stop = Option.map stop_string stop;
   }
@@ -93,11 +93,13 @@ let equal a b = diff a b = []
 (* On a RAM-digest mismatch the diff says only that the contents differ;
    this walks the two live machines and names the first differing words.
    Word-granular is enough to localize a bug to one store. *)
-let ram_delta ?(max_entries = 8) (ma : Machine.t) (mb : Machine.t) =
+let ram_delta_entries = 8
+
+let ram_delta (ma : Machine.t) (mb : Machine.t) =
   let base = Machine.ram_base ma and size = Machine.ram_size ma in
   let out = ref [] and n = ref 0 in
   let addr = ref base in
-  while !n < max_entries && !addr + 4 <= base + size do
+  while !n < ram_delta_entries && !addr + 4 <= base + size do
     let va = Machine.read_mem ma ~addr:!addr ~width:4
     and vb = Machine.read_mem mb ~addr:!addr ~width:4 in
     if va <> vb then begin

@@ -33,7 +33,6 @@ val diff : t -> t -> string list
 
 val equal : t -> t -> bool
 
-(** First differing RAM words of two live machines (used to enrich a
-    digest-mismatch diff line). *)
-val ram_delta :
-  ?max_entries:int -> Embsan_emu.Machine.t -> Embsan_emu.Machine.t -> string list
+(** The first eight differing RAM words of two live machines (used to
+    enrich a digest-mismatch diff line). *)
+val ram_delta : Embsan_emu.Machine.t -> Embsan_emu.Machine.t -> string list

@@ -117,11 +117,11 @@ let attach ?sink ?kcsan_interval ?kcsan_stall session machine =
     ~image:session.s_image ?sink ~tuning machine
 
 (** Convenience: create a machine for this session's firmware and boot it. *)
-let make_machine ?(harts = 2) ?seed session =
+let make_machine ?(harts = 2) session =
   let m =
     Embsan_emu.Machine.create ~harts ~arch:session.s_image.Image.arch
       ~ram_base:session.s_platform.Prober.p_ram_base
-      ~ram_size:session.s_platform.Prober.p_ram_size ?seed ()
+      ~ram_size:session.s_platform.Prober.p_ram_size ()
   in
   Embsan_emu.Machine.load_image m session.s_image;
   Embsan_emu.Machine.boot m;

@@ -77,6 +77,6 @@ val attach :
   Runtime.t
 
 (** Create and boot a machine for this session's firmware. *)
-val make_machine : ?harts:int -> ?seed:int -> session -> Embsan_emu.Machine.t
+val make_machine : ?harts:int -> session -> Embsan_emu.Machine.t
 
 val reports : Runtime.t -> Report.t list

@@ -20,7 +20,8 @@
      [Machine.set_trap_handler] API -- like everything else here, entirely
      outside runtime.ml / machine.ml / probe.ml (pinned by grep tests,
      like ualign);
-   - full snapshot save/restore through the plugin checkpoint channel.
+   - snapshot save/restore through the plugin checkpoint channel, in
+     the metadata pages written since (the planes are {!Pages} stores).
 
    Addresses that ever appear as sync objects (lock words) are treated as
    marked accesses and excluded from race checking, exactly as TSan
@@ -97,10 +98,10 @@ type t = {
   base : int; (* shadowed RAM window, from the shared shadow resource *)
   limit : int;
   nslots : int;
-  we : Bytes.t;
-  wi : Bytes.t;
-  re : Bytes.t;
-  ri : Bytes.t;
+  we : Pages.t;
+  wi : Pages.t;
+  re : Pages.t;
+  ri : Pages.t;
   shared_tbl : (int, shared_reads) Hashtbl.t;
   vc : Vc.t array; (* per-hart clocks, C_t *)
   locks : (int, Vc.t) Hashtbl.t; (* per-sync-object clocks, L_m *)
@@ -113,8 +114,17 @@ type t = {
   mutable promotions : int;
 }
 
-let get32 b i = Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xFFFF_FFFF
-let set32 b i v = Bytes.set_int32_le b (i * 4) (Int32.of_int v)
+(* Each plane is a {!Pages} store of 4 KiB pages: zeroed on demand, and
+   saved and restored in what was written since.  A slot never straddles
+   a page, so [set32] marks one. *)
+let plane_shift = 12
+
+let get32 (p : Pages.t) i =
+  Int32.to_int (Bytes.get_int32_le p.bytes (i * 4)) land 0xFFFF_FFFF
+
+let set32 (p : Pages.t) i v =
+  Bytes.set_int32_le p.bytes (i * 4) (Int32.of_int v);
+  Bytes.unsafe_set p.dirty ((i * 4) lsr plane_shift) '\xFF'
 
 (* The IRQ pseudo-lock: interrupts-disabled sections synchronize with each
    other globally, so irq_off acquires and irq_on releases this key. *)
@@ -135,10 +145,10 @@ let create ~sink ~symbolize ~base ~limit ~harts () =
     base;
     limit;
     nslots;
-    we = Bytes.make (nslots * 4) '\000';
-    wi = Bytes.make (nslots * 4) '\000';
-    re = Bytes.make (nslots * 4) '\000';
-    ri = Bytes.make (nslots * 4) '\000';
+    we = Pages.create ~shift:plane_shift (nslots * 4);
+    wi = Pages.create ~shift:plane_shift (nslots * 4);
+    re = Pages.create ~shift:plane_shift (nslots * 4);
+    ri = Pages.create ~shift:plane_shift (nslots * 4);
     shared_tbl = Hashtbl.create 16;
     vc;
     locks = Hashtbl.create 16;
@@ -350,10 +360,10 @@ let on_sync t ~hart ~op ~addr =
 (* --- Snapshot support --------------------------------------------------------- *)
 
 type state = {
-  s_we : Bytes.t;
-  s_wi : Bytes.t;
-  s_re : Bytes.t;
-  s_ri : Bytes.t;
+  s_we : Pages.image;
+  s_wi : Pages.image;
+  s_re : Pages.image;
+  s_ri : Pages.image;
   s_shared : (int * shared_reads) list;
   s_vc : Vc.t array;
   s_locks : (int * Vc.t) list;
@@ -367,10 +377,10 @@ let copy_sr sr =
 
 let save t =
   {
-    s_we = Bytes.copy t.we;
-    s_wi = Bytes.copy t.wi;
-    s_re = Bytes.copy t.re;
-    s_ri = Bytes.copy t.ri;
+    s_we = Pages.capture t.we;
+    s_wi = Pages.capture t.wi;
+    s_re = Pages.capture t.re;
+    s_ri = Pages.capture t.ri;
     s_shared =
       Hashtbl.fold (fun k sr acc -> (k, copy_sr sr) :: acc) t.shared_tbl [];
     s_vc = Array.map Vc.copy t.vc;
@@ -381,10 +391,11 @@ let save t =
   }
 
 let restore t s =
-  Bytes.blit s.s_we 0 t.we 0 (Bytes.length t.we);
-  Bytes.blit s.s_wi 0 t.wi 0 (Bytes.length t.wi);
-  Bytes.blit s.s_re 0 t.re 0 (Bytes.length t.re);
-  Bytes.blit s.s_ri 0 t.ri 0 (Bytes.length t.ri);
+  let revert p from = ignore (Pages.revert p ~from : int) in
+  revert t.we s.s_we;
+  revert t.wi s.s_wi;
+  revert t.re s.s_re;
+  revert t.ri s.s_ri;
   Hashtbl.reset t.shared_tbl;
   List.iter (fun (k, sr) -> Hashtbl.replace t.shared_tbl k (copy_sr sr)) s.s_shared;
   Array.iteri (fun i v -> Array.blit v 0 t.vc.(i) 0 (Array.length v)) s.s_vc;

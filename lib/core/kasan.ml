@@ -199,7 +199,8 @@ let on_access t ~addr ~size ~is_write ~pc ~hart =
    re-checks and reports. *)
 let site t ~pc ~size ~is_write : Sanitizer.site =
   let sh = t.shadow in
-  let plane = sh.Shadow.kasan and base = sh.base and limit = sh.limit in
+  let plane = sh.Shadow.kasan.Embsan_emu.Pages.bytes in
+  let base = sh.base and limit = sh.limit in
   let shift = Shadow.granule_shift and gmask = Shadow.granule - 1 in
   let tail = size - 1 in
   let checks = t.access_checks in

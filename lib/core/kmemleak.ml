@@ -17,20 +17,16 @@ type t = {
   live : (int, alloc_rec) Hashtbl.t; (* ptr -> record *)
   mutable allocs : int;
   mutable frees : int;
-  grace_insns : int; (* blocks younger than this are not suspicious *)
-  site_threshold : int; (* live blocks per allocation site to report *)
 }
 
-let create ?(grace_insns = 50_000) ?(site_threshold = 4) ~sink ~symbolize () =
-  {
-    sink;
-    symbolize;
-    live = Hashtbl.create 256;
-    allocs = 0;
-    frees = 0;
-    grace_insns;
-    site_threshold;
-  }
+(* Blocks younger than this many insns are not suspicious. *)
+let grace_insns = 50_000
+
+(* Live blocks per allocation site to report. *)
+let site_threshold = 4
+
+let create ~sink ~symbolize () =
+  { sink; symbolize; live = Hashtbl.create 256; allocs = 0; frees = 0 }
 
 (* --- Snapshot support -------------------------------------------------------- *)
 
@@ -67,7 +63,7 @@ let scan t ~now =
   let sites : (int, int * alloc_rec) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter
     (fun _ptr (r : alloc_rec) ->
-      if now - r.l_at > t.grace_insns then
+      if now - r.l_at > grace_insns then
         let n, oldest =
           match Hashtbl.find_opt sites r.l_pc with
           | Some (n, oldest) -> (n, oldest)
@@ -79,7 +75,7 @@ let scan t ~now =
   let fresh = ref 0 in
   Hashtbl.iter
     (fun pc (n, oldest) ->
-      if n >= t.site_threshold then
+      if n >= site_threshold then
         let added =
           Report.add t.sink
             {

@@ -1,7 +1,8 @@
 (** Host-side kmemleak-style leak detector: the "third sanitizer"
     demonstrating the paper's section-5 adaptability claim.  It consumes
     only the allocator interception points and reports allocation sites
-    that accumulate live blocks past a grace window when {!scan} runs. *)
+    that accumulate live blocks past a grace window when {!scan} runs:
+    four or more blocks, each allocated over 50,000 insns earlier. *)
 
 type alloc_rec = { l_size : int; l_pc : int; l_at : int }
 
@@ -11,17 +12,10 @@ type t = {
   live : (int, alloc_rec) Hashtbl.t;
   mutable allocs : int;
   mutable frees : int;
-  grace_insns : int;
-  site_threshold : int;
 }
 
 val create :
-  ?grace_insns:int ->
-  ?site_threshold:int ->
-  sink:Report.sink ->
-  symbolize:(int -> string option) ->
-  unit ->
-  t
+  sink:Report.sink -> symbolize:(int -> string option) -> unit -> t
 
 (** Snapshot of the live-block table and counters. *)
 type state

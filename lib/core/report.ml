@@ -65,11 +65,12 @@ let pp fmt r =
 type sink = {
   mutable reports : t list; (* newest first *)
   seen : (string, int) Hashtbl.t; (* dedup key -> hit count *)
-  mutable limit : int;
 }
 
-let create_sink ?(limit = 10_000) () =
-  { reports = []; seen = Hashtbl.create 64; limit }
+(* Unique reports kept in full; later new bugs are only counted. *)
+let report_limit = 10_000
+
+let create_sink () = { reports = []; seen = Hashtbl.create 64 }
 
 (** Count one more hit of the bug with dedup key [key]; [false], and no
     change, when no such bug has been seen yet. *)
@@ -86,7 +87,7 @@ let add sink r =
   if bump sink key then false
   else begin
     Hashtbl.replace sink.seen key 1;
-    if List.length sink.reports < sink.limit then
+    if List.length sink.reports < report_limit then
       sink.reports <- r :: sink.reports;
     true
   end
@@ -105,21 +106,15 @@ let clear sink =
 
 (* Reports are immutable records, so the lists can be shared; the dedup
    table is flattened to bindings. *)
-type sink_state = {
-  ss_reports : t list;
-  ss_seen : (string * int) list;
-  ss_limit : int;
-}
+type sink_state = { ss_reports : t list; ss_seen : (string * int) list }
 
 let save_sink sink =
   {
     ss_reports = sink.reports;
     ss_seen = Hashtbl.fold (fun k n acc -> (k, n) :: acc) sink.seen [];
-    ss_limit = sink.limit;
   }
 
 let restore_sink sink (s : sink_state) =
   sink.reports <- s.ss_reports;
   Hashtbl.reset sink.seen;
-  List.iter (fun (k, n) -> Hashtbl.replace sink.seen k n) s.ss_seen;
-  sink.limit <- s.ss_limit
+  List.iter (fun (k, n) -> Hashtbl.replace sink.seen k n) s.ss_seen

@@ -39,14 +39,11 @@ val title : t -> string
 (** Kernel-oops-style multi-line rendering. *)
 val pp : Format.formatter -> t -> unit
 
-(** A collection sink with duplicate suppression. *)
-type sink = {
-  mutable reports : t list;
-  seen : (string, int) Hashtbl.t;
-  mutable limit : int;
-}
+(** A collection sink with duplicate suppression.  It keeps the first
+    10,000 unique reports; later new bugs are only counted. *)
+type sink = { mutable reports : t list; seen : (string, int) Hashtbl.t }
 
-val create_sink : ?limit:int -> unit -> sink
+val create_sink : unit -> sink
 
 (** Add a report; returns [true] iff it is a new (non-duplicate) bug. *)
 val add : sink -> t -> bool

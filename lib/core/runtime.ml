@@ -241,7 +241,7 @@ let access_guard t ~pc ~size ~is_write ~is_atomic : Probe.guard =
     | [ (_, Some counter) ] ->
         let sh = t.shadow in
         {
-          Probe.g_plane = sh.Shadow.kasan;
+          Probe.g_plane = sh.Shadow.kasan.Pages.bytes;
           g_base = sh.base;
           g_limit = sh.limit;
           g_shift = Shadow.granule_shift;

@@ -2,10 +2,10 @@
     state per 8-byte granule of guest RAM using the kernel encoding, plus a
     parallel per-granule plane used by the KCSAN functionality.
 
-    Both planes are zeroed on demand ({!Embsan_emu.Ram.zeroed}) and start
-    synced to the all-zero {!state}, with every write tracked per chunk of
-    512 granules (one 4 KiB guest page), so {!save} costs the chunks
-    written since the last sync. *)
+    Each plane is an {!Embsan_emu.Pages} store of 512-granule pages (one
+    page per 4 KiB of guest RAM): zeroed on demand, synced to the
+    all-zero image, and marked by every write, so {!save} costs the
+    pages written since the last sync. *)
 
 type code =
   | Addressable
@@ -29,23 +29,20 @@ val code_of_byte : int -> code
 
 val code_name : code -> string
 
-(** Snapshot of both shadow planes: one immutable buffer per chunk, shared
-    with the state it was saved from wherever the chunk was not written
-    since.  A saved [state] is immune to later mutation of the live
-    shadow and survives repeated restores. *)
-type state
+(** Snapshot of both shadow planes: the KASAN plane's image, then the
+    KCSAN plane's.  Each shares every page not written since the state it
+    was saved from, is immune to later mutation of the live shadow and
+    survives repeated restores. *)
+type state = Embsan_emu.Pages.image * Embsan_emu.Pages.image
 
-(** The planes, readable anywhere but written only through this module:
-    every write marks its chunks in [dirty] (one byte per 512 granules,
-    i.e. per 4 KiB guest page), which is what lets {!restore} copy back
-    only what changed since [synced]. *)
+(** The planes, readable anywhere but written only through this module,
+    whose every write marks its pages: that is what lets {!restore} copy
+    back only what changed since the planes were synced. *)
 type t = private {
   base : int;
   limit : int;
-  kasan : Bytes.t;
-  kcsan_epoch : Bytes.t;
-  dirty : Bytes.t;
-  mutable synced : state;
+  kasan : Embsan_emu.Pages.t;  (** one byte per granule *)
+  kcsan_epoch : Embsan_emu.Pages.t;
 }
 
 val granule : int
@@ -80,16 +77,10 @@ val check : t -> addr:int -> size:int -> verdict
 (** Bump and return the KCSAN sampling counter of [addr]'s granule. *)
 val kcsan_bump : t -> int -> int
 
-(** Copy the chunks written since the last sync into a new state that
-    shares every other chunk with the synced state, and becomes it. *)
+(** {!Embsan_emu.Pages.capture} of each plane. *)
 val save : t -> state
 
-(** The buffer of chunk [c] in a state: its KASAN bytes, then its KCSAN
-    bytes (compare with [==] to see sharing). *)
-val chunk_of : state -> int -> string
-
-(** Revert both planes to [state], which becomes the synced state.
-    Restoring the synced state (the latest {!save}, or the state last
-    restored) copies back only the dirty chunks; any other state costs a
-    full copy of both planes. *)
+(** {!Embsan_emu.Pages.revert} of each plane: restoring the synced state
+    (the latest {!save}, or the state last restored) copies back only the
+    pages written since; any other state is a full copy. *)
 val restore : t -> state -> unit

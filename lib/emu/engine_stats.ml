@@ -12,7 +12,7 @@ type t = {
   (* [flushes_load] counts the unavoidable flush on [load_image];
      [flushes_invalidate] counts everything else ([flush_tcg],
      [set_engine], snapshot restore).  Probe subscribe/unsubscribe and
-     dirty-tracking toggles patch sites in place and count as neither --
+     cmplog toggles patch sites in place and count as neither --
      "~0 invalidation flushes under a probe-toggle storm" is the pinned
      property. *)
   mutable flushes_load : int;

@@ -11,7 +11,7 @@ type t = {
   mutable flushes_load : int;  (** [load_image] flushes *)
   mutable flushes_invalidate : int;
       (** [flush_tcg] / [set_engine] / restore flushes.  Probe and
-          dirty-tracking toggles patch sites in place and count as neither
+          cmplog toggles patch sites in place and count as neither
           kind. *)
   mutable super_transfers : int;
       (** always 0 and not rendered by {!pp} or {!to_json}: kept only

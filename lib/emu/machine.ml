@@ -6,12 +6,11 @@
    "Fuzzing-first engine"):
 
    - patchable probe sites: every translated op that can be instrumented
-     (mem/call/ret/compare, plus dirty-page tracking) compiles in a site
-     that consults the shared site table ({!Probe.t} subscriber arrays,
-     [Ram.track_dirty], [Cmplog.enabled]) at run time.  Toggling any of
-     them is an O(1) mutation observed by already-translated code on its
-     next dispatch -- no retranslation, no flush (Icicle's
-     "instrumentation without recompilation");
+     (mem/call/ret/compare) compiles in a site that consults the shared
+     site table ({!Probe.t} subscriber arrays, [Cmplog.enabled]) at run
+     time.  Toggling any of them is an O(1) mutation observed by
+     already-translated code on its next dispatch -- no retranslation, no
+     flush (Icicle's "instrumentation without recompilation");
    - specialized sites: each load/store/AMO, call and trap op caches the
      closure its subscribers (or the trap table) specialized to what the
      instruction fixes -- pc, width, direction, atomicity, direct-call
@@ -37,8 +36,9 @@
      links (generation-tagged), so straight-line code and loops transfer
      control without touching the block hashtable;
    - allocation-free RAM fast path: load/store templates are specialized
-     at translation time per width and bounds-check straight into
-     [Ram.bytes]; the {!Fault.access} record is only constructed on the
+     at translation time per width and bounds-check straight into RAM's
+     {!Pages} bytes, and a store marks its page(s) with one unconditional
+     byte write; the {!Fault.access} record is only constructed on the
      fault slow path, and a device access allocates nothing;
    - batched accounting: retired-instruction and cycle-cost counters are
      charged once per block entry from translate-time totals, instead of
@@ -124,7 +124,7 @@ type rehost = {
 type t = {
   arch : Arch.t;
   ram : Ram.t;
-  mutable devices : Device.t array; (* sorted by base, non-overlapping *)
+  devices : Device.t array; (* sorted by base, non-overlapping *)
   uart : Devices.uart;
   mailbox : Devices.mailbox;
   harts : Cpu.t array;
@@ -133,16 +133,16 @@ type t = {
   block_cache : block Pc_table.t;
   trap_handlers : (int, pc:int -> handler) Hashtbl.t;
       (* trap number -> handler specializer, bound per trap site; change
-         only through set_trap_site/set_trap_handler/remove_trap_handler,
-         which bump the site generation *)
+         only through set_trap_site/set_trap_handler, which bump the site
+         generation *)
   stats : Engine_stats.t;
   mutable engine : engine;
   mutable tcg_gen : int;
       (* bumped by every flush, and only by one; invalidates chain links *)
   mutable suspects : (int * string) list;
-      (* (base, source bytes) of blocks translated, while dirty tracking
-         was on, from a page written since the last snapshot capture or
-         restore: the blocks revalidate_tcg must check against RAM *)
+      (* (base, source bytes) of blocks translated from a page written
+         since the last snapshot capture or restore: the blocks
+         revalidate_tcg must check against RAM *)
   mutable total_insns : int;
   mutable cost : int; (* modeled guest cycles, Cost_model weights *)
   mutable external_cost : int; (* host-side sanitizer cost units *)
@@ -214,9 +214,6 @@ let create ?(harts = 2) ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
   in
   Lazy.force m
 
-let add_device t dev =
-  t.devices <- sort_devices (Array.append t.devices [| dev |])
-
 let flush_raw t =
   Pc_table.reset t.block_cache;
   t.suspects <- [];
@@ -226,8 +223,8 @@ let flush_raw t =
 
 (* Explicit invalidation (self-modifying code, engine switch, a first or
    whole-RAM snapshot restore, a changed suspect).  Instrumentation toggles do
-   NOT come through here any more: probe subscribe/unsubscribe, dirty
-   tracking and cmplog all patch live sites, which is what keeps
+   NOT come through here any more: probe subscribe/unsubscribe and
+   cmplog patch live sites, which is what keeps
    [flushes_invalidate] at ~0 under a probe-toggle storm (the
    toggle-storm oracle pins this). *)
 let flush_tcg t =
@@ -255,13 +252,6 @@ let set_engine t engine =
     flush_tcg t
   end
 
-(* Dirty-page tracking is a patchable site in the translated store
-   templates: stores consult [Ram.track_dirty] at run time, so toggling
-   is one boolean write -- no flush, and a no-op toggle is free.  Turning
-   it off forgets RAM's synced image, so the next snapshot restore copies
-   every page and flushes. *)
-let set_dirty_tracking t on = Ram.set_track_dirty t.ram on
-
 (* Compare-operand recording is a patchable site in branch/compare
    templates; same O(1), flush-free toggle. *)
 let set_cmplog t on = t.cmplog.Cmplog.enabled <- on
@@ -282,10 +272,6 @@ let set_trap_site t num spec =
   Probe.invalidate t.probes
 
 let set_trap_handler t num handler = set_trap_site t num (fun ~pc:_ -> handler)
-
-let remove_trap_handler t num =
-  Hashtbl.remove t.trap_handlers num;
-  Probe.invalidate t.probes
 
 (** Add host-side sanitizer cost units (see {!Cost_model}). *)
 let add_external_cost t units = t.external_cost <- t.external_cost + units
@@ -542,9 +528,10 @@ let collect_block t base =
   (* a block spans at most two pages; one written since the last capture
      or restore makes it a suspect for [revalidate_tcg] *)
   let ram = t.ram in
-  let page addr = (addr - Ram.base ram) lsr Ram.page_shift in
-  let written addr = Ram.page_is_dirty ram (page addr) in
-  if Ram.track_dirty ram && (written base || written (end_pc - 1)) then
+  let written addr =
+    Pages.is_dirty ram.Ram.mem ((addr - Ram.base ram) lsr Ram.page_shift)
+  in
+  if written base || written (end_pc - 1) then
     t.suspects <-
       (base, Ram.read_string ram ~addr:base ~len:(end_pc - base)) :: t.suspects;
   block
@@ -570,7 +557,7 @@ let[@inline] sgn v = if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v
 let[@inline] cmp_site (cl : Cmplog.t) ~pc x y =
   if cl.Cmplog.enabled then Cmplog.record cl ~pc ~lhs:x ~rhs:y
 
-(* The dirty-track site of a store: one byte write per store, two when the
+(* The dirty mark of a store: one byte write per store, two when the
    access straddles a page boundary, and no allocation. *)
 let[@inline] mark_dirty dirtyb off n =
   let shift = Ram.page_shift in
@@ -626,7 +613,7 @@ let[@inline] probe_call (p : Probe.t) s ~hart ~target =
    Every instruction compiles to exactly one closure, with its operator,
    register accesses and sites written inline (see the helpers above).
    Instrumentation points compile to *patchable sites*: each op that can
-   be instrumented captures the machine's shared probe/cmplog/dirty state
+   be instrumented captures the machine's shared probe/cmplog state
    records and checks its armed condition at run time -- for mem and call
    ops, that a subscriber exists and then the generation of its cached
    specialized closure (see {!site}); for trap ops, the generation.
@@ -641,12 +628,11 @@ let translate_fast t base =
   let cl = t.cmplog in
   let ram = t.ram in
   (* RAM bounds are resolved at translation time; the templates touch the
-     RAM bytes directly.  Dirty-page tracking is a patchable site too:
-     stores read [ram.track_dirty] at run time. *)
-  let bytes = ram.Ram.bytes in
+     RAM bytes and dirty marks directly. *)
+  let bytes = ram.Ram.mem.Pages.bytes in
   let rbase = ram.Ram.base in
   let rlim = rbase + Bytes.length bytes in
-  let dirtyb = ram.Ram.dirty in
+  let dirtyb = ram.Ram.mem.Pages.dirty in
   let ri = Reg.to_int in
   let insns, end_pc = collect_block t base in
   let n_insns = List.length insns in
@@ -802,7 +788,7 @@ let translate_fast t base =
         let a = ri rs1 and v = ri rs2 in
         let s = mem_cache p ~pc ~size ~is_write:true ~is_atomic:false in
         (* one closure per width: the probe prelude, then the RAM store
-           with its dirty-track site, or the slow path *)
+           with its dirty mark, or the slow path *)
         match (w : Insn.width) with
         | W32 ->
             fun cpu ->
@@ -812,7 +798,7 @@ let translate_fast t base =
               if addr >= rbase && addr + 4 <= rlim then begin
                 let off = addr - rbase in
                 Bytes.set_int32_le bytes off (Int32.of_int value);
-                if ram.Ram.track_dirty then mark_dirty dirtyb off 4
+                mark_dirty dirtyb off 4
               end
               else slow_write t ~hart:cpu.id ~pc ~addr ~size:4 ~over value
         | W16 ->
@@ -823,7 +809,7 @@ let translate_fast t base =
               if addr >= rbase && addr + 2 <= rlim then begin
                 let off = addr - rbase in
                 Bytes.set_uint16_le bytes off (value land 0xFFFF);
-                if ram.Ram.track_dirty then mark_dirty dirtyb off 2
+                mark_dirty dirtyb off 2
               end
               else slow_write t ~hart:cpu.id ~pc ~addr ~size:2 ~over value
         | W8 ->
@@ -834,8 +820,7 @@ let translate_fast t base =
               if addr >= rbase && addr + 1 <= rlim then begin
                 let off = addr - rbase in
                 Bytes.unsafe_set bytes off (Char.unsafe_chr (value land 0xFF));
-                if ram.Ram.track_dirty then
-                  Bytes.unsafe_set dirtyb (off lsr Ram.page_shift) '\xFF'
+                Bytes.unsafe_set dirtyb (off lsr Ram.page_shift) '\xFF'
               end
               else slow_write t ~hart:cpu.id ~pc ~addr ~size:1 ~over value)
     | Amo (op, rd, rs1, rs2) ->
@@ -856,7 +841,7 @@ let translate_fast t base =
               if is_add then (old + value) land 0xFFFF_FFFF else value
             in
             Bytes.set_int32_le bytes off (Int32.of_int next);
-            if ram.Ram.track_dirty then mark_dirty dirtyb off 4;
+            mark_dirty dirtyb off 4;
             if d <> 0 then Array.unsafe_set cpu.Cpu.regs d old
           end
           else begin

@@ -2,12 +2,12 @@
     TCG-like execution engine that translates basic blocks into closure
     arrays with {e patchable instrumentation sites}.
 
-    Every op that can be instrumented (mem/call/ret/compare, plus
-    dirty-page tracking) compiles in a site that consults the shared site
-    table ({!Probe.t} subscriber arrays, [Ram.track_dirty],
-    [Cmplog.enabled]) at run time, so toggling instrumentation is an O(1)
-    mutation observed by already-translated code -- no retranslation, no
-    flush.  Load/store/AMO, call and trap ops cache the closure their
+    Every op that can be instrumented (mem/call/ret/compare) compiles in
+    a site that consults the shared site table ({!Probe.t} subscriber
+    arrays, [Cmplog.enabled]) at run time, so toggling instrumentation is
+    an O(1) mutation observed by already-translated code -- no
+    retranslation, no flush.  Every store marks its RAM page(s) dirty
+    ({!Pages}) with one unconditional byte write.  Load/store/AMO, call and trap ops cache the closure their
     subscribers or trap handler specialized to the instruction's static
     facts, and rebuild it only when the site generation
     ({!Probe.t.gen}) moved; a site specialized to "nothing to do" makes
@@ -69,7 +69,7 @@ type rehost = {
 type t = {
   arch : Embsan_isa.Arch.t;
   ram : Ram.t;
-  mutable devices : Device.t array;  (** sorted by base, non-overlapping *)
+  devices : Device.t array;  (** sorted by base, non-overlapping *)
   uart : Devices.uart;
   mailbox : Devices.mailbox;
   harts : Cpu.t array;
@@ -86,9 +86,9 @@ type t = {
           ({!flush_tcg}, {!set_engine}, {!load_image}, or
           {!revalidate_tcg} when it flushes); invalidates chain links *)
   mutable suspects : (int * string) list;
-      (** (base, source bytes) of the blocks translated, while dirty
-          tracking was on, from a page written since the last snapshot
-          capture or restore; {!revalidate_tcg} checks them *)
+      (** (base, source bytes) of the blocks translated from a page
+          written since the last snapshot capture or restore;
+          {!revalidate_tcg} checks them *)
   mutable total_insns : int;
   mutable cost : int;  (** modeled guest cycles ({!Cost_model} weights) *)
   mutable external_cost : int;  (** host-side sanitizer cost units *)
@@ -122,7 +122,7 @@ val ram_base : t -> int
 val ram_size : t -> int
 
 (** A machine with zeroed RAM ({!Ram.create}: pages cost memory only once
-    written) and dirty-page tracking on, synced to the all-zero image. *)
+    written), synced to the all-zero image. *)
 val create :
   ?harts:int ->
   ?ram_base:int ->
@@ -132,13 +132,11 @@ val create :
   unit ->
   t
 
-val add_device : t -> Device.t -> unit
-
 (** Explicitly flush the translation cache and invalidate all chained
     successor links (self-modifying code; a snapshot's first restore and
     every restore that copies all of RAM).  Instrumentation toggles never
-    flush: probe subscribe/unsubscribe, dirty tracking and cmplog all
-    patch live sites.  Counted in [stats.flushes_invalidate]. *)
+    flush: probe subscribe/unsubscribe and cmplog patch live sites.
+    Counted in [stats.flushes_invalidate]. *)
 val flush_tcg : t -> unit
 
 (** Keep the translation cache across a snapshot restore that reverted
@@ -147,10 +145,9 @@ val flush_tcg : t -> unit
     it only clears the suspects: every block, chain link and the
     generation stay as they are, so the next exec finds its blocks
     through the table and its links as before the restore, and executes
-    exactly as on a flushed cache.  Sound only if, since the last flush,
-    dirty tracking stayed on and every snapshot capture or restore left
-    RAM as it is now.  [Snap.restore] enforces this: turning tracking off
-    forgets RAM's synced image, and a restore RAM is not synced to copies
+    exactly as on a flushed cache.  Sound only if every snapshot capture
+    or restore since the last flush left RAM as it is now.
+    [Snap.restore] enforces this: a restore RAM is not synced to copies
     every page and flushes instead, as does a snapshot's first
     restore. *)
 val revalidate_tcg : t -> unit
@@ -158,14 +155,6 @@ val revalidate_tcg : t -> unit
 (** Switch execution engines; flushes the translation cache when the mode
     actually changes (blocks of the two engines are not interchangeable). *)
 val set_engine : t -> engine -> unit
-
-(** Toggle dirty-page tracking in RAM (see {!Ram}; it starts on).  The
-    marking is a patchable site in the translated store templates (stores
-    consult [Ram.track_dirty] at run time), so toggling is O(1) and
-    flush-free, and a no-op toggle is free.  Turning tracking off forgets
-    RAM's synced image: untracked stores leave no mark, so the next
-    snapshot capture or restore copies every page. *)
-val set_dirty_tracking : t -> bool -> unit
 
 (** Toggle compare-operand recording (see {!Cmplog}); O(1), flush-free
     patch of the branch/compare sites. *)
@@ -181,9 +170,6 @@ val set_trap_site : t -> int -> (pc:int -> handler) -> unit
 
 (** [set_trap_handler t num h] is [set_trap_site t num (fun ~pc:_ -> h)]. *)
 val set_trap_handler : t -> int -> handler -> unit
-
-(** Uninstall; sites of [num] then stop with [Unhandled_trap]. *)
-val remove_trap_handler : t -> int -> unit
 
 (** Arm (or, with [None], disarm) the external hart scheduler. *)
 val set_sched : t -> scheduler option -> unit

@@ -1,19 +1,18 @@
 (* Machine checkpoint/restore service (DESIGN.md "Snapshot service").
 
    A snapshot captures everything a fresh boot would establish: guest RAM
-   (a {!Ram.image}), per-hart architectural state, device state (via the
+   (a {!Pages.image}), per-hart architectural state, device state (via the
    {!Device.t} save/restore hooks) and, optionally, the host-side
-   sanitizer runtime (shadow planes, KASAN/KCSAN/kmemleak tables, report
-   sink).  Capture and restore cost what was written.  RAM and the shadow
-   planes start with dirty tracking on, synced to all-zero contents, and
-   loading the firmware re-syncs RAM, so a capture copies only the pages
-   and chunks written since the last sync and shares the rest with the
-   synced state.  Restoring the image RAM is synced to (the latest
-   capture or restore, with tracking on throughout) reverts only the
-   pages written since, the shadow planes copy back only their dirty
-   chunks under the same rule, and the translation cache is revalidated
-   instead of flushed.  Any other restore -- an older snapshot, or one
-   after tracking was turned off -- copies every page and flushes.
+   sanitizer runtime (shadow and ftrace planes, KASAN/KCSAN/kmemleak
+   tables, report sink).  Capture and restore cost what was written: RAM
+   and every sanitizer plane is a {!Pages} store, which starts synced to
+   all-zero contents (loading the firmware re-syncs RAM), so a capture
+   copies only the pages written since the last sync and shares the rest
+   with the synced image.  Restoring the image RAM is synced to (the
+   latest capture or restore) reverts only the pages written since, the
+   sanitizer planes follow the same rule, and the translation cache is
+   revalidated instead of flushed.  Restoring an older snapshot copies
+   every page and flushes.
 
    What is deliberately NOT captured: probe subscribers and site state, trap
    handlers, device callbacks (mailbox on_ready/on_complete), the
@@ -39,7 +38,7 @@ type hart_state = {
 
 type t = {
   machine : Machine.t;
-  ram_image : Ram.image; (* RAM at capture, sharing unwritten pages *)
+  ram_image : Pages.image; (* RAM at capture, sharing unwritten pages *)
   harts : hart_state array;
   devices : (string * string) array; (* device name, opaque save blob *)
   total_insns : int;
@@ -72,15 +71,11 @@ let restore_hart (cpu : Cpu.t) (h : hart_state) =
 
 (** Checkpoint [machine] (and [runtime]'s host-side sanitizer state, when
     given) and sync RAM to the captured image, so the write set
-    accumulated afterwards is exactly "pages to revert".  Turns dirty-page
-    tracking back on if it was off — an O(1), flush-free site patch (store
-    sites read the flag at run time); RAM then has no synced image and
-    the capture copies every page. *)
+    accumulated afterwards is exactly "pages to revert". *)
 let capture ?runtime (machine : Machine.t) =
-  Machine.set_dirty_tracking machine true;
   {
     machine;
-    ram_image = Ram.capture machine.Machine.ram;
+    ram_image = Pages.capture machine.Machine.ram.Ram.mem;
     harts = Array.map save_hart machine.Machine.harts;
     devices =
       Array.map
@@ -106,9 +101,9 @@ let capture ?runtime (machine : Machine.t) =
     translation cache; later ones revalidate it. *)
 let restore t =
   let m = t.machine in
-  let ram = m.Machine.ram in
-  let full = not (Ram.is_synced ram t.ram_image) in
-  let pages = Ram.revert ram ~from:t.ram_image in
+  let mem = m.Machine.ram.Ram.mem in
+  let full = not (Pages.is_synced mem t.ram_image) in
+  let pages = Pages.revert mem ~from:t.ram_image in
   Array.iteri (fun i h -> restore_hart m.Machine.harts.(i) h) t.harts;
   Array.iteri
     (fun i (name, blob) ->

@@ -269,10 +269,10 @@ let lw_past_ram_end_faults () =
       | s -> Alcotest.failf "kasan=%b: got %a" kasan Machine.pp_stop s)
     [ false; true ]
 
-(* Restoring the latest save copies back only the dirty chunks; restoring
+(* Restoring the latest save copies back only the dirty pages; restoring
    any other state copies everything.  Either way both planes must equal
    the full copy taken at save time, whatever mix of poison, unpoison and
-   KCSAN bumps ran in between -- ranges straddling chunk boundaries and
+   KCSAN bumps ran in between -- ranges straddling page boundaries and
    the end of RAM included. *)
 let shadow_restore_qcheck =
   let open QCheck2 in
@@ -282,7 +282,8 @@ let shadow_restore_qcheck =
       oneof
         [
           int_range 0 (size - 1);
-          (* around a chunk (4 KiB) boundary, below base and past the end *)
+          (* around a page (4 KiB of RAM) boundary, below base and past
+             the end *)
           map2 (fun c d -> (c * 4096) + d) (int_range 0 16) (int_range (-24) 24);
           map (fun d -> size - d) (int_range 1 64);
         ])
@@ -314,8 +315,8 @@ let shadow_restore_qcheck =
         Shadow.restore s st;
         ok :=
           !ok
-          && Bytes.equal s.Shadow.kasan kasan
-          && Bytes.equal s.Shadow.kcsan_epoch kcsan
+          && Bytes.equal s.Shadow.kasan.Pages.bytes kasan
+          && Bytes.equal s.Shadow.kcsan_epoch.Pages.bytes kcsan
       in
       List.iter
         (function
@@ -325,7 +326,9 @@ let shadow_restore_qcheck =
           | `Save ->
               let st = Shadow.save s in
               saved :=
-                (st, Bytes.copy s.Shadow.kasan, Bytes.copy s.Shadow.kcsan_epoch)
+                ( st,
+                  Bytes.copy s.Shadow.kasan.Pages.bytes,
+                  Bytes.copy s.Shadow.kcsan_epoch.Pages.bytes )
                 :: !saved
           | `Restore_latest -> (
               match !saved with latest :: _ -> restore latest | [] -> ())
@@ -336,37 +339,51 @@ let shadow_restore_qcheck =
         ops;
       !ok)
 
-(* [save] copies only the chunks written since the last sync: after
-   writes to k chunks (KASAN poison, or a KCSAN bump alone), every other
-   chunk of the new state is the synced state's buffer, and the first
-   save of fresh planes shares the one all-zero chunk throughout. *)
+(* [save] copies only the pages written since the last sync, plane by
+   plane: after KASAN poisons of some pages and KCSAN bumps of others,
+   each plane's new image holds a private copy of exactly the pages
+   written in that plane and shares every other page with the synced
+   image -- a bump copies no KASAN page, and a poison no KCSAN page.
+   The first save of fresh planes holds no page privately. *)
 let shadow_save_shares_unwritten_chunks () =
   let s = mk_shadow () in
-  let chunks = Bytes.length s.Shadow.dirty in
+  let pages = Pages.page_count s.Shadow.kasan in
+  let all = List.init pages Fun.id in
   let st0 = Shadow.save s in
-  for c = 1 to chunks - 1 do
-    if Shadow.chunk_of st0 c != Shadow.chunk_of st0 0 then
-      Alcotest.failf "fresh planes: chunk %d is not the zero chunk" c
-  done;
+  if Pages.private_pages (fst st0) + Pages.private_pages (snd st0) <> 0 then
+    Alcotest.fail "fresh planes: a page is held privately";
   ignore
     (List.fold_left
-       (fun prev written ->
+       (fun prev (poisoned, bumped) ->
+         let addr p = base + (p * 4096) + 8 in
          List.iter
-           (fun c ->
-             let addr = base + (c * 4096) + 8 in
-             if c mod 2 = 0 then Shadow.poison s ~addr ~size:16 Shadow.Freed
-             else ignore (Shadow.kcsan_bump s addr : int))
-           written;
+           (fun p -> Shadow.poison s ~addr:(addr p) ~size:16 Shadow.Freed)
+           poisoned;
+         List.iter (fun p -> ignore (Shadow.kcsan_bump s (addr p) : int)) bumped;
          let st = Shadow.save s in
-         for c = 0 to chunks - 1 do
-           let shared = Shadow.chunk_of st c == Shadow.chunk_of prev c in
-           if shared = List.mem c written then
-             Alcotest.failf "%d chunks written: chunk %d shared = %b"
-               (List.length written) c shared
-         done;
+         List.iter
+           (fun (name, image, written) ->
+             for p = 0 to pages - 1 do
+               let shared =
+                 Pages.page (image st) p == Pages.page (image prev) p
+               in
+               if shared = List.mem p written then
+                 Alcotest.failf
+                   "%s plane, %d+%d pages written: page %d shared = %b" name
+                   (List.length poisoned) (List.length bumped) p shared
+             done)
+           [ ("KASAN", fst, poisoned); ("KCSAN", snd, bumped) ];
          st)
        st0
-       [ []; [ 3 ]; [ 0; 1; 7; 15 ]; List.init chunks Fun.id ])
+       [
+         ([], []);
+         ([ 3 ], []);
+         ([], [ 3 ]);
+         ([ 0; 7 ], [ 1; 15 ]);
+         ([ 0; 1; 7; 15 ], [ 0; 1; 7; 15 ]);
+         (all, []);
+         ([], all);
+       ])
 
 (* [check] against a byte-wise reference over the same plane, after random
    poison/unpoison: an access is valid iff every byte of it, clamped to
@@ -403,7 +420,7 @@ let shadow_check_bytewise_qcheck =
         ops;
       (* [b] is an offset from the (granule-aligned) RAM base *)
       let addressable b =
-        let k = Bytes.get_uint8 s.Shadow.kasan (b / 8) in
+        let k = Bytes.get_uint8 s.Shadow.kasan.Pages.bytes (b / 8) in
         k = 0 || (k < 8 && b land 7 < k)
       in
       List.for_all
@@ -1317,7 +1334,9 @@ let guards_bound_where_offered () =
         if g != Probe.no_guard then Alcotest.failf "guard at exempt pc 0x%x" pc
       end
       else if
-        not (g.g_events == rt.mem_events && g.g_plane == rt.shadow.Shadow.kasan)
+        not
+          (g.g_events == rt.mem_events
+          && g.g_plane == rt.shadow.Shadow.kasan.Pages.bytes)
       then Alcotest.failf "no runtime guard at 0x%x" pc)
     insns;
   let _, m2, rt2 = boot Embsan.all_sanitizers in
@@ -1586,15 +1605,39 @@ let ftrace_irq_pseudo_lock () =
   section 1 0x200;
   Alcotest.(check int) "irq-off sections ordered" 0 (List.length (races sink))
 
+(* The planes follow the snapshot rule of every page store: restoring
+   the state saved last copies back the pages written since, restoring
+   it a second time does the same, and restoring an older state after a
+   newer save copies every page.  Each path must rewind exactly what was
+   recorded after the state was saved. *)
 let ftrace_state_roundtrip () =
   let t, sink = ft_create () in
+  let count () = List.length (races sink) in
   let s = Ftrace.save t in
   ft_write t ~hart:0 ~pc:0x100 0x1_0600;
   Ftrace.restore t s;
   (* the pre-restore write was rewound with the rest of the metadata *)
   ft_write t ~hart:1 ~pc:0x200 0x1_0600;
-  Alcotest.(check int) "restored state forgets the detour" 0
-    (List.length (races sink))
+  Alcotest.(check int) "restored state forgets the detour" 0 (count ());
+  Ftrace.restore t s;
+  ft_write t ~hart:0 ~pc:0x300 0x1_0600;
+  Alcotest.(check int) "restored twice, forgets the second detour" 0
+    (count ());
+  (* a newer save syncs the planes to it; the older state is then a copy
+     of every page, and the newer one again after that *)
+  ft_write t ~hart:1 ~pc:0x400 0x1_5000;
+  let newer = Ftrace.save t in
+  ft_write t ~hart:1 ~pc:0x500 0x1_9000;
+  Ftrace.restore t s;
+  ft_write t ~hart:0 ~pc:0x600 0x1_5000;
+  ft_write t ~hart:0 ~pc:0x700 0x1_9000;
+  Alcotest.(check int) "older state forgets what the newer one holds" 0
+    (count ());
+  Ftrace.restore t newer;
+  ft_write t ~hart:0 ~pc:0x800 0x1_5000;
+  Alcotest.(check int) "newer state keeps its write" 1 (count ());
+  ft_write t ~hart:0 ~pc:0x900 0x1_9000;
+  Alcotest.(check int) "newer state forgets the later write" 1 (count ())
 
 (* --- ftrace: the zero-core-edit pin -------------------------------------------------- *)
 

@@ -201,29 +201,10 @@ let full_restore_for_stale_snapshot () =
     (Snap.restore newer);
   Alcotest.(check int) "newer word" 1 (Machine.read_mem m ~addr:ram_base ~width:4)
 
-(* Stores made while dirty tracking is off leave no mark, so turning it
-   off forgets the synced image: the next restore copies every page and
-   flushes the translation cache, which [Machine.revalidate_tcg] may not
-   keep once tracking has lapsed. *)
-let untracked_writes_restore_fully () =
-  let m = make_machine () in
-  let snap = Snap.capture m in
-  ignore (Snap.restore snap : int) (* the first restore flushes *);
-  let flushes = m.Machine.stats.Engine_stats.flushes_invalidate in
-  Machine.set_dirty_tracking m false;
-  Machine.write_mem m ~addr:ram_base ~width:4 ~value:0xBAD;
-  Machine.set_dirty_tracking m true;
-  Alcotest.(check int) "every page copied" (ram_size / Ram.page_size)
-    (Snap.restore snap);
-  Alcotest.(check int) "word reverted" 0
-    (Machine.read_mem m ~addr:ram_base ~width:4);
-  Alcotest.(check int) "translation cache flushed" (flushes + 1)
-    m.Machine.stats.Engine_stats.flushes_invalidate
-
 (* The RAM counterpart of test_core's dirty-chunk property: whatever mix
-   of captures, stores (page-straddling ones included), bulk writes,
-   tracking toggles and restores of older snapshots came before, a
-   restore leaves RAM equal to the snapshot's image.  A model of the rule
+   of captures, stores (page-straddling ones included), bulk writes and
+   restores of older snapshots came before, a restore leaves RAM equal
+   to the snapshot's image.  A model of the rule
    predicts the cost: the pages written since the last sync when RAM is
    synced to that snapshot, every page otherwise.  It predicts what a
    capture holds too: the synced image's buffer for every page not
@@ -232,14 +213,12 @@ type step =
   | Capture
   | Store of int * int * int (* offset, width, value *)
   | Blit of int * string
-  | Track of bool
   | Restore of int (* index among the kept snapshots *)
 
 let pp_step = function
   | Capture -> "capture"
   | Store (off, w, v) -> Printf.sprintf "store%d 0x%x=0x%x" (8 * w) off v
   | Blit (off, s) -> Printf.sprintf "blit 0x%x len %d" off (String.length s)
-  | Track on -> Printf.sprintf "track %b" on
   | Restore i -> Printf.sprintf "restore #%d" i
 
 let step_gen =
@@ -270,7 +249,6 @@ let step_gen =
           (fun off c -> Blit (off, String.make len c))
           (int_range 0 (ram_size - len))
           printable );
-      (2, map (fun on -> Track on) bool);
       (3, map (fun i -> Restore i) (int_range 0 2));
     ]
 
@@ -281,44 +259,39 @@ let restore_equals_image =
     (fun steps ->
       let m = make_machine () in
       let ram = m.Machine.ram in
+      let mem = ram.Ram.mem in
       (* kept snapshots, newest first, each with a copy of RAM at capture *)
       let kept = ref [] in
-      (* the model: whether stores are tracked, the snapshot RAM is synced
-         to, and the pages written since that sync *)
-      let tracking = ref true and synced = ref None and written = ref [] in
+      (* the model: the snapshot RAM is synced to, and the pages written
+         since that sync *)
+      let synced = ref None and written = ref [] in
       let capture () =
         let dirty = List.sort_uniq compare !written in
-        let prev = Option.map Snap.ram_image !synced in
         let snap = Snap.capture m in
         let img = Snap.ram_image snap in
-        (match prev with
+        (match !synced with
         | Some prev ->
-            for p = 0 to Ram.page_count ram - 1 do
-              let shared = Ram.page img p == Ram.page prev p in
+            let prev = Snap.ram_image prev in
+            for p = 0 to Pages.page_count mem - 1 do
+              let shared = Pages.page img p == Pages.page prev p in
               if shared = List.mem p dirty then
                 QCheck2.Test.fail_reportf "capture: page %d shared = %b" p
                   shared
             done
         | None ->
-            (* the first capture's synced image is the all-zero one; with
-               none, every page is copied *)
-            let expected =
-              if !kept = [] then List.length dirty else Ram.page_count ram
-            in
-            if Ram.private_pages img <> expected then
+            (* the first capture's synced image is the all-zero one *)
+            if Pages.private_pages img <> List.length dirty then
               QCheck2.Test.fail_reportf "capture holds %d pages, model %d"
-                (Ram.private_pages img) expected);
+                (Pages.private_pages img) (List.length dirty));
         kept :=
           List.filteri (fun i _ -> i < 3)
-            ((snap, Bytes.copy ram.Ram.bytes) :: !kept);
-        tracking := true;
+            ((snap, Bytes.copy mem.Pages.bytes) :: !kept);
         synced := Some snap;
         written := []
       in
       let wrote off len =
-        if !tracking then
-          written :=
-            List.init len (fun i -> (off + i) lsr Ram.page_shift) @ !written
+        written :=
+          List.init len (fun i -> (off + i) lsr Ram.page_shift) @ !written
       in
       capture ();
       List.for_all
@@ -334,23 +307,18 @@ let restore_equals_image =
               Ram.blit_string ram ~addr:(ram_base + off) s;
               wrote off (String.length s);
               true
-          | Track on ->
-              Machine.set_dirty_tracking m on;
-              tracking := on;
-              if not on then synced := None;
-              true
           | Restore i ->
               let snap, image = List.nth !kept (i mod List.length !kept) in
               let expected =
                 match !synced with
                 | Some s when s == snap ->
                     List.length (List.sort_uniq compare !written)
-                | _ -> Ram.page_count ram
+                | _ -> Pages.page_count mem
               in
               let pages = Snap.restore snap in
-              synced := if !tracking then Some snap else None;
+              synced := Some snap;
               written := [];
-              pages = expected && Bytes.equal ram.Ram.bytes image)
+              pages = expected && Bytes.equal mem.Pages.bytes image)
         steps)
 
 (* --- post-boot capture cost ------------------------------------------------ *)
@@ -370,7 +338,7 @@ let post_boot_snapshot_is_sparse () =
       let image = (Replay.session_for ~kcov fw sanitizers).s_image in
       let inst = Replay.boot ~kcov fw (Replay.Embsan_cfg sanitizers) in
       let ram = inst.Replay.machine.Machine.ram in
-      let pages = List.init (Ram.page_count ram) Fun.id in
+      let pages = List.init (Pages.page_count ram.Ram.mem) Fun.id in
       let page addr = (addr - Ram.base ram) lsr Ram.page_shift in
       let loaded p =
         List.exists
@@ -381,20 +349,20 @@ let post_boot_snapshot_is_sparse () =
           image.sections
       in
       let written =
-        List.filter (fun p -> Ram.page_is_dirty ram p || loaded p) pages
+        List.filter (fun p -> Pages.is_dirty ram.Ram.mem p || loaded p) pages
       in
       let fresh =
         Machine.create ~ram_base:(Ram.base ram) ~ram_size:(Ram.size ram)
           ~arch:image.arch ()
       in
       Machine.load_image fresh image;
-      if List.exists (Ram.page_is_dirty fresh.Machine.ram) pages then
+      if List.exists (Pages.is_dirty fresh.Machine.ram.Ram.mem) pages then
         Alcotest.failf "%s: a page is dirty after load_image" name;
       let img =
         Snap.ram_image
           (Snap.capture ?runtime:inst.Replay.rt inst.Replay.machine)
       in
-      let held = Ram.private_pages img in
+      let held = Pages.private_pages img in
       Alcotest.(check int) (name ^ ": pages held privately") expected held;
       Alcotest.(check int)
         (name ^ ": pages written")
@@ -406,7 +374,7 @@ let post_boot_snapshot_is_sparse () =
       | p0 :: rest ->
           List.iter
             (fun p ->
-              if Ram.page img p != Ram.page img p0 then
+              if Pages.page img p != Pages.page img p0 then
                 Alcotest.failf "%s: unwritten page %d is held privately" name
                   p)
             rest)
@@ -653,8 +621,6 @@ let () =
             restore_cost_is_o_touched;
           Alcotest.test_case "stale snapshot restores fully" `Quick
             full_restore_for_stale_snapshot;
-          Alcotest.test_case "untracked writes force a full restore" `Quick
-            untracked_writes_restore_fully;
           QCheck_alcotest.to_alcotest restore_equals_image;
           Alcotest.test_case "warm cache replays like a flushed one" `Quick
             warm_cache_replays_like_cold;
