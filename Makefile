@@ -15,14 +15,13 @@ build:
 test:
 	dune runtest
 
-# Fast end-to-end smoke of the bench pipeline: wall-clock micro-benchmarks,
-# the execution-engine throughput bench (BENCH_emu.json), the snapshot
-# bench (BENCH_snap.json; fails unless each restore reverts exactly the
-# pages touched and each post-boot capture holds at most 2% of RAM's pages
-# privately) and the orchestrator sweep, all written under $(BENCH_DIR).
+# Fast end-to-end smoke of the bench pipeline: the execution-engine
+# throughput bench (BENCH_emu.json), the snapshot bench (BENCH_snap.json;
+# fails unless each restore reverts exactly the pages touched and each
+# post-boot capture holds at most 2% of RAM's pages privately) and the
+# orchestrator sweep, all written under $(BENCH_DIR).
 bench-smoke: build
 	mkdir -p $(BENCH_DIR)
-	cd $(BENCH_DIR) && $(BENCH) bechamel
 	cd $(BENCH_DIR) && $(BENCH) emu
 	cd $(BENCH_DIR) && $(BENCH) snap
 	cd $(BENCH_DIR) && $(BENCH) orch

@@ -44,8 +44,9 @@ let kcsan_sweep () =
       let session = Replay.session_for fw Embsan.kcsan_only in
       let machine = Embsan.make_machine session in
       let rt =
-        Embsan.attach ~kcsan_interval:interval ~kcsan_stall:stall session
-          machine
+        Embsan.attach
+          ~tuning:[ ("kcsan.interval", interval); ("kcsan.stall", stall) ]
+          session machine
       in
       run_to_ready machine;
       let c0 = Machine.total_cost machine in

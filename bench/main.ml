@@ -9,7 +9,6 @@
      replay    S4.2 soundness: reproducers re-run under native sanitizers
      fig2      runtime overhead comparison
      ablation  design-choice ablations (DESIGN.md)
-     bechamel  wall-clock micro-benchmarks
      emu       execution-engine throughput (writes BENCH_emu.json)
      snap      snapshot service: restore latency vs dirty pages and post-boot
                capture cost (writes BENCH_snap.json; fails unless each
@@ -55,7 +54,7 @@ let () =
       (fun a ->
         List.mem a
           [ "table1"; "table2"; "table3"; "table4"; "replay"; "fig2";
-            "ablation"; "bechamel"; "emu"; "snap"; "orch"; "race"; "rehost"; "all" ])
+            "ablation"; "emu"; "snap"; "orch"; "race"; "rehost"; "all" ])
       args
   in
   let cmds = if cmds = [] then [ "all" ] else cmds in
@@ -74,7 +73,6 @@ let () =
   if want "replay" then ignore (Campaigns.print_native_replay campaign_results);
   if want "fig2" then ignore (Overhead.run ~max_execs ());
   if want "ablation" then Ablation.run ();
-  if want "bechamel" then Bechamel_suite.run ();
   if want "emu" then Emu_bench.run ();
   if want "snap" then Snap_bench.run ();
   if want "orch" then Orch_bench.run ();

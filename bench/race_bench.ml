@@ -94,10 +94,10 @@ let run () =
     samples
   in
   let fixed_ftrace =
-    arm "ftrace, fixed round-robin" ~sanitizers:Embsan.ftrace_only ~sched:false
+    arm "ftrace, fixed round-robin" ~sanitizers:[ "ftrace" ] ~sched:false
   in
   let fuzzed_ftrace =
-    arm "ftrace, fuzzed schedules" ~sanitizers:Embsan.ftrace_only ~sched:true
+    arm "ftrace, fuzzed schedules" ~sanitizers:[ "ftrace" ] ~sched:true
   in
   let fuzzed_kcsan =
     arm "kcsan, fuzzed schedules" ~sanitizers:Embsan.kcsan_only ~sched:true

@@ -140,7 +140,7 @@ let repro_cmd =
         exit 1
     | Some bug ->
         let sanitizers =
-          if ftrace then Embsan.with_ftrace Embsan.all_sanitizers
+          if ftrace then Embsan.select ("ftrace" :: Embsan.all_sanitizers)
           else Embsan.all_sanitizers
         in
         let inst = Replay.boot fw (Replay.Embsan_cfg sanitizers) in
@@ -249,7 +249,7 @@ let campaign_cmd =
         use_rehost = rehost;
         use_irq = irq;
         sanitizers =
-          (if ftrace then Embsan.with_ftrace base.sanitizers
+          (if ftrace then Embsan.select ("ftrace" :: base.sanitizers)
            else base.sanitizers);
       }
     in

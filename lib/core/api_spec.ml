@@ -1,9 +1,9 @@
 (* Sanitizer interface specifications.
 
    The Distiller's input is the reference sanitizer's interface description
-   ("the sanitizers' interface header files", S3.1).  We ship the KASAN and
-   KCSAN reference interfaces in a small declarative header format and parse
-   them here:
+   ("the sanitizers' interface header files", S3.1).  Every sanitizer plugin
+   carries its interface in a small declarative header format
+   ([Sanitizer.S.header]), parsed here:
 
      sanitizer kasan;
      resource shadow_memory;
@@ -52,71 +52,6 @@ type api = {
 }
 
 type t = { san_name : string; resources : string list; apis : api list }
-
-(* --- Reference interface headers ------------------------------------------------ *)
-
-let kasan_header =
-  {|
-/* Kernel Address Sanitizer - interception interface */
-sanitizer kasan;
-resource shadow_memory;
-resource alloc_tracking;
-resource quarantine;
-check  load(addr, size) => check_access;
-check  store(addr, size) => check_access;
-update func_alloc(ptr, size) => alloc;
-update func_free(ptr) => free;
-update global(addr, size) => register_global;
-update stack_poison(addr, size) => poison_stack;
-update stack_unpoison(addr, size) => unpoison_stack;
-|}
-
-let kcsan_header =
-  {|
-/* Kernel Concurrency Sanitizer - interception interface */
-sanitizer kcsan;
-resource watchpoints;
-check  load(addr, size, pc, hart) => access;
-check  store(addr, size, value, pc, hart) => access;
-|}
-
-(* The "third sanitizer" of S5's adaptability discussion: a kmemleak-style
-   leak detector whose entire interface is the allocator interception
-   points the Distiller already understands. *)
-let kmemleak_header =
-  {|
-/* kmemleak-style leak detector - interception interface */
-sanitizer kmemleak;
-resource alloc_tracking;
-update func_alloc(ptr, size, pc) => track_alloc;
-update func_free(ptr) => track_free;
-|}
-
-(* A UBSAN-style alignment checker: the fourth sanitizer, demonstrating
-   that a new detector is an interface header plus a registered plugin
-   (Ualign) -- the runtime needs no changes. *)
-let ualign_header =
-  {|
-/* UBSAN-style unaligned-access detector - interception interface */
-sanitizer ualign;
-resource alignment_rules;
-check  load(addr, size, pc) => check_align;
-check  store(addr, size, pc) => check_align;
-|}
-
-(* An EmbedSanitizer-style FastTrack happens-before race detector: precise
-   vector-clock race detection as a pure plugin (Ftrace).  Synchronization
-   edges arrive out-of-band through the guest's san_sync hypercall, so the
-   interface header only declares the two hot-path access checks. *)
-let ftrace_header =
-  {|
-/* FastTrack happens-before race detector - interception interface */
-sanitizer ftrace;
-resource vector_clocks;
-resource sync_objects;
-check  load(addr, size, pc) => hb_read;
-check  store(addr, size, pc) => hb_write;
-|}
 
 (* --- Header parser ----------------------------------------------------------------- *)
 
@@ -169,9 +104,3 @@ let parse_header text =
   | None -> errf "header lacks a 'sanitizer' declaration"
   | Some san_name ->
       { san_name; resources = List.rev !resources; apis = List.rev !apis }
-
-let kasan () = parse_header kasan_header
-let kcsan () = parse_header kcsan_header
-let kmemleak () = parse_header kmemleak_header
-let ualign () = parse_header ualign_header
-let ftrace () = parse_header ftrace_header

@@ -1,6 +1,7 @@
 (** Sanitizer interface specifications: the Distiller's input (the
-    "interface header files" of paper section 3.1), shipped in a small
-    declarative header format and parsed here. *)
+    "interface header files" of paper section 3.1).  Each plugin carries
+    its header ({!Sanitizer.S.header}) in the small declarative format
+    parsed here. *)
 
 type role = Check | Update
 
@@ -25,26 +26,7 @@ type api = {
 
 type t = { san_name : string; resources : string list; apis : api list }
 
-(** Reference interface header texts. *)
-
-val kasan_header : string
-val kcsan_header : string
-val kmemleak_header : string
-
-(** The fourth sanitizer's header (UBSAN-style alignment checker); see
-    {!Ualign}. *)
-val ualign_header : string
-
-(** The FastTrack happens-before race detector's header; see {!Ftrace}. *)
-val ftrace_header : string
-
 exception Spec_error of string
 
 (** Parse a header text; raises {!Spec_error} on malformed input. *)
 val parse_header : string -> t
-
-val kasan : unit -> t
-val kcsan : unit -> t
-val kmemleak : unit -> t
-val ualign : unit -> t
-val ftrace : unit -> t

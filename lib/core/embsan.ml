@@ -13,29 +13,13 @@
 
 open Embsan_isa
 
-type sanitizers = {
-  kasan : bool;
-  kcsan : bool;
-  kmemleak : bool;
-  ualign : bool;
-  ftrace : bool;
-}
+(* A selection: plugin names, in {!Plugins} table order. *)
+type sanitizers = string list
 
-let kasan_only =
-  { kasan = true; kcsan = false; kmemleak = false; ualign = false; ftrace = false }
-
-let kcsan_only =
-  { kasan = false; kcsan = true; kmemleak = false; ualign = false; ftrace = false }
-
-let ftrace_only =
-  { kasan = false; kcsan = false; kmemleak = false; ualign = false; ftrace = true }
-
-let all_sanitizers =
-  { kasan = true; kcsan = true; kmemleak = false; ualign = false; ftrace = false }
-
-let with_kmemleak s = { s with kmemleak = true }
-let with_ualign s = { s with ualign = true }
-let with_ftrace s = { s with ftrace = true }
+let select names = List.map Sanitizer.name (Plugins.select names)
+let kasan_only = [ "kasan" ]
+let kcsan_only = [ "kcsan" ]
+let all_sanitizers = [ "kasan"; "kcsan" ]
 
 (** Firmware category, deciding the Prober mode (S3.2) and the runtime's
     instrumentation mode. *)
@@ -60,25 +44,9 @@ let image_of_firmware = function
 (** Pre-testing probing phase. *)
 let prepare ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
     ?(boot_budget = 20_000_000) ~sanitizers ~firmware () =
-  let headers =
-    (if sanitizers.kasan then [ Api_spec.kasan () ] else [])
-    @ (if sanitizers.kcsan then [ Api_spec.kcsan () ] else [])
-    @ (if sanitizers.kmemleak then [ Api_spec.kmemleak () ] else [])
-    @ (if sanitizers.ualign then begin
-         (* a non-builtin plugin must be in the registry before attach *)
-         Ualign.register ();
-         [ Api_spec.ualign () ]
-       end
-       else [])
-    @
-    if sanitizers.ftrace then begin
-      Ftrace.register ();
-      [ Api_spec.ftrace () ]
-    end
-    else []
-  in
-  if headers = [] then invalid_arg "Embsan.prepare: no sanitizer selected";
-  let distilled = Distiller.distill headers in
+  let plugins = Plugins.select sanitizers in
+  if plugins = [] then invalid_arg "Embsan.prepare: no sanitizer selected";
+  let distilled = Distiller.distill (List.map Sanitizer.spec plugins) in
   let image = image_of_firmware firmware in
   let platform, mode =
     match firmware with
@@ -93,7 +61,7 @@ let prepare ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
   in
   let spec = Prober.apply_to_spec distilled platform in
   {
-    s_sanitizers = sanitizers;
+    s_sanitizers = List.map Sanitizer.name plugins;
     s_spec = spec;
     s_platform = platform;
     s_mode = mode;
@@ -103,18 +71,10 @@ let prepare ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
 (** The session's full specification in the textual DSL. *)
 let spec_text session = Dsl.to_string session.s_spec
 
-(** Testing phase: hook a fresh machine running the session's firmware.
-    [kcsan_interval]/[kcsan_stall] are sugar for the ["kcsan.interval"] /
-    ["kcsan.stall"] tuning keys. *)
-let attach ?sink ?kcsan_interval ?kcsan_stall session machine =
-  let tuning =
-    (match kcsan_interval with
-    | Some v -> [ ("kcsan.interval", v) ]
-    | None -> [])
-    @ match kcsan_stall with Some v -> [ ("kcsan.stall", v) ] | None -> []
-  in
+(** Testing phase: hook a fresh machine running the session's firmware. *)
+let attach ?sink ?tuning session machine =
   Runtime.attach ~spec:session.s_spec ~mode:session.s_mode
-    ~image:session.s_image ?sink ~tuning machine
+    ~image:session.s_image ?sink ?tuning machine
 
 (** Convenience: create a machine for this session's firmware and boot it. *)
 let make_machine ?(harts = 2) session =

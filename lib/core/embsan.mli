@@ -9,31 +9,20 @@
       Embsan.reports runtime
     ]} *)
 
-type sanitizers = {
-  kasan : bool;
-  kcsan : bool;
-  kmemleak : bool;
-  ualign : bool;
-  ftrace : bool;
-}
+(** A sanitizer selection: the selected plugin names.  {!select} and the
+    presets keep them in {!Plugins} table order, the order {!prepare}
+    distills their headers in. *)
+type sanitizers = string list
+
+(** [select names]: the named plugins in table order, each once.
+    @raise Invalid_argument on a name not in the {!Plugins} table. *)
+val select : string list -> sanitizers
 
 val kasan_only : sanitizers
 val kcsan_only : sanitizers
 
-(** Only the FastTrack happens-before race detector ({!Ftrace}). *)
-val ftrace_only : sanitizers
-
 (** KASAN + KCSAN (the paper's evaluation set). *)
 val all_sanitizers : sanitizers
-
-(** Add the kmemleak functionality to a selection. *)
-val with_kmemleak : sanitizers -> sanitizers
-
-(** Add the unaligned-access detector ({!Ualign}) to a selection. *)
-val with_ualign : sanitizers -> sanitizers
-
-(** Add the happens-before race detector ({!Ftrace}) to a selection. *)
-val with_ftrace : sanitizers -> sanitizers
 
 (** Firmware category, deciding the Prober mode and the runtime's
     instrumentation mode. *)
@@ -54,7 +43,9 @@ type session = {
 }
 
 (** Pre-testing probing phase: distill the selected sanitizers' interfaces,
-    probe the firmware, compile the merged DSL specification. *)
+    probe the firmware, compile the merged DSL specification.  The
+    session's [s_sanitizers] is the selection in table order.
+    @raise Invalid_argument on an unknown name or an empty selection. *)
 val prepare :
   ?ram_base:int ->
   ?ram_size:int ->
@@ -67,11 +58,12 @@ val prepare :
 (** The session's full specification in the textual DSL. *)
 val spec_text : session -> string
 
-(** Testing phase: hook a machine running the session's firmware. *)
+(** Testing phase: hook a machine running the session's firmware.
+    [tuning] carries per-plugin knobs (["kcsan.interval"],
+    ["kcsan.stall"]); see {!Runtime.attach}. *)
 val attach :
   ?sink:Report.sink ->
-  ?kcsan_interval:int ->
-  ?kcsan_stall:int ->
+  ?tuning:(string * int) list ->
   session ->
   Embsan_emu.Machine.t ->
   Runtime.t

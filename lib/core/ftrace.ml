@@ -415,8 +415,18 @@ let restore t s =
 (* --- Plugin ------------------------------------------------------------------- *)
 
 module Plugin = struct
-  let name = "ftrace"
-  let points = [ Api_spec.P_load; Api_spec.P_store ]
+  (* synchronization edges arrive out-of-band through the guest's
+     san_sync hypercall, so the header only declares the two hot-path
+     access checks *)
+  let header =
+    {|
+/* FastTrack happens-before race detector - interception interface */
+sanitizer ftrace;
+resource vector_clocks;
+resource sync_objects;
+check  load(addr, size, pc) => hb_read;
+check  store(addr, size, pc) => hb_write;
+|}
 
   type nonrec t = t
 
@@ -459,5 +469,4 @@ module Plugin = struct
     ]
 end
 
-let plugin : Sanitizer.plugin = (module Plugin)
-let register () = Sanitizer.register plugin
+let plugin = Sanitizer.make (module Plugin)

@@ -1,8 +1,8 @@
 (** FastTrack happens-before race detector (EmbedSanitizer direction) —
     precise vector-clock race detection as a pure {!Sanitizer} plugin.
-    Lives entirely outside the Common Sanitizer Runtime: an
-    {!Api_spec.ftrace} interface header plus this {!Sanitizer.S}
-    implementation; no runtime/machine/probe edits.  Synchronization
+    Lives entirely outside the Common Sanitizer Runtime: this
+    {!Sanitizer.S} implementation, header included, plus one line in the
+    {!Plugins} table; no runtime/machine/probe edits.  Synchronization
     edges arrive through the guest's {!Embsan_emu.Hypercall.san_sync}
     trap, whose handler the plugin installs itself via the public
     [Machine.set_trap_handler] API. *)
@@ -71,6 +71,3 @@ val save : t -> state
 val restore : t -> state -> unit
 
 val plugin : Sanitizer.plugin
-
-(** Register the plugin under ["ftrace"] (idempotent). *)
-val register : unit -> unit

@@ -222,18 +222,21 @@ let site t ~pc ~size ~is_write : Sanitizer.site =
 (* --- Plugin ------------------------------------------------------------------ *)
 
 module Plugin = struct
-  let name = "kasan"
-
-  let points =
-    [
-      Api_spec.P_load;
-      Api_spec.P_store;
-      Api_spec.P_func_alloc;
-      Api_spec.P_func_free;
-      Api_spec.P_global_register;
-      Api_spec.P_stack_poison;
-      Api_spec.P_stack_unpoison;
-    ]
+  let header =
+    {|
+/* Kernel Address Sanitizer - interception interface */
+sanitizer kasan;
+resource shadow_memory;
+resource alloc_tracking;
+resource quarantine;
+check  load(addr, size) => check_access;
+check  store(addr, size) => check_access;
+update func_alloc(ptr, size) => alloc;
+update func_free(ptr) => free;
+update global(addr, size) => register_global;
+update stack_poison(addr, size) => poison_stack;
+update stack_unpoison(addr, size) => unpoison_stack;
+|}
 
   type nonrec t = t
 
@@ -279,4 +282,4 @@ module Plugin = struct
     ]
 end
 
-let plugin : Sanitizer.plugin = (module Plugin)
+let plugin = Sanitizer.make (module Plugin)

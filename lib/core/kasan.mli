@@ -71,7 +71,7 @@ val on_access :
     page. *)
 val site : t -> pc:int -> size:int -> is_write:bool -> Sanitizer.site
 
-(** The registry plugin ({!Sanitizer.S} implementation).  Its [Ready]
-    event re-establishes live boot-time allocations after the init-routine
-    heap poison replays. *)
+(** The plugin ({!Sanitizer.S} implementation, header included).  Its
+    [Ready] event re-establishes live boot-time allocations after the
+    init-routine heap poison replays. *)
 val plugin : Sanitizer.plugin

@@ -176,8 +176,14 @@ let on_access t machine ~addr ~size ~is_write ~pc ~hart =
 (* --- Plugin ------------------------------------------------------------------ *)
 
 module Plugin = struct
-  let name = "kcsan"
-  let points = [ Api_spec.P_load; Api_spec.P_store ]
+  let header =
+    {|
+/* Kernel Concurrency Sanitizer - interception interface */
+sanitizer kcsan;
+resource watchpoints;
+check  load(addr, size, pc, hart) => access;
+check  store(addr, size, value, pc, hart) => access;
+|}
 
   type nonrec t = { k : t; machine : Embsan_emu.Machine.t; check_cost : int }
 
@@ -222,4 +228,4 @@ module Plugin = struct
     ]
 end
 
-let plugin : Sanitizer.plugin = (module Plugin)
+let plugin = Sanitizer.make (module Plugin)

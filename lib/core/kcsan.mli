@@ -60,7 +60,8 @@ val on_access :
   hart:int ->
   unit
 
-(** The registry plugin ({!Sanitizer.S} implementation).  Its compiled
-    access handler filters atomics and charges the mode's host-side
-    race-check cost ([kcsan.interval] / [kcsan.stall] tuning keys). *)
+(** The plugin ({!Sanitizer.S} implementation, header included).  Its
+    compiled access handler filters atomics and charges the mode's
+    host-side race-check cost ([kcsan.interval] / [kcsan.stall] tuning
+    keys). *)
 val plugin : Sanitizer.plugin

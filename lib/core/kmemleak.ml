@@ -99,8 +99,14 @@ let scan t ~now =
 (* --- Plugin ------------------------------------------------------------------ *)
 
 module Plugin = struct
-  let name = "kmemleak"
-  let points = [ Api_spec.P_func_alloc; Api_spec.P_func_free ]
+  let header =
+    {|
+/* kmemleak-style leak detector - interception interface */
+sanitizer kmemleak;
+resource alloc_tracking;
+update func_alloc(ptr, size, pc) => track_alloc;
+update func_free(ptr) => track_free;
+|}
 
   type nonrec t = t
 
@@ -128,4 +134,4 @@ module Plugin = struct
     [ ("allocs", t.allocs); ("frees", t.frees); ("live", live_blocks t) ]
 end
 
-let plugin : Sanitizer.plugin = (module Plugin)
+let plugin = Sanitizer.make (module Plugin)

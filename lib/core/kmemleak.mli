@@ -33,6 +33,6 @@ val live_blocks : t -> int
     reports added to the sink. *)
 val scan : t -> now:int -> int
 
-(** The registry plugin ({!Sanitizer.S} implementation); its [scan] hook
-    is the leak pass {!Runtime.scan_leaks} sums over. *)
+(** The plugin ({!Sanitizer.S} implementation, header included); its
+    [scan] hook is the leak pass {!Runtime.scan_leaks} sums over. *)
 val plugin : Sanitizer.plugin

@@ -1,25 +1,17 @@
-(* Registry bootstrap for the built-in sanitizers.
+(* The sanitizer table: every plugin the runtime can instantiate, in the
+   order [Embsan.prepare] distills their headers.  This is the only place
+   the runtime's side of the architecture names concrete sanitizers; a new
+   one is its module plus one line here.  The table is immutable, so the
+   orchestrator's worker domains read it without a lock. *)
 
-   This is the only place the runtime's side of the architecture names
-   concrete sanitizers: {!Runtime.attach} calls {!ensure_builtin} and then
-   works purely off the registry.  Out-of-tree sanitizers register
-   themselves with {!Sanitizer.register} (see {!Ualign.register}) and need
-   no entry here.
+let table =
+  [ Kasan.plugin; Kcsan.plugin; Kmemleak.plugin; Ualign.plugin; Ftrace.plugin ]
 
-   [Runtime.attach] runs concurrently from the orchestrator's worker
-   domains, so the once-flag is guarded by a mutex: exactly one domain
-   performs the registration, and any domain returning from
-   [ensure_builtin] observes the completed bootstrap (the registrations
-   happen before the flag's critical section ends). *)
+let find name =
+  List.find_opt (fun p -> String.equal (Sanitizer.name p) name) table
 
-let lock = Mutex.create ()
-let done_ = ref false
-
-let ensure_builtin () =
-  Mutex.protect lock (fun () ->
-      if not !done_ then begin
-        Sanitizer.register Kasan.plugin;
-        Sanitizer.register Kcsan.plugin;
-        Sanitizer.register Kmemleak.plugin;
-        done_ := true
-      end)
+let select names =
+  match List.find_opt (fun n -> find n = None) names with
+  | Some n ->
+      invalid_arg (Printf.sprintf "Plugins.select: unknown sanitizer %S" n)
+  | None -> List.filter (fun p -> List.mem (Sanitizer.name p) names) table

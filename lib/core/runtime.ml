@@ -12,7 +12,7 @@
      machinery and is the cheaper path.
 
    The runtime is sanitizer-agnostic: {!attach} instantiates the plugins
-   the spec selects from the {!Sanitizer} registry and compiles the spec's
+   the spec selects from the {!Plugins} table and compiles the spec's
    intercepts ONCE into per-interception-point dispatch plans -- flat
    arrays of handler closures, so the hot path performs no [Dsl.wants]
    list scans and no option matches.  Both backends construct the same
@@ -462,7 +462,7 @@ let planned_instances instances spec point =
             Array.find_opt
               (fun inst ->
                 String.equal (Sanitizer.instance_name inst) h.h_san
-                && List.mem point (Sanitizer.instance_points inst))
+                && Sanitizer.instance_supports inst point)
               instances
           end)
         i.i_handlers
@@ -471,7 +471,6 @@ let planned_instances instances spec point =
     un-stripped) provides report symbolization. *)
 let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
     (machine : Machine.t) =
-  Plugins.ensure_builtin ();
   let shadow =
     Shadow.create ~ram_base:(Machine.ram_base machine)
       ~ram_size:(Machine.ram_size machine)
@@ -491,12 +490,11 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
     Array.of_list
       (List.filter_map
          (fun name ->
-           match Sanitizer.find name with
+           match Plugins.find name with
            | Some p -> Some (Sanitizer.instantiate p ctx)
            | None ->
                Logs.debug (fun m ->
-                   m "Runtime.attach: no plugin registered for %S; skipped"
-                     name);
+                   m "Runtime.attach: no plugin named %S; skipped" name);
                None)
          spec.Dsl.sanitizers)
   in
@@ -647,9 +645,3 @@ let plugin_stats t =
     (Array.map
        (fun i -> (Sanitizer.instance_name i, Sanitizer.stats i))
        t.instances)
-
-let pp_stats fmt t =
-  Fmt.pf fmt
-    "%s: %d mem events, %d callouts, %d intercepted calls, %d unique reports"
-    (mode_name t.mode) !(t.mem_events) t.callouts t.intercepted_calls
-    (Report.count t.sink)

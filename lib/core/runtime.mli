@@ -4,7 +4,7 @@
     interception for EmbSan-D, direct hypercall dispatch for EmbSan-C.
 
     The runtime is sanitizer-agnostic: {!attach} instantiates the plugins
-    named by the spec from the {!Sanitizer} registry and compiles the
+    named by the spec from the {!Plugins} table and compiles the
     spec's intercepts once into flat per-interception-point dispatch plans
     (arrays of handler closures), which both backends feed with the same
     typed {!Sanitizer.event}s; memory accesses run per-instruction
@@ -110,5 +110,3 @@ val scan_leaks : t -> int
 
 (** Per-plugin counter snapshots, in instantiation order. *)
 val plugin_stats : t -> (string * (string * int) list) list
-
-val pp_stats : Format.formatter -> t -> unit

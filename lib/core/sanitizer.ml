@@ -2,15 +2,16 @@
 
    The paper's claim (S3.2-S3.3) is that distilling sanitizer interception
    APIs into a DSL makes the on-host runtime generic.  This module is the
-   host-side half of that claim: a typed event vocabulary, a first-class-
-   module plugin interface, and a registry keyed by the DSL sanitizer name.
+   host-side half of that claim: a typed event vocabulary and a first-
+   class-module plugin interface whose every implementation carries its
+   own interface header.
 
    The Common Sanitizer Runtime instantiates the plugins a spec selects and
    compiles the spec's intercepts into flat per-point handler arrays; both
    instrumentation backends (EmbSan-C hypercall traps and EmbSan-D
    translation-time probes) construct the same typed events and bind the
    same access sites.  A new sanitizer is a module implementing {!S} plus
-   an {!Api_spec} header -- no runtime changes (see Ualign). *)
+   one line in the {!Plugins} table -- no runtime changes. *)
 
 (* --- Typed event vocabulary -------------------------------------------------- *)
 
@@ -27,16 +28,6 @@ type event =
   | Stack_poison of { addr : int; size : int }
   | Stack_unpoison of { addr : int; size : int }
   | Ready  (** the firmware signalled readiness (post init-routine replay) *)
-
-let event_name = function
-  | Alloc _ -> "alloc"
-  | Free _ -> "free"
-  | Poison _ -> "poison"
-  | Unpoison _ -> "unpoison"
-  | Register_global _ -> "register_global"
-  | Stack_poison _ -> "stack_poison"
-  | Stack_unpoison _ -> "stack_unpoison"
-  | Ready -> "ready"
 
 (* Hot-path access check, specialized per instruction: [access_fn] is
    given what the instruction fixes (pc, width, direction, atomicity) and
@@ -67,12 +58,12 @@ let tuned ctx key ~default =
   Option.value ~default (List.assoc_opt key ctx.tuning)
 
 module type S = sig
-  val name : string
-  (** The DSL sanitizer name this plugin implements (registry key). *)
-
-  val points : Api_spec.point list
-  (** Interception points the plugin subscribes to; the runtime only
-      includes it in the dispatch plans of these points. *)
+  val header : string
+  (** The plugin's interface header ({!Api_spec} format): its DSL
+      sanitizer name, the interception points it subscribes to and the
+      operation each dispatches to.  The Distiller merges it into the
+      spec, and the runtime includes the plugin only in the dispatch
+      plans of these points. *)
 
   type t
 
@@ -81,8 +72,8 @@ module type S = sig
   val access : t -> access_fn
   (** Hot-path site specializer for P_load/P_store plan slots.  Evaluated
       once at plan-compile time, then once per instruction (and again
-      after a site-generation change); only meaningful when [points]
-      contains P_load or P_store.  The result may depend only on the
+      after a site-generation change); only meaningful when the header
+      declares load or store.  The result may depend only on the
       static arguments and on state fixed at [create]. *)
 
   val clean_count : t -> int ref option
@@ -100,7 +91,7 @@ module type S = sig
       events they do not care about. *)
 
   val scan : t -> now:int -> int
-  (** On-demand detector pass (kmemleak-style); returns new reports. *)
+  (** On-demand detector pass (a leak scan); returns new reports. *)
 
   val checkpoint : t -> unit -> unit
   (** [checkpoint t] captures the plugin's mutable state and returns a
@@ -110,43 +101,32 @@ module type S = sig
   val stats : t -> (string * int) list
 end
 
-type plugin = (module S)
+(* A plugin is its code plus its header, parsed once when the plugin
+   value is built: its name and points are read off the parse. *)
+type plugin = { impl : (module S); spec : Api_spec.t }
 
-let name (module P : S) = P.name
-let supports (module P : S) point = List.mem point P.points
+let make (module P : S) =
+  { impl = (module P); spec = Api_spec.parse_header P.header }
+
+let name p = p.spec.Api_spec.san_name
+let spec p = p.spec
+
+let supports p point =
+  List.exists (fun (a : Api_spec.api) -> a.point = point) p.spec.apis
 
 (* --- Instances --------------------------------------------------------------- *)
 
-type instance = Instance : (module S with type t = 'a) * 'a -> instance
+type instance = Instance : plugin * (module S with type t = 'a) * 'a -> instance
 
-let instantiate (module P : S) ctx = Instance ((module P), P.create ctx)
-let instance_name (Instance ((module P), _)) = P.name
-let instance_points (Instance ((module P), _)) = P.points
-let access (Instance ((module P), x)) = P.access x
-let clean_count (Instance ((module P), x)) = P.clean_count x
-let event (Instance ((module P), x)) ev = P.event x ev
-let scan (Instance ((module P), x)) ~now = P.scan x ~now
-let checkpoint (Instance ((module P), x)) = P.checkpoint x
-let stats (Instance ((module P), x)) = P.stats x
+let instantiate p ctx =
+  let (module P : S) = p.impl in
+  Instance (p, (module P), P.create ctx)
 
-(* --- Registry ---------------------------------------------------------------- *)
-
-(* The registry is process-global toplevel state, and every worker domain
-   of the campaign orchestrator reaches it through [Runtime.attach]
-   (register at bootstrap, find per attach), so all access goes through
-   one mutex.  Plugins themselves stay domain-free: [find] hands out the
-   immutable first-class module, and each runtime instantiates its own
-   per-domain state from it. *)
-let registry : (string, plugin) Hashtbl.t = Hashtbl.create 8
-let registry_lock = Mutex.create ()
-
-(** Register (or replace) a plugin under its [S.name].  Domain-safe. *)
-let register (module P : S) =
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.replace registry P.name (module P : S))
-
-let find n = Mutex.protect registry_lock (fun () -> Hashtbl.find_opt registry n)
-
-let registered () =
-  Mutex.protect registry_lock (fun () ->
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) registry []))
+let instance_name (Instance (p, _, _)) = name p
+let instance_supports (Instance (p, _, _)) point = supports p point
+let access (Instance (_, (module P), x)) = P.access x
+let clean_count (Instance (_, (module P), x)) = P.clean_count x
+let event (Instance (_, (module P), x)) ev = P.event x ev
+let scan (Instance (_, (module P), x)) ~now = P.scan x ~now
+let checkpoint (Instance (_, (module P), x)) = P.checkpoint x
+let stats (Instance (_, (module P), x)) = P.stats x

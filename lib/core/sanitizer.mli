@@ -1,9 +1,10 @@
 (** Sanitizer plugin architecture: the typed event vocabulary shared by
-    both instrumentation backends, the first-class-module plugin
-    interface, and the registry keyed by DSL sanitizer name.  The Common
-    Sanitizer Runtime compiles a DSL spec into flat per-interception-point
-    arrays of plugin handlers; adding a sanitizer is a module implementing
-    {!S} plus an {!Api_spec} header (see {!Ualign}) — no runtime edits. *)
+    both instrumentation backends and the first-class-module plugin
+    interface, each implementation carrying its own interface header.
+    The Common Sanitizer Runtime compiles a DSL spec into flat
+    per-interception-point arrays of plugin handlers; adding a sanitizer
+    is a module implementing {!S} plus one line in the {!Plugins} table —
+    no runtime edits. *)
 
 (** Cold-path events.  Access checks are the hot path and run specialized
     {!site} closures instead, keeping memory events allocation-free. *)
@@ -17,8 +18,6 @@ type event =
   | Stack_poison of { addr : int; size : int }
   | Stack_unpoison of { addr : int; size : int }
   | Ready  (** firmware signalled readiness (after init-routine replay) *)
-
-val event_name : event -> string
 
 (** A compiled access check for one instruction, run on each of its
     accesses: one indirect call per plugin, no allocation. *)
@@ -52,11 +51,9 @@ type ctx = {
 val tuned : ctx -> string -> default:int -> int
 
 module type S = sig
-  val name : string
-  (** DSL sanitizer name (registry key). *)
-
-  val points : Api_spec.point list
-  (** Interception points this plugin subscribes to. *)
+  val header : string
+  (** Interface header ({!Api_spec} format): the DSL sanitizer name and
+      the interception points this plugin subscribes to. *)
 
   type t
 
@@ -64,8 +61,8 @@ module type S = sig
 
   val access : t -> access_fn
   (** Hot-path site specializer; evaluated once at plan-compile time,
-      then per instruction.  Only meaningful when [points] includes
-      P_load or P_store. *)
+      then per instruction.  Only meaningful when the header declares
+      load or store. *)
 
   val clean_count : t -> int ref option
   (** The clean-granule declaration.  [Some c] promises that on an
@@ -80,7 +77,7 @@ module type S = sig
   (** Cold-path handler; plugins ignore events they do not care about. *)
 
   val scan : t -> now:int -> int
-  (** On-demand detector pass (kmemleak-style); returns new reports. *)
+  (** On-demand detector pass (a leak scan); returns new reports. *)
 
   val checkpoint : t -> unit -> unit
   (** Capture mutable state; the returned restore thunk must survive
@@ -89,9 +86,20 @@ module type S = sig
   val stats : t -> (string * int) list
 end
 
-type plugin = (module S)
+(** A plugin: its code plus its parsed header. *)
+type plugin
 
+(** Build a plugin, parsing its header.
+    @raise Api_spec.Spec_error on a malformed header. *)
+val make : (module S) -> plugin
+
+(** The header's sanitizer name. *)
 val name : plugin -> string
+
+(** The parsed header (the Distiller's input). *)
+val spec : plugin -> Api_spec.t
+
+(** Does the header declare the interception point? *)
 val supports : plugin -> Api_spec.point -> bool
 
 (** A created plugin instance (existentially packed). *)
@@ -99,20 +107,10 @@ type instance
 
 val instantiate : plugin -> ctx -> instance
 val instance_name : instance -> string
-val instance_points : instance -> Api_spec.point list
+val instance_supports : instance -> Api_spec.point -> bool
 val access : instance -> access_fn
 val clean_count : instance -> int ref option
 val event : instance -> event -> unit
 val scan : instance -> now:int -> int
 val checkpoint : instance -> unit -> unit
 val stats : instance -> (string * int) list
-
-(** {2 Registry} *)
-
-(** Register (or replace) a plugin under its [S.name]. *)
-val register : plugin -> unit
-
-val find : string -> plugin option
-
-(** Registered names, sorted. *)
-val registered : unit -> string list

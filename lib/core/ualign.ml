@@ -1,12 +1,11 @@
 (* UBSAN-style unaligned-access detector: the plugin architecture's
    drop-in proof.
 
-   This sanitizer exists entirely outside the Common Sanitizer Runtime: an
-   {!Api_spec.ualign} interface header (so the Distiller emits its DSL
-   entry) plus this module (a {!Sanitizer.S} implementation registered
-   with {!Sanitizer.register}).  Neither runtime.ml, machine.ml nor
-   probe.ml know it exists; both instrumentation backends reach it through
-   the compiled dispatch plans.
+   This sanitizer exists entirely outside the Common Sanitizer Runtime: this
+   module (a {!Sanitizer.S} implementation whose interface header lets the
+   Distiller emit its DSL entry) plus one line in the {!Plugins} table.
+   Neither runtime.ml, machine.ml nor probe.ml know it exists; both
+   instrumentation backends reach it through the compiled dispatch plans.
 
    Detection: a 2- or 4-byte access whose address is not a multiple of its
    size.  The emulated cores tolerate misalignment (like ARMv7's unaligned
@@ -55,8 +54,14 @@ let restore t s =
 (* --- Plugin ------------------------------------------------------------------ *)
 
 module Plugin = struct
-  let name = "ualign"
-  let points = [ Api_spec.P_load; Api_spec.P_store ]
+  let header =
+    {|
+/* UBSAN-style unaligned-access detector - interception interface */
+sanitizer ualign;
+resource alignment_rules;
+check  load(addr, size, pc) => check_align;
+check  store(addr, size, pc) => check_align;
+|}
 
   type nonrec t = t
 
@@ -77,5 +82,4 @@ module Plugin = struct
   let stats t = [ ("checks", t.checks); ("unaligned", t.unaligned) ]
 end
 
-let plugin : Sanitizer.plugin = (module Plugin)
-let register () = Sanitizer.register plugin
+let plugin = Sanitizer.make (module Plugin)

@@ -1,7 +1,7 @@
 (** UBSAN-style unaligned-access detector — the plugin architecture's
     drop-in proof.  Lives entirely outside the Common Sanitizer Runtime:
-    an {!Api_spec.ualign} interface header plus this {!Sanitizer.S}
-    implementation; no runtime/machine/probe edits. *)
+    this {!Sanitizer.S} implementation, header included, plus one line in
+    the {!Plugins} table; no runtime/machine/probe edits. *)
 
 type t = {
   sink : Report.sink;
@@ -24,6 +24,3 @@ val save : t -> state
 val restore : t -> state -> unit
 
 val plugin : Sanitizer.plugin
-
-(** Register the plugin under ["ualign"] (idempotent). *)
-val register : unit -> unit

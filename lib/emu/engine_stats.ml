@@ -91,52 +91,3 @@ let to_json t =
     schema t.translations t.cache_hits t.cache_misses t.chained
     t.flushes_load t.flushes_invalidate t.rehost_reads t.irq_injected
     (hit_rate t) (chain_rate t)
-
-(* Parse [to_json] output back into a stats record (round-trip pinned in
-   test/test_emu.ml).  Scope is exactly our own flat rendering -- no
-   general JSON parser is pulled in for one bench artifact. *)
-let of_json s =
-  let find_sub sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = sub then Some (i + m)
-      else go (i + 1)
-    in
-    go 0
-  in
-  let raw name =
-    match find_sub (Printf.sprintf "\"%s\":" name) with
-    | None -> invalid_arg (Printf.sprintf "Engine_stats.of_json: no %S" name)
-    | Some start ->
-        let stop = ref start in
-        while
-          !stop < String.length s && s.[!stop] <> ',' && s.[!stop] <> '}'
-        do
-          incr stop
-        done;
-        String.trim (String.sub s start (!stop - start))
-  in
-  let int_field name =
-    match int_of_string_opt (raw name) with
-    | Some v -> v
-    | None ->
-        invalid_arg (Printf.sprintf "Engine_stats.of_json: bad %S" name)
-  in
-  (match raw "schema" with
-  | v when v = Printf.sprintf "%S" schema -> ()
-  | v ->
-      invalid_arg
-        (Printf.sprintf "Engine_stats.of_json: schema %s, expected %S" v
-           schema));
-  {
-    translations = int_field "translations";
-    cache_hits = int_field "cache_hits";
-    cache_misses = int_field "cache_misses";
-    chained = int_field "chained_transfers";
-    flushes_load = int_field "flushes_load";
-    flushes_invalidate = int_field "flushes_invalidate";
-    super_transfers = 0;
-    rehost_reads = int_field "rehost_reads";
-    irq_injected = int_field "irq_injected";
-  }

@@ -43,8 +43,3 @@ val schema : string
     (chaining, split flush counts, rehosting) plus the derived rates (used
     by the bench pipeline). *)
 val to_json : t -> string
-
-(** Parse {!to_json} output back into a record ([to_json]/[of_json]
-    round-trips on all rendered counters).  Raises [Invalid_argument] on a
-    missing field or a schema mismatch. *)
-val of_json : string -> t

@@ -64,4 +64,3 @@ let reproducer b = b.b_syscalls
    32..55  net
    56..79  drivers
    80..95  os-specific *)
-let table_size = 96

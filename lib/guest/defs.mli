@@ -50,6 +50,3 @@ type module_def = {
 }
 
 val reproducer : bug -> (int * int array) list
-
-(** Size of each kernel's indirect syscall table. *)
-val table_size : int

@@ -29,20 +29,9 @@ type config =
   | Native_kasan (* in-guest KASAN baseline build *)
   | Native_kcsan (* in-guest KCSAN baseline build *)
 
-let san_name (s : Embsan.sanitizers) =
-  let base =
-    match (s.kasan, s.kcsan) with
-    | true, true -> [ "kasan+kcsan" ]
-    | true, false -> [ "kasan" ]
-    | false, true -> [ "kcsan" ]
-    | false, false -> []
-  in
-  let extras =
-    (if s.kmemleak then [ "kmemleak" ] else [])
-    @ (if s.ualign then [ "ualign" ] else [])
-    @ if s.ftrace then [ "ftrace" ] else []
-  in
-  match base @ extras with [] -> "none" | l -> String.concat "+" l
+let san_name : Embsan.sanitizers -> string = function
+  | [] -> "none"
+  | names -> String.concat "+" names
 
 let config_name = function
   | No_sanitizer -> "none"
@@ -85,9 +74,7 @@ let session_lock = Mutex.create ()
 let session_for ?(kcov = false) ?forced_mode (fw : Firmware_db.firmware)
     sanitizers =
   let key =
-    Printf.sprintf "%s/%b%b%b%b%b/%b/%s" fw.fw_name sanitizers.Embsan.kasan
-      sanitizers.Embsan.kcsan sanitizers.Embsan.kmemleak
-      sanitizers.Embsan.ualign sanitizers.Embsan.ftrace kcov
+    Printf.sprintf "%s/%s/%b/%s" fw.fw_name (san_name sanitizers) kcov
       (match forced_mode with Some `C -> "C" | Some `D -> "D" | None -> "-")
   in
   Mutex.protect session_lock (fun () ->

@@ -19,7 +19,6 @@ type item =
 
 let li rd n = Ins (Insn.Li (rd, Word32.wrap n))
 let la rd label = La (rd, label, 0)
-let la_off rd label off = La (rd, label, off)
 let mv rd rs = Ins (Insn.Alui (Add, rd, rs, 0))
 let addi rd rs n = Ins (Insn.Alui (Add, rd, rs, n))
 let ret = Ins (Insn.Jalr (Reg.zero, Reg.ra, 0))

@@ -19,7 +19,6 @@ type item =
 
 val li : Reg.t -> int -> item
 val la : Reg.t -> string -> item
-val la_off : Reg.t -> string -> int -> item
 val mv : Reg.t -> Reg.t -> item
 val addi : Reg.t -> Reg.t -> int -> item
 val ret : item

@@ -39,17 +39,6 @@ let symbol_at t addr =
       else best)
     None t.symbols
 
-(** Total span [lo, hi) covered by loadable sections. *)
-let load_bounds t =
-  match t.sections with
-  | [] -> (0, 0)
-  | secs ->
-      let lo = List.fold_left (fun acc s -> min acc s.base) max_int secs in
-      let hi =
-        List.fold_left (fun acc s -> max acc (s.base + String.length s.data)) 0 secs
-      in
-      (lo, hi)
-
 let section t name = List.find_opt (fun s -> String.equal s.sec_name name) t.sections
 
 (* --- Binary serialization ---------------------------------------------- *)

@@ -28,9 +28,6 @@ val symbol_addr_exn : t -> string -> int
 (** Innermost symbol covering [addr], if any. *)
 val symbol_at : t -> int -> symbol option
 
-(** Total span [lo, hi) covered by loadable sections. *)
-val load_bounds : t -> int * int
-
 val section : t -> string -> section option
 
 (** Serialize to the on-disk binary format. *)

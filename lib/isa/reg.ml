@@ -37,7 +37,6 @@ let s3 = 14
 let t4 = 15
 
 let args = [| a0; a1; a2; a3 |]
-let temps = [| t0; t1; t2; t3; t4 |]
 let saved = [| s0; s1; s2; s3 |]
 
 let name r =

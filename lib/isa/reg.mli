@@ -31,7 +31,6 @@ val t4 : t
 (** Argument registers a0..a3, by position. *)
 val args : t array
 
-val temps : t array
 val saved : t array
 val name : t -> string
 val equal : t -> t -> bool

@@ -33,8 +33,6 @@ type options = {
   kcov : bool; (* kcov-style coverage traps at entries and branch targets *)
 }
 
-let default_options = { mode = Plain; redzone = 16; shadow_offset = 0; kcov = false }
-
 let has_redzones = function
   | Trap_callout | Inline_kasan -> true
   | Plain | Inline_kcsan -> false

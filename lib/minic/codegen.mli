@@ -22,8 +22,6 @@ type options = {
   kcov : bool;  (** kcov-style coverage traps at entries/branch targets *)
 }
 
-val default_options : options
-
 (** Do globals/stack arrays get compile-time redzones in this mode? *)
 val has_redzones : mode -> bool
 

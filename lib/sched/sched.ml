@@ -33,8 +33,6 @@ open Embsan_emu
 
 type policy = Slices | Priorities
 
-let policy_name = function Slices -> "slices" | Priorities -> "priorities"
-
 type t = {
   machine : Machine.t;
   mutable draw : int -> int; (* draw n: uniform in [0, n) *)

@@ -11,8 +11,6 @@ type policy =
       (** PCT-style: highest-priority runnable hart, random priority
           redraws at seeded change points *)
 
-val policy_name : policy -> string
-
 type t
 
 val create : Embsan_emu.Machine.t -> t

@@ -14,8 +14,10 @@ let contains haystack needle =
 
 (* --- Distiller ------------------------------------------------------------------ *)
 
+let distill plugins = Distiller.distill (List.map Sanitizer.spec plugins)
+
 let distiller_union () =
-  let spec = Distiller.distill [ Api_spec.kasan (); Api_spec.kcsan () ] in
+  let spec = distill [ Kasan.plugin; Kcsan.plugin ] in
   Alcotest.(check (list string)) "sanitizers" [ "kasan"; "kcsan" ] spec.sanitizers;
   (* union of interception points: load appears once *)
   let loads =
@@ -46,7 +48,7 @@ let distiller_union () =
     (Dsl.wants spec Api_spec.P_func_alloc "kcsan")
 
 let distiller_single () =
-  let spec = Distiller.distill [ Api_spec.kcsan () ] in
+  let spec = distill [ Kcsan.plugin ] in
   Alcotest.(check bool) "no alloc point" true
     (Dsl.find_intercept spec Api_spec.P_func_alloc = None);
   Alcotest.(check bool) "load wanted" true (Dsl.wants spec Api_spec.P_load "kcsan")
@@ -67,7 +69,7 @@ let dsl_roundtrip () =
       Dsl.sanitizers = [ "kasan"; "kcsan" ];
       arch = Some Arch.Mips_ev;
       intercepts =
-        (Distiller.distill [ Api_spec.kasan (); Api_spec.kcsan () ]).intercepts;
+        (distill [ Kasan.plugin; Kcsan.plugin ]).intercepts;
       functions =
         [
           { f_name = "kmalloc"; f_addr = 0x12345; f_size = 0x100; f_kind = `Alloc 0 };
@@ -256,7 +258,7 @@ let lw_past_ram_end_faults () =
     if kasan then
       ignore
         (Runtime.attach
-           ~spec:(Distiller.distill [ Api_spec.kasan () ])
+           ~spec:(distill [ Kasan.plugin ])
            ~mode:Runtime.D m
           : Runtime.t);
     Machine.run m ~max_insns:100
@@ -709,6 +711,22 @@ let embsan_spec_text () =
   Alcotest.(check bool) "mentions kmalloc" true (contains text "kmalloc");
   Alcotest.(check bool) "poisons heap" true (contains text "heap")
 
+(* A selection is plugin names: an unknown one is rejected, and the
+   session keeps the known ones in table order whatever order they came
+   in. *)
+let embsan_selection_names () =
+  let firmware =
+    Embsan.Source (build_firmware Codegen.Plain, Prober.no_hints)
+  in
+  (match Embsan.prepare ~sanitizers:[ "kasan"; "nosuch" ] ~firmware () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unknown sanitizer name accepted");
+  let session = Embsan.prepare ~sanitizers:[ "kcsan"; "kasan" ] ~firmware () in
+  Alcotest.(check (list string)) "table order" [ "kasan"; "kcsan" ]
+    session.s_sanitizers;
+  Alcotest.(check (list string)) "spec order" [ "kasan"; "kcsan" ]
+    session.s_spec.Dsl.sanitizers
+
 let embsan_binary_mode () =
   (* closed-source firmware: strip symbols, infer allocators dynamically.
      Make boot perform a few allocations so the heuristic has signal. *)
@@ -818,7 +836,11 @@ fun kmain() {
       ()
   in
   let m = Embsan.make_machine session in
-  let rt = Embsan.attach ~kcsan_interval:60 ~kcsan_stall:800 session m in
+  let rt =
+    Embsan.attach
+      ~tuning:[ ("kcsan.interval", 60); ("kcsan.stall", 800) ]
+      session m
+  in
   (match Machine.run_until_ready m ~max_insns:5_000_000 with
   | None -> ()
   | Some s -> Alcotest.failf "boot failed: %a" Machine.pp_stop s);
@@ -858,7 +880,7 @@ let embsan_kmemleak_third_sanitizer () =
     (fun firmware ->
       let session =
         Embsan.prepare
-          ~sanitizers:(Embsan.with_kmemleak Embsan.kasan_only)
+          ~sanitizers:(Embsan.select [ "kasan"; "kmemleak" ])
           ~firmware ()
       in
       Alcotest.(check bool) "kmemleak in spec" true
@@ -937,7 +959,6 @@ let plan_matches_wants =
   in
   Test.make ~name:"compiled plan = Dsl.wants reference" ~count:100 spec_gen
     (fun spec ->
-      Ualign.register ();
       List.for_all
         (fun mode ->
           let m =
@@ -955,7 +976,7 @@ let plan_matches_wants =
                        List.mem san spec.Dsl.sanitizers
                        && Dsl.wants spec point san
                        &&
-                       match Sanitizer.find san with
+                       match Plugins.find san with
                        | Some p -> Sanitizer.supports p point
                        | None -> false
                      in
@@ -1180,7 +1201,7 @@ let guard_machine accesses =
   let hi = Image.symbol_addr_exn img "exempt_hi" in
   let spec =
     {
-      (Distiller.distill [ Api_spec.kasan () ]) with
+      (distill [ Kasan.plugin ]) with
       Dsl.exempts = [ { Dsl.e_name = "helper"; e_addr = lo; e_size = hi - lo } ];
     }
   in
@@ -1421,13 +1442,11 @@ let embsan_ualign_fourth_sanitizer () =
     (fun firmware ->
       let session =
         Embsan.prepare
-          ~sanitizers:(Embsan.with_ualign Embsan.kasan_only)
+          ~sanitizers:(Embsan.select [ "kasan"; "ualign" ])
           ~firmware ()
       in
       Alcotest.(check bool) "ualign in spec" true
         (List.mem "ualign" session.s_spec.Dsl.sanitizers);
-      Alcotest.(check bool) "ualign registered" true
-        (List.mem "ualign" (Sanitizer.registered ()));
       let m = Embsan.make_machine session in
       let rt = Embsan.attach session m in
       (* deterministic plan order: header order, kasan before ualign *)
@@ -1641,10 +1660,11 @@ let ftrace_state_roundtrip () =
 
 (* --- ftrace: the zero-core-edit pin -------------------------------------------------- *)
 
-(* The plugin claim, grep-pinned like ualign's: the detector arrives via
-   Api_spec + registry + the public trap-handler hook only.  The Common
-   Sanitizer Runtime and the engine's probe paths must not know it
-   exists. *)
+(* The plugin claim, grep-pinned: a sanitizer beyond KASAN and KCSAN
+   arrives as its module (header included), one line in the Plugins
+   table and, for ftrace, the public trap-handler hook.  The Common
+   Sanitizer Runtime, the engine's probe paths and the layers that select
+   and name sanitizers must not know it exists. *)
 let ftrace_zero_core_edits () =
   let read_all path =
     let ic = open_in_bin path in
@@ -1660,12 +1680,25 @@ let ftrace_zero_core_edits () =
   in
   List.iter
     (fun rel ->
-      let path = resolve rel in
-      Alcotest.(check bool)
-        (Printf.sprintf "no \"ftrace\" in %s" rel)
-        false
-        (contains (String.lowercase_ascii (read_all path)) "ftrace"))
-    [ "lib/core/runtime.ml"; "lib/emu/machine.ml"; "lib/emu/probe.ml" ]
+      let text = String.lowercase_ascii (read_all (resolve rel)) in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "no %S in %s" name rel)
+            false (contains text name))
+        [ "kmemleak"; "ualign"; "ftrace" ])
+    [
+      "lib/core/runtime.ml";
+      "lib/emu/machine.ml";
+      "lib/emu/probe.ml";
+      "lib/core/api_spec.ml";
+      "lib/core/api_spec.mli";
+      "lib/core/sanitizer.ml";
+      "lib/core/sanitizer.mli";
+      "lib/core/embsan.ml";
+      "lib/core/embsan.mli";
+      "lib/guest/replay.ml";
+    ]
 
 let () =
   Alcotest.run "embsan_core"
@@ -1717,6 +1750,8 @@ let () =
           Alcotest.test_case "EmbSan-C detects heap bugs" `Quick embsan_c_detects;
           Alcotest.test_case "EmbSan-D detects heap bugs" `Quick embsan_d_detects;
           Alcotest.test_case "spec text round-trips" `Quick embsan_spec_text;
+          Alcotest.test_case "unknown sanitizer name rejected" `Quick
+            embsan_selection_names;
           Alcotest.test_case "binary mode on stripped firmware" `Quick
             embsan_binary_mode;
           Alcotest.test_case "KCSAN catches a data race" `Quick embsan_kcsan_race;

@@ -223,7 +223,7 @@ module Campaign = Embsan_fuzz.Campaign
    optionally armed with a fuzzer-chosen schedule. *)
 let race_replay ?sched calls =
   let fw = Firmware_db.race_suite_fw in
-  let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.ftrace_only) in
+  let inst = Replay.boot fw (Replay.Embsan_cfg [ "ftrace" ]) in
   Campaign.arm
     (Campaign.controls ~sched:(sched <> None) ~rehost:false ~irq:false
        inst.Replay.machine)
@@ -296,7 +296,7 @@ let kcsan_ftrace_agreement () =
          (Campaign.run cfg).Campaign.r_found)
   in
   let kcsan = found Embsan.kcsan_only in
-  let ftrace = found Embsan.ftrace_only in
+  let ftrace = found [ "ftrace" ] in
   Alcotest.(check bool) "kcsan saw at least one seeded race" true (kcsan <> []);
   List.iter
     (fun id ->

@@ -14,34 +14,48 @@ let closed_fw () = Option.get (Firmware_db.find "TP-Link WDR-7660")
 
 (* --- domain safety of shared toplevel state -------------------------------------- *)
 
-(* Four domains boot (firmware build cache, session cache, plugin
-   registry bootstrap via Runtime.attach) and replay concurrently.  The
-   caches are cold for at least one firmware here because this test runs
-   first in its own binary; the mutexes in Sanitizer/Plugins/Replay/
-   Firmware_db are what make this race-free. *)
+(* Four domains boot (firmware build cache, session cache, plugin table
+   lookups via Runtime.attach) and replay concurrently.  The caches are
+   cold for at least one firmware here because this test runs first in
+   its own binary; the mutexes in Replay/Firmware_db are what make this
+   race-free, and the plugin table is immutable. *)
 let concurrent_attach_race_free () =
   let fw = small_fw () in
   let benign =
     List.concat_map (fun (b : Defs.bug) -> b.b_benign) fw.fw_bugs
   in
+  let points =
+    Embsan_core.Api_spec.
+      [ P_load; P_store; P_func_alloc; P_func_free; P_global_register;
+        P_stack_poison; P_stack_unpoison ]
+  in
   let work () =
     let inst = Replay.boot fw (Replay.Embsan_cfg Embsan.all_sanitizers) in
     let o = Replay.replay inst benign in
-    (o.Replay.o_crash = None, o.Replay.o_insns > 0)
+    let rt = Option.get inst.Replay.rt in
+    ( o.Replay.o_crash = None,
+      o.Replay.o_insns > 0,
+      List.map (Embsan_core.Runtime.plan_names rt) points )
   in
   let domains = List.init 4 (fun _ -> Domain.spawn work) in
+  let plans =
+    List.mapi
+      (fun i d ->
+        let no_crash, ran, plans = Domain.join d in
+        Alcotest.(check bool)
+          (Printf.sprintf "domain %d no crash" i) true no_crash;
+        Alcotest.(check bool) (Printf.sprintf "domain %d executed" i) true ran;
+        plans)
+      domains
+  in
+  (* every domain's runtime compiled the same plan names per point *)
+  Alcotest.(check (list string)) "load plan" [ "kasan"; "kcsan" ]
+    (List.hd (List.hd plans));
   List.iteri
-    (fun i d ->
-      let no_crash, ran = Domain.join d in
-      Alcotest.(check bool) (Printf.sprintf "domain %d no crash" i) true no_crash;
-      Alcotest.(check bool) (Printf.sprintf "domain %d executed" i) true ran)
-    domains;
-  (* the registry bootstrap ran exactly once and is intact *)
-  let names = Embsan_core.Sanitizer.registered () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "kasan"; "kcsan"; "kmemleak" ]
+    (fun i p ->
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "domain %d plans" i) (List.hd plans) p)
+    plans
 
 (* --- jobs=1 reduces to Campaign.run ---------------------------------------------- *)
 
@@ -105,7 +119,7 @@ let jobs1_sched_equals_campaign_run () =
   let cfg =
     {
       (Campaign.default_config fw) with
-      sanitizers = Embsan_core.Embsan.ftrace_only;
+      sanitizers = [ "ftrace" ];
       max_execs = 400;
       seed = 3;
       stop_when_all_found = false;
@@ -132,7 +146,7 @@ let jobs4_sched_stable_across_repetitions () =
         campaign =
           {
             (Campaign.default_config fw) with
-            sanitizers = Embsan_core.Embsan.ftrace_only;
+            sanitizers = [ "ftrace" ];
             max_execs = 250;
             seed = 7;
             stop_when_all_found = false;
