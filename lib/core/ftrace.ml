@@ -20,8 +20,8 @@
      [Machine.set_trap_handler] API -- like everything else here, entirely
      outside runtime.ml / machine.ml / probe.ml (pinned by grep tests,
      like ualign);
-   - snapshot save/restore through the plugin checkpoint channel, in
-     the metadata pages written since (the planes are {!Pages} stores).
+   - snapshot restores through the plugin checkpoint, in the metadata
+     pages written since (the planes are {!Pages} stores).
 
    Addresses that ever appear as sync objects (lock words) are treated as
    marked accesses and excluded from race checking, exactly as TSan
@@ -359,58 +359,45 @@ let on_sync t ~hart ~op ~addr =
 
 (* --- Snapshot support --------------------------------------------------------- *)
 
-type state = {
-  s_we : Pages.image;
-  s_wi : Pages.image;
-  s_re : Pages.image;
-  s_ri : Pages.image;
-  s_shared : (int * shared_reads) list;
-  s_vc : Vc.t array;
-  s_locks : (int * Vc.t) list;
-  s_sync : int list;
-  s_reported : int list;
-  s_counters : int * int * int * int * int;
-}
-
-let copy_sr sr =
-  { sr_clocks = Vc.copy sr.sr_clocks; sr_info = Array.copy sr.sr_info }
-
-let save t =
-  {
-    s_we = Pages.capture t.we;
-    s_wi = Pages.capture t.wi;
-    s_re = Pages.capture t.re;
-    s_ri = Pages.capture t.ri;
-    s_shared =
-      Hashtbl.fold (fun k sr acc -> (k, copy_sr sr) :: acc) t.shared_tbl [];
-    s_vc = Array.map Vc.copy t.vc;
-    s_locks = Hashtbl.fold (fun k v acc -> (k, Vc.copy v) :: acc) t.locks [];
-    s_sync = Hashtbl.fold (fun k () acc -> k :: acc) t.sync_slots [];
-    s_reported = Hashtbl.fold (fun k () acc -> k :: acc) t.reported [];
-    s_counters = (t.checks, t.races, t.acquires, t.releases, t.promotions);
-  }
-
-let restore t s =
-  let revert p from = ignore (Pages.revert p ~from : int) in
-  revert t.we s.s_we;
-  revert t.wi s.s_wi;
-  revert t.re s.s_re;
-  revert t.ri s.s_ri;
-  Hashtbl.reset t.shared_tbl;
-  List.iter (fun (k, sr) -> Hashtbl.replace t.shared_tbl k (copy_sr sr)) s.s_shared;
-  Array.iteri (fun i v -> Array.blit v 0 t.vc.(i) 0 (Array.length v)) s.s_vc;
-  Hashtbl.reset t.locks;
-  List.iter (fun (k, v) -> Hashtbl.replace t.locks k (Vc.copy v)) s.s_locks;
-  Hashtbl.reset t.sync_slots;
-  List.iter (fun k -> Hashtbl.replace t.sync_slots k ()) s.s_sync;
-  Hashtbl.reset t.reported;
-  List.iter (fun k -> Hashtbl.replace t.reported k ()) s.s_reported;
-  let c, r, a, rl, p = s.s_counters in
-  t.checks <- c;
-  t.races <- r;
-  t.acquires <- a;
-  t.releases <- rl;
-  t.promotions <- p
+(* The planes are captured as {!Pages} images; the mutable side tables
+   and clocks are copied in both directions and rebuilt in the same order
+   by every restore. *)
+let checkpoint t =
+  let copy_sr sr =
+    { sr_clocks = Vc.copy sr.sr_clocks; sr_info = Array.copy sr.sr_info }
+  in
+  let bindings copy tbl =
+    Hashtbl.fold (fun k v acc -> (k, copy v) :: acc) tbl []
+  in
+  let rebuild copy tbl l =
+    Hashtbl.reset tbl;
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k (copy v)) l
+  in
+  let planes =
+    List.map (fun p -> (p, Pages.capture p)) [ t.we; t.wi; t.re; t.ri ]
+  in
+  let shared = bindings copy_sr t.shared_tbl
+  and vc = Array.map Vc.copy t.vc
+  and locks = bindings Vc.copy t.locks
+  and sync = bindings Fun.id t.sync_slots
+  and reported = bindings Fun.id t.reported
+  and checks = t.checks
+  and races = t.races
+  and acquires = t.acquires
+  and releases = t.releases
+  and promotions = t.promotions in
+  fun () ->
+    List.iter (fun (p, from) -> ignore (Pages.revert p ~from : int)) planes;
+    rebuild copy_sr t.shared_tbl shared;
+    Array.iteri (fun i v -> Array.blit v 0 t.vc.(i) 0 (Array.length v)) vc;
+    rebuild Vc.copy t.locks locks;
+    rebuild Fun.id t.sync_slots sync;
+    rebuild Fun.id t.reported reported;
+    t.checks <- checks;
+    t.races <- races;
+    t.acquires <- acquires;
+    t.releases <- releases;
+    t.promotions <- promotions
 
 (* --- Plugin ------------------------------------------------------------------- *)
 
@@ -455,9 +442,7 @@ check  store(addr, size, pc) => hb_write;
   let event _ _ = ()
   let scan _ ~now:_ = 0
 
-  let checkpoint t =
-    let s = save t in
-    fun () -> restore t s
+  let checkpoint = checkpoint
 
   let stats t =
     [

@@ -61,13 +61,12 @@ val on_access :
     2 = irq_off, 3 = irq_on (the IRQ pseudo-lock). *)
 val on_sync : t -> hart:int -> op:int -> addr:int -> unit
 
-(** The detector's full state.  Its four metadata planes are
-    {!Embsan_emu.Pages} stores: a save costs the pages written since the
-    last save or restore, and so does restoring the state saved or
-    restored last; restoring any other state copies every page. *)
-type state
-
-val save : t -> state
-val restore : t -> state -> unit
+(** Capture the detector's full state and return the closure that
+    restores it, any number of times.  Its four metadata planes are
+    {!Embsan_emu.Pages} stores: a capture costs the pages written since
+    the last capture or restore, and so does a restore of the state
+    captured or restored last; restoring any other state copies every
+    page. *)
+val checkpoint : t -> unit -> unit
 
 val plugin : Sanitizer.plugin

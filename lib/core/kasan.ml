@@ -37,44 +37,6 @@ let create ?(quarantine_max = 512) ~shadow ~sink ~symbolize () =
     free_events = 0;
   }
 
-(* --- Snapshot support -------------------------------------------------------- *)
-
-type state = {
-  s_allocs : (int * alloc_info) list;
-  s_quarantine : int list; (* front (oldest) first *)
-  s_redzone : int;
-  s_access_checks : int;
-  s_alloc_events : int;
-  s_free_events : int;
-}
-
-(* [alloc_info] has a mutable field, so BOTH directions copy the records:
-   save so later frees don't mutate the snapshot, restore so post-restore
-   frees don't either (a snapshot may be restored many times). *)
-let copy_info (i : alloc_info) =
-  { a_size = i.a_size; a_pc = i.a_pc; freed_pc = i.freed_pc }
-
-let save t =
-  {
-    s_allocs =
-      Hashtbl.fold (fun ptr i acc -> (ptr, copy_info i) :: acc) t.allocs [];
-    s_quarantine = List.rev (Queue.fold (fun acc p -> p :: acc) [] t.quarantine);
-    s_redzone = t.redzone;
-    s_access_checks = !(t.access_checks);
-    s_alloc_events = t.alloc_events;
-    s_free_events = t.free_events;
-  }
-
-let restore t (s : state) =
-  Hashtbl.reset t.allocs;
-  List.iter (fun (ptr, i) -> Hashtbl.replace t.allocs ptr (copy_info i)) s.s_allocs;
-  Queue.clear t.quarantine;
-  List.iter (fun p -> Queue.push p t.quarantine) s.s_quarantine;
-  t.redzone <- s.s_redzone;
-  t.access_checks := s.s_access_checks;
-  t.alloc_events <- s.s_alloc_events;
-  t.free_events <- s.s_free_events
-
 (* The dedup key comes first: a repeat of a known bug only bumps its hit
    count, so [detail] (which may scan the allocation table) is built for
    new findings only. *)
@@ -270,9 +232,29 @@ update stack_unpoison(addr, size) => unpoison_stack;
 
   let scan _ ~now:_ = 0
 
+  (* [alloc_info] has a mutable field, so both directions copy the
+     records: the capture, so later frees don't mutate the checkpoint,
+     and every restore, so frees after it don't either.  The table is
+     kept as bindings and rebuilt in the same order by every restore. *)
   let checkpoint t =
-    let s = save t in
-    fun () -> restore t s
+    let copy (i : alloc_info) = { i with freed_pc = i.freed_pc } in
+    let allocs =
+      Hashtbl.fold (fun p i acc -> (p, copy i) :: acc) t.allocs []
+    in
+    let quarantine = Queue.copy t.quarantine in
+    let redzone = t.redzone
+    and access_checks = !(t.access_checks)
+    and alloc_events = t.alloc_events
+    and free_events = t.free_events in
+    fun () ->
+      Hashtbl.reset t.allocs;
+      List.iter (fun (p, i) -> Hashtbl.replace t.allocs p (copy i)) allocs;
+      Queue.clear t.quarantine;
+      Queue.iter (fun p -> Queue.push p t.quarantine) quarantine;
+      t.redzone <- redzone;
+      t.access_checks := access_checks;
+      t.alloc_events <- alloc_events;
+      t.free_events <- free_events
 
   let stats t =
     [

@@ -29,15 +29,6 @@ val create :
   unit ->
   t
 
-(** Snapshot of the allocation table, quarantine and counters (deep copy
-    of the mutable allocation records in both directions — a saved [state]
-    survives repeated restores).  The shadow is snapshotted separately via
-    {!Shadow.save}. *)
-type state
-
-val save : t -> state
-val restore : t -> state -> unit
-
 (** State maintenance (the sanitizer's [Update] operations). *)
 
 val on_poison : t -> addr:int -> size:int -> Shadow.code -> unit

@@ -48,42 +48,6 @@ let create ?(interval = 120) ?(stall_insns = 1200) ~shadow ~sink ~symbolize () =
     races = 0;
   }
 
-(* --- Snapshot support -------------------------------------------------------- *)
-
-type state = {
-  s_skip : int;
-  s_rng : int;
-  s_watch : watchpoint option;
-  s_pending_close : (int * int) option;
-  s_access_events : int;
-  s_watchpoints_set : int;
-  s_races : int;
-}
-
-(* [watchpoint] has a mutable conflict field; copy on both save and
-   restore so the saved state is immune to later window activity. *)
-let copy_watch (w : watchpoint) = { w with w_conflict = w.w_conflict }
-
-let save t =
-  {
-    s_skip = t.skip;
-    s_rng = t.rng;
-    s_watch = Option.map copy_watch t.watch;
-    s_pending_close = t.pending_close;
-    s_access_events = t.access_events;
-    s_watchpoints_set = t.watchpoints_set;
-    s_races = t.races;
-  }
-
-let restore t (s : state) =
-  t.skip <- s.s_skip;
-  t.rng <- s.s_rng;
-  t.watch <- Option.map copy_watch s.s_watch;
-  t.pending_close <- s.s_pending_close;
-  t.access_events <- s.s_access_events;
-  t.watchpoints_set <- s.s_watchpoints_set;
-  t.races <- s.s_races
-
 let overlap a asize b bsize = a < b + bsize && b < a + asize
 
 let report t (w : watchpoint) ~other =
@@ -216,9 +180,27 @@ check  store(addr, size, value, pc, hart) => access;
   let event _ _ = ()
   let scan _ ~now:_ = 0
 
-  let checkpoint p =
-    let s = save p.k in
-    fun () -> restore p.k s
+  (* [watchpoint] has a mutable conflict field: copy it in both
+     directions, so window activity after the capture or after a restore
+     never reaches the checkpoint.  The stalled hart's [stall_until] is
+     machine state and reverts with the hart. *)
+  let checkpoint { k = t; _ } =
+    let copy = Option.map (fun w -> { w with w_conflict = w.w_conflict }) in
+    let skip = t.skip
+    and rng = t.rng
+    and watch = copy t.watch
+    and pending_close = t.pending_close
+    and access_events = t.access_events
+    and watchpoints_set = t.watchpoints_set
+    and races = t.races in
+    fun () ->
+      t.skip <- skip;
+      t.rng <- rng;
+      t.watch <- copy watch;
+      t.pending_close <- pending_close;
+      t.access_events <- access_events;
+      t.watchpoints_set <- watchpoints_set;
+      t.races <- races
 
   let stats p =
     [

@@ -38,14 +38,6 @@ val create :
   unit ->
   t
 
-(** Snapshot of the sampling state, armed watchpoint and counters.  The
-    stalled hart's [stall_until] lives in {!Embsan_emu.Cpu.t} and is
-    restored with the machine. *)
-type state
-
-val save : t -> state
-val restore : t -> state -> unit
-
 (** Process one memory access event.  May raise
     {!Embsan_emu.Fault.Retry_at} to stall the accessing hart; the retried
     access closes the watchpoint.  Atomic and MMIO accesses must be

@@ -28,24 +28,6 @@ let site_threshold = 4
 let create ~sink ~symbolize () =
   { sink; symbolize; live = Hashtbl.create 256; allocs = 0; frees = 0 }
 
-(* --- Snapshot support -------------------------------------------------------- *)
-
-(* [alloc_rec] is immutable, so the bindings can be shared. *)
-type state = { s_live : (int * alloc_rec) list; s_allocs : int; s_frees : int }
-
-let save t =
-  {
-    s_live = Hashtbl.fold (fun ptr r acc -> (ptr, r) :: acc) t.live [];
-    s_allocs = t.allocs;
-    s_frees = t.frees;
-  }
-
-let restore t (s : state) =
-  Hashtbl.reset t.live;
-  List.iter (fun (ptr, r) -> Hashtbl.replace t.live ptr r) s.s_live;
-  t.allocs <- s.s_allocs;
-  t.frees <- s.s_frees
-
 let on_alloc t ~ptr ~size ~pc ~now =
   t.allocs <- t.allocs + 1;
   if ptr <> 0 then
@@ -126,9 +108,17 @@ update func_free(ptr) => track_free;
 
   let scan t ~now = scan t ~now
 
+  (* [alloc_rec] is immutable, so the bindings are shared.  [scan]
+     iterates the live table, so every restore rebuilds it in the same
+     order. *)
   let checkpoint t =
-    let s = save t in
-    fun () -> restore t s
+    let live = Hashtbl.fold (fun p r acc -> (p, r) :: acc) t.live [] in
+    let allocs = t.allocs and frees = t.frees in
+    fun () ->
+      Hashtbl.reset t.live;
+      List.iter (fun (p, r) -> Hashtbl.replace t.live p r) live;
+      t.allocs <- allocs;
+      t.frees <- frees
 
   let stats t =
     [ ("allocs", t.allocs); ("frees", t.frees); ("live", live_blocks t) ]

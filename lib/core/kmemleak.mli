@@ -17,12 +17,6 @@ type t = {
 val create :
   sink:Report.sink -> symbolize:(int -> string option) -> unit -> t
 
-(** Snapshot of the live-block table and counters. *)
-type state
-
-val save : t -> state
-val restore : t -> state -> unit
-
 val on_alloc : t -> ptr:int -> size:int -> pc:int -> now:int -> unit
 val on_free : t -> ptr:int -> unit
 

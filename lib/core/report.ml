@@ -104,17 +104,13 @@ let clear sink =
 
 (* --- Snapshot support -------------------------------------------------------- *)
 
-(* Reports are immutable records, so the lists can be shared; the dedup
-   table is flattened to bindings. *)
-type sink_state = { ss_reports : t list; ss_seen : (string * int) list }
-
-let save_sink sink =
-  {
-    ss_reports = sink.reports;
-    ss_seen = Hashtbl.fold (fun k n acc -> (k, n) :: acc) sink.seen [];
-  }
-
-let restore_sink sink (s : sink_state) =
-  sink.reports <- s.ss_reports;
-  Hashtbl.reset sink.seen;
-  List.iter (fun (k, n) -> Hashtbl.replace sink.seen k n) s.ss_seen
+(* Reports are immutable records, so the list can be shared; the dedup
+   table is kept as bindings and rebuilt in the same order by every
+   restore. *)
+let checkpoint_sink sink =
+  let reports = sink.reports in
+  let seen = Hashtbl.fold (fun k n acc -> (k, n) :: acc) sink.seen [] in
+  fun () ->
+    sink.reports <- reports;
+    Hashtbl.reset sink.seen;
+    List.iter (fun (k, n) -> Hashtbl.replace sink.seen k n) seen

@@ -67,9 +67,7 @@ val total_hits : sink -> int
 
 val clear : sink -> unit
 
-(** Snapshot of the sink (report list plus dedup table): restoring reverts
-    both the unique reports and the per-key hit counts. *)
-type sink_state
-
-val save_sink : sink -> sink_state
-val restore_sink : sink -> sink_state -> unit
+(** Capture the sink (report list plus dedup table) and return the
+    closure that reverts both the unique reports and the per-key hit
+    counts to it, any number of times. *)
+val checkpoint_sink : sink -> unit -> unit

@@ -94,19 +94,15 @@ let pending_pop p ~hart ~ra =
 
 let pending_depth_of p ~hart = p.p_depth.(hart)
 
-type pending_state = { ps_ret : int array; ps_size : int array; ps_depth : int array }
-
-let pending_save p =
-  {
-    ps_ret = Array.copy p.p_ret;
-    ps_size = Array.copy p.p_size;
-    ps_depth = Array.copy p.p_depth;
-  }
-
-let pending_restore p (s : pending_state) =
-  Array.blit s.ps_ret 0 p.p_ret 0 (Array.length p.p_ret);
-  Array.blit s.ps_size 0 p.p_size 0 (Array.length p.p_size);
-  Array.blit s.ps_depth 0 p.p_depth 0 (Array.length p.p_depth)
+(* Capture the stacks; the closure blits them back. *)
+let pending_checkpoint p =
+  let ret = Array.copy p.p_ret
+  and size = Array.copy p.p_size
+  and depth = Array.copy p.p_depth in
+  fun () ->
+    Array.blit ret 0 p.p_ret 0 (Array.length ret);
+    Array.blit size 0 p.p_size 0 (Array.length size);
+    Array.blit depth 0 p.p_depth 0 (Array.length depth)
 
 (* --- Runtime ------------------------------------------------------------------ *)
 
@@ -137,7 +133,6 @@ type t = {
      into two parallel arrays for the binary search. *)
   exempt_lo : int array;
   exempt_hi : int array;
-  token : unit ref; (* identity guard for save/restore pairing *)
   mem_events : int ref; (* a cell: inline guards bump it too *)
   mutable callouts : int;
   mutable intercepted_calls : int;
@@ -554,7 +549,6 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
       pending = pending_create ~harts:(Array.length machine.Machine.harts);
       exempt_lo;
       exempt_hi;
-      token = ref ();
       mem_events = ref 0;
       callouts = 0;
       intercepted_calls = 0;
@@ -584,51 +578,30 @@ let pending_capacity = pending_cap
 
 (* --- Snapshot support ---------------------------------------------------------- *)
 
-type state = {
-  r_token : unit ref;
-  r_shadow : Shadow.state;
-  r_plugins : (string * (unit -> unit)) list; (* name, restore thunk *)
-  r_sink : Report.sink_state;
-  r_ready : bool;
-  r_pending : pending_state;
-  r_mem_events : int;
-  r_callouts : int;
-  r_intercepted_calls : int;
-}
-
-(** Snapshot the runtime's host-side sanitizer state: shadow planes, every
-    plugin instance's checkpoint (keyed by sanitizer name), the
-    report-dedup sink and the D-mode allocator-interception stacks.  Probe
-    wiring, trap handlers and the compiled dispatch plans are structural
-    (installed once by {!attach}) and are not part of the state. *)
-let save t =
-  {
-    r_token = t.token;
-    r_shadow = Shadow.save t.shadow;
-    r_plugins =
-      Array.to_list
-        (Array.map
-           (fun i -> (Sanitizer.instance_name i, Sanitizer.checkpoint i))
-           t.instances);
-    r_sink = Report.save_sink t.sink;
-    r_ready = t.ready;
-    r_pending = pending_save t.pending;
-    r_mem_events = !(t.mem_events);
-    r_callouts = t.callouts;
-    r_intercepted_calls = t.intercepted_calls;
-  }
-
-let restore t (s : state) =
-  if s.r_token != t.token then
-    invalid_arg "Runtime.restore: state belongs to a different runtime";
-  Shadow.restore t.shadow s.r_shadow;
-  List.iter (fun (_name, thunk) -> thunk ()) s.r_plugins;
-  Report.restore_sink t.sink s.r_sink;
-  set_ready t s.r_ready;
-  pending_restore t.pending s.r_pending;
-  t.mem_events := s.r_mem_events;
-  t.callouts <- s.r_callouts;
-  t.intercepted_calls <- s.r_intercepted_calls
+(** Capture the runtime's host-side sanitizer state -- shadow planes,
+    every plugin instance's checkpoint, the report-dedup sink and the
+    D-mode allocator-interception stacks -- and return the closure that
+    restores this runtime to it.  Probe wiring, trap handlers and the
+    compiled dispatch plans are structural (installed once by {!attach})
+    and are not part of the state. *)
+let checkpoint t =
+  let shadow = Shadow.save t.shadow in
+  let plugins = Array.map Sanitizer.checkpoint t.instances in
+  let sink = Report.checkpoint_sink t.sink in
+  let pending = pending_checkpoint t.pending in
+  let ready = t.ready
+  and mem_events = !(t.mem_events)
+  and callouts = t.callouts
+  and intercepted_calls = t.intercepted_calls in
+  fun () ->
+    Shadow.restore t.shadow shadow;
+    Array.iter (fun restore -> restore ()) plugins;
+    sink ();
+    set_ready t ready;
+    pending ();
+    t.mem_events := mem_events;
+    t.callouts <- callouts;
+    t.intercepted_calls <- intercepted_calls
 
 let reports t = Report.unique_reports t.sink
 

@@ -51,11 +51,11 @@ type t = {
       (** EmbSan-D: set when the firmware signals readiness; access sites
           count nothing before.  EmbSan-C: set at attach.  Inline guards
           are offered only while it is set, so every change of it (the
-          ready doorbell, {!restore}) bumps the probe generation. *)
+          ready doorbell, a {!checkpoint} restore) bumps the probe
+          generation. *)
   pending : pending;
   exempt_lo : int array;  (** sorted disjoint exempt ranges (parallel) *)
   exempt_hi : int array;
-  token : unit ref;
   mem_events : int ref;
       (** accesses counted once ready; a cell, so inline guards bump it *)
   mutable callouts : int;
@@ -88,18 +88,13 @@ val plan_names : t -> Api_spec.point -> string list
 (** Current depth of [hart]'s in-flight allocator-call stack. *)
 val pending_depth : t -> hart:int -> int
 
-(** Snapshot of the runtime's host-side sanitizer state: shadow planes,
-    every plugin instance's checkpoint (keyed by sanitizer name), the
-    report-dedup sink, and the D-mode allocator-interception stacks.
-    Probe wiring, trap handlers and the compiled dispatch plans are
-    structural (installed once by {!attach}) and not captured. *)
-type state
-
-val save : t -> state
-
-(** Restore a snapshot previously taken from this same runtime.
-    @raise Invalid_argument if [state] came from a different runtime. *)
-val restore : t -> state -> unit
+(** Capture the runtime's host-side sanitizer state — shadow planes,
+    every plugin instance's checkpoint, the report-dedup sink and the
+    D-mode allocator-interception stacks — and return the closure that
+    restores this runtime to it, any number of times.  Probe wiring, trap
+    handlers and the compiled dispatch plans are structural (installed
+    once by {!attach}) and not captured. *)
+val checkpoint : t -> unit -> unit
 
 (** Unique reports collected so far. *)
 val reports : t -> Report.t list

@@ -41,16 +41,6 @@ let on_access t ~addr ~size ~is_write ~pc ~hart =
          })
   end
 
-(* --- Snapshot support -------------------------------------------------------- *)
-
-type state = { s_checks : int; s_unaligned : int }
-
-let save t = { s_checks = t.checks; s_unaligned = t.unaligned }
-
-let restore t s =
-  t.checks <- s.s_checks;
-  t.unaligned <- s.s_unaligned
-
 (* --- Plugin ------------------------------------------------------------------ *)
 
 module Plugin = struct
@@ -76,8 +66,10 @@ check  store(addr, size, pc) => check_align;
   let scan _ ~now:_ = 0
 
   let checkpoint t =
-    let s = save t in
-    fun () -> restore t s
+    let checks = t.checks and unaligned = t.unaligned in
+    fun () ->
+      t.checks <- checks;
+      t.unaligned <- unaligned
 
   let stats t = [ ("checks", t.checks); ("unaligned", t.unaligned) ]
 end

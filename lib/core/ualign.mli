@@ -18,9 +18,4 @@ val create :
 val on_access :
   t -> addr:int -> size:int -> is_write:bool -> pc:int -> hart:int -> unit
 
-type state
-
-val save : t -> state
-val restore : t -> state -> unit
-
 val plugin : Sanitizer.plugin

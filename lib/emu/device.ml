@@ -1,23 +1,19 @@
 (* Memory-mapped device interface.
 
-   [save]/[restore] serialize the device's *guest-visible* state for the
-   snapshot service: [save] returns an opaque string, [restore] accepts a
-   string previously produced by the same device's [save] and reverts the
-   device to that state.  Host-side wiring (callbacks such as the
-   mailbox's [on_ready]) is not state and must survive a restore
-   untouched.  Stateless devices use {!stateless}. *)
+   [checkpoint ()] captures the device's *guest-visible* state for the
+   snapshot service and returns the closure that restores it; the
+   closure reverts this device only, and can be called any number of
+   times.  Host-side wiring (callbacks such as the mailbox's [on_ready])
+   is not state and survives a restore untouched.  Stateless devices use
+   {!stateless}. *)
 
 type t = {
-  name : string;
   base : int;
   size : int;
   read : offset:int -> width:int -> int;
   write : offset:int -> width:int -> value:int -> unit;
-  save : unit -> string;
-  restore : string -> unit;
+  checkpoint : unit -> unit -> unit;
 }
 
-(** [save]/[restore] pair for devices with no guest-visible state. *)
-let stateless = ((fun () -> ""), fun (_ : string) -> ())
-
-let covers t addr = addr >= t.base && addr < t.base + t.size
+(** The checkpoint of a device with no guest-visible state. *)
+let stateless () () = ()

@@ -9,12 +9,11 @@
      0xF000_0300  TIMER       (read -> low 32 bits of retired instructions)
      0xF000_0400  RNG         (deterministic xorshift32)
 
-   Each stateful device implements the {!Device.t} [save]/[restore] hooks
-   for the snapshot service.  Saved state is the *guest-visible* state
-   only: host-side wiring (mailbox [on_ready]/[on_complete]) survives a
-   restore untouched.  Plain-data state is serialized with [Marshal];
-   restore rebuilds mutable containers in place so aliases held by the
-   machine stay valid. *)
+   Each stateful device implements the {!Device.t} [checkpoint] for the
+   snapshot service.  It captures the *guest-visible* state only:
+   host-side wiring (mailbox [on_ready]/[on_complete]) survives a restore
+   untouched.  A restore rebuilds mutable containers in place, so aliases
+   held by the machine stay valid. *)
 
 let uart_base = 0xF000_0000
 let power_base = 0xF000_0100
@@ -32,21 +31,13 @@ let uart () =
   let write ~offset ~width:_ ~value =
     if offset = 0 then Buffer.add_char state.out (Char.chr (value land 0xFF))
   in
-  let save () = Buffer.contents state.out in
-  let restore s =
-    Buffer.clear state.out;
-    Buffer.add_string state.out s
+  let checkpoint () =
+    let out = Buffer.contents state.out in
+    fun () ->
+      Buffer.clear state.out;
+      Buffer.add_string state.out out
   in
-  ( state,
-    {
-      Device.name = "uart";
-      base = uart_base;
-      size = 0x100;
-      read;
-      write;
-      save;
-      restore;
-    } )
+  (state, { Device.base = uart_base; size = 0x100; read; write; checkpoint })
 
 let uart_output u = Buffer.contents u.out
 let uart_clear u = Buffer.clear u.out
@@ -58,9 +49,8 @@ let power () =
   let write ~offset ~width:_ ~value =
     if offset = 0 then raise (Fault.Halted value)
   in
-  let save, restore = Device.stateless in
-  { Device.name = "power"; base = power_base; size = 0x100; read; write;
-    save; restore }
+  { Device.base = power_base; size = 0x100; read; write;
+    checkpoint = Device.stateless }
 
 (* --- Mailbox (executor/syscall interface) -------------------------------- *)
 
@@ -84,17 +74,6 @@ type mailbox = {
   mutable ready : bool;
   mutable on_ready : unit -> unit;
   mutable on_complete : completion -> unit;
-}
-
-(* Guest-visible mailbox state as a plain-data Marshal payload.  Requests
-   are flattened to (nr, args) pairs so the payload contains no mutable
-   structure shared with the live device. *)
-type mailbox_state = {
-  s_queue : (int * int array) list; (* front first *)
-  s_current : (int * int array) option;
-  s_last_ret : int;
-  s_completions : completion list;
-  s_ready : bool;
 }
 
 let mailbox () =
@@ -140,34 +119,26 @@ let mailbox () =
           state.on_ready ())
     | _ -> ()
   in
-  let flatten (r : request) = (r.nr, Array.copy r.args) in
-  let unflatten (nr, args) = { nr; args = Array.copy args } in
-  let save () =
-    let s =
-      {
-        s_queue = Queue.fold (fun acc r -> flatten r :: acc) [] state.queue
-                  |> List.rev;
-        s_current = Option.map flatten state.current;
-        s_last_ret = state.last_ret;
-        s_completions = state.completions;
-        s_ready = state.ready;
-      }
-    in
-    Marshal.to_string s []
-  in
-  let restore blob =
-    let s : mailbox_state = Marshal.from_string blob 0 in
-    Queue.clear state.queue;
-    List.iter (fun r -> Queue.push (unflatten r) state.queue) s.s_queue;
-    state.current <- Option.map unflatten s.s_current;
-    state.last_ret <- s.s_last_ret;
-    state.completions <- s.s_completions;
-    state.ready <- s.s_ready
+  (* a request's args array is copied in both directions, so the
+     checkpoint shares no mutable structure with the live device;
+     completions are immutable and shared *)
+  let copy (r : request) = { r with args = Array.copy r.args } in
+  let checkpoint () =
+    let queue = List.of_seq (Seq.map copy (Queue.to_seq state.queue)) in
+    let current = Option.map copy state.current in
+    let last_ret = state.last_ret
+    and completions = state.completions
+    and ready = state.ready in
+    fun () ->
+      Queue.clear state.queue;
+      List.iter (fun r -> Queue.push (copy r) state.queue) queue;
+      state.current <- Option.map copy current;
+      state.last_ret <- last_ret;
+      state.completions <- completions;
+      state.ready <- ready
   in
   ( state,
-    { Device.name = "mailbox"; base = mailbox_base; size = 0x100; read; write;
-      save; restore }
-  )
+    { Device.base = mailbox_base; size = 0x100; read; write; checkpoint } )
 
 let mailbox_push m ~nr ~args =
   let a = Array.make 6 0 in
@@ -186,9 +157,8 @@ let mailbox_clear_completions m = m.completions <- []
 let timer ~now =
   let read ~offset ~width:_ = if offset = 0 then now () land 0xFFFF_FFFF else 0 in
   let write ~offset:_ ~width:_ ~value:_ = () in
-  let save, restore = Device.stateless in
-  { Device.name = "timer"; base = timer_base; size = 0x100; read; write;
-    save; restore }
+  { Device.base = timer_base; size = 0x100; read; write;
+    checkpoint = Device.stateless }
 
 (* --- Deterministic RNG ----------------------------------------------------- *)
 
@@ -204,7 +174,8 @@ let rng ~seed =
   in
   let read ~offset ~width:_ = if offset = 0 then next () else 0 in
   let write ~offset:_ ~width:_ ~value:_ = () in
-  let save () = string_of_int !state in
-  let restore s = state := int_of_string s in
-  { Device.name = "rng"; base = rng_base; size = 0x100; read; write;
-    save; restore }
+  let checkpoint () =
+    let x = !state in
+    fun () -> state := x
+  in
+  { Device.base = rng_base; size = 0x100; read; write; checkpoint }

@@ -111,14 +111,14 @@ end)
    faulting: reads come from a fuzz-input stream behind a (pc, addr)
    memoization table, writes are recorded.  The host-side debug accessors
    ([read_mem]/[write_mem], hart = -1) never consult the hook so they
-   cannot pollute the memo table.  [rh_save]/[rh_restore] round-trip the
-   hook's state (memo table, pending interrupt plan) through {!Snap}. *)
+   cannot pollute the memo table.  [rh_checkpoint ()] captures the hook's
+   state (memo table, pending interrupt plan) for {!Snap} and returns the
+   closure that restores it. *)
 type rehost = {
   rh_read : pc:int -> addr:int -> size:int -> int;
   rh_write : pc:int -> addr:int -> size:int -> value:int -> unit;
   rh_covers : int -> bool;
-  rh_save : unit -> string;
-  rh_restore : string -> unit;
+  rh_checkpoint : unit -> unit -> unit;
 }
 
 type t = {
@@ -1257,6 +1257,13 @@ let rec pick_round_robin t n k =
     let i = (t.next_hart + k) mod n in
     if runnable t (Array.unsafe_get t.harts i) then i
     else pick_round_robin t n (k + 1)
+
+(* The same rotation as a scheduler, for wrappers that delegate to it:
+   its [max_int] deadline is clamped to the slice, as the built-in turn
+   runs to the slice deadline. *)
+let round_robin t =
+  let i = pick_round_robin t (Array.length t.harts) 0 in
+  if i < 0 then None else Some (t.harts.(i), max_int)
 
 (** Run until a stop condition.  [until] is checked between hart turns and
     makes the machine pause (reported as [Budget_exhausted]?  no: returns

@@ -56,14 +56,14 @@ module Pc_table : Hashtbl.S with type key = int
     faulting: reads come from a fuzz-input stream behind a (pc, addr)
     memoization table (counted in [stats.rehost_reads]), writes are
     recorded.  Debug accessors ([read_mem]/[write_mem], hart = -1) never
-    consult the hook.  [rh_save]/[rh_restore] round-trip the hook's state
-    (memo table, pending interrupt plan) through {!Snap}. *)
+    consult the hook.  [rh_checkpoint ()] captures the hook's state (memo
+    table, pending interrupt plan) for [Snap] and returns the closure that
+    restores it, any number of times. *)
 type rehost = {
   rh_read : pc:int -> addr:int -> size:int -> int;
   rh_write : pc:int -> addr:int -> size:int -> value:int -> unit;
   rh_covers : int -> bool;
-  rh_save : unit -> string;
-  rh_restore : string -> unit;
+  rh_checkpoint : unit -> unit -> unit;
 }
 
 type t = {
@@ -173,6 +173,11 @@ val set_trap_handler : t -> int -> handler -> unit
 
 (** Arm (or, with [None], disarm) the external hart scheduler. *)
 val set_sched : t -> scheduler option -> unit
+
+(** The built-in rotation as a scheduler: the first runnable hart from
+    [next_hart] on, for the rest of the slice.  A wrapper that delegates
+    to it picks exactly as the machine does with no scheduler armed. *)
+val round_robin : scheduler
 
 (** Install (or, with [None], remove) the model-free rehosting hook.  The
     hook is consulted only on the unmapped-MMIO slow paths, which the

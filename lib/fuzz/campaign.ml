@@ -109,8 +109,8 @@ let match_crash (fw : Firmware_db.firmware) = function
   | _ -> None
 
 (* The knob controllers of one booted instance, built once (before its
-   post-boot checkpoint, so [Snap.capture] carries the rehost blob) and
-   re-armed for every replay. *)
+   post-boot checkpoint, so [Snap.capture] checkpoints the rehost
+   controller) and re-armed for every replay. *)
 type controls = {
   c_sched : Sched.t option;
   c_rehost : Rehost.t option;
@@ -369,8 +369,8 @@ module Engine = struct
   let execute e ?sched ?rehost prog =
     (* Per-exec isolation under rehosting: every execution starts from the
        post-boot checkpoint (which also reverts the memo table and pending
-       IRQs through the rehost hook's snapshot blob), so a (program,
-       rehost seed) pair alone determines the trajectory and confirmation
+       IRQs through the rehost hook's checkpoint), so a (program, rehost
+       seed) pair alone determines the trajectory and confirmation
        replays are exact. *)
     if e.cfg.use_rehost then restore e;
     arm e.controls ~sched ~rehost;

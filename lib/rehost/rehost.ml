@@ -28,7 +28,7 @@ type saved = { sv_hart : int; sv_regs : int array; sv_pc : int }
 
 type t = {
   machine : Machine.t;
-  memo : (int * int, int) Hashtbl.t; (* (pc, addr) -> 32-bit response *)
+  mutable memo : (int * int, int) Hashtbl.t; (* (pc, addr) -> 32-bit response *)
   mutable covers : int -> bool;
   mutable draw : (unit -> int) option; (* armed mmio stream; None = off *)
   mutable writes : int; (* MMIO writes accepted (not modeled back) *)
@@ -64,45 +64,26 @@ let rh_read t ~pc ~addr ~size =
 
 let rh_write t ~pc:_ ~addr:_ ~size:_ ~value:_ = t.writes <- t.writes + 1
 
-(* --- snapshot round-trip --------------------------------------------------- *)
+(* --- checkpoint ------------------------------------------------------------ *)
 
-(* The blob carries the controller's data state (memo table, write
+(* The checkpoint covers the controller's data state (memo table, write
    count, pending plan, in-flight interrupt context) but not the draw
    closures: a restore mid-exec keeps the exec's streams, and the
-   per-exec re-arm resets them from the corpus seed anyway.  Bindings
-   are serialized sorted so equal states produce equal blobs. *)
-let rh_save t () =
-  let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.memo [] in
-  let bindings = List.sort compare bindings in
-  Marshal.to_string (bindings, t.writes, t.plan, t.in_irq, t.saved) []
-
-let rh_restore t blob =
-  let bindings, writes, plan, in_irq, saved =
-    (Marshal.from_string blob 0
-      : ((int * int) * int) list * int * int list * bool * saved option)
-  in
-  Hashtbl.reset t.memo;
-  List.iter (fun (k, v) -> Hashtbl.add t.memo k v) bindings;
-  t.writes <- writes;
-  t.plan <- plan;
-  t.in_irq <- in_irq;
-  t.saved <- saved
+   per-exec re-arm resets them from the corpus seed anyway.  The memo
+   table is copied in both directions; the saved context's registers
+   are never written after [inject] made them, so they are shared. *)
+let checkpoint t () =
+  let memo = Hashtbl.copy t.memo in
+  let writes = t.writes and plan = t.plan and in_irq = t.in_irq
+  and saved = t.saved in
+  fun () ->
+    t.memo <- Hashtbl.copy memo;
+    t.writes <- writes;
+    t.plan <- plan;
+    t.in_irq <- in_irq;
+    t.saved <- saved
 
 (* --- interrupt injection --------------------------------------------------- *)
-
-(* Replicate the machine's built-in rotation exactly (run_slice updates
-   [next_hart] and clamps our deadline to the slice, so returning
-   [max_int] is the built-in "run to the slice deadline"). *)
-let round_robin (m : Machine.t) =
-  let harts = m.Machine.harts in
-  let n = Array.length harts in
-  let rec pick k =
-    if k >= n then None
-    else
-      let cpu = harts.((m.Machine.next_hart + k) mod n) in
-      if Machine.runnable m cpu then Some (cpu, max_int) else pick (k + 1)
-  in
-  pick 0
 
 let inject t (m : Machine.t) (cpu : Cpu.t) =
   t.saved <-
@@ -124,7 +105,7 @@ let inject t (m : Machine.t) (cpu : Cpu.t) =
    pending point so both engines first observe the crossing at the same
    block boundary. *)
 let hook t (m : Machine.t) =
-  match (match t.inner with Some s -> s m | None -> round_robin m) with
+  match (Option.value t.inner ~default:Machine.round_robin) m with
   | None -> None
   | Some (cpu, turn_end) ->
       (match t.plan with
@@ -178,8 +159,7 @@ let create machine =
          rh_write =
            (fun ~pc ~addr ~size ~value -> rh_write t ~pc ~addr ~size ~value);
          rh_covers = (fun addr -> t.draw <> None && t.covers addr);
-         rh_save = (fun () -> rh_save t ());
-         rh_restore = (fun blob -> rh_restore t blob);
+         rh_checkpoint = checkpoint t;
        });
   Machine.set_trap_handler machine Hypercall.irq_eoi (fun m cpu ->
       eoi t m cpu);

@@ -1,18 +1,20 @@
 (* Machine checkpoint/restore service (DESIGN.md "Snapshot service").
 
    A snapshot captures everything a fresh boot would establish: guest RAM
-   (a {!Pages.image}), per-hart architectural state, device state (via the
-   {!Device.t} save/restore hooks) and, optionally, the host-side
-   sanitizer runtime (shadow and ftrace planes, KASAN/KCSAN/kmemleak
-   tables, report sink).  Capture and restore cost what was written: RAM
-   and every sanitizer plane is a {!Pages} store, which starts synced to
-   all-zero contents (loading the firmware re-syncs RAM), so a capture
-   copies only the pages written since the last sync and shares the rest
-   with the synced image.  Restoring the image RAM is synced to (the
-   latest capture or restore) reverts only the pages written since, the
-   sanitizer planes follow the same rule, and the translation cache is
-   revalidated instead of flushed.  Restoring an older snapshot copies
-   every page and flushes.
+   (a {!Pages.image}), per-hart architectural state and machine counters,
+   and the restore closures of every component's checkpoint: each
+   device's ({!Device.t}), the rehost hook's and, optionally, the
+   host-side sanitizer runtime's (shadow and ftrace planes,
+   KASAN/KCSAN/kmemleak tables, report sink).  Each closure reverts the
+   component it was captured from, and nothing else.  Capture and
+   restore cost what was written: RAM and every sanitizer plane is a
+   {!Pages} store, which starts synced to all-zero contents (loading the
+   firmware re-syncs RAM), so a capture copies only the pages written
+   since the last sync and shares the rest with the synced image.
+   Restoring the image RAM is synced to (the latest capture or restore)
+   reverts only the pages written since, the sanitizer planes follow the
+   same rule, and the translation cache is revalidated instead of
+   flushed.  Restoring an older snapshot copies every page and flushes.
 
    What is deliberately NOT captured: probe subscribers and site state, trap
    handlers, device callbacks (mailbox on_ready/on_complete), the
@@ -40,14 +42,14 @@ type t = {
   machine : Machine.t;
   ram_image : Pages.image; (* RAM at capture, sharing unwritten pages *)
   harts : hart_state array;
-  devices : (string * string) array; (* device name, opaque save blob *)
   total_insns : int;
   cost : int;
   external_cost : int;
   next_hart : int;
   entry : int;
-  rehost : string option; (* rehost-hook state (memo table, pending IRQs) *)
-  runtime : (Embsan_core.Runtime.t * Embsan_core.Runtime.state) option;
+  irq_entry : int;
+  host : (unit -> unit) list;
+      (* restores of the devices, the rehost hook and the runtime *)
   mutable restored : bool; (* a restore of this snapshot has flushed *)
 }
 
@@ -73,24 +75,25 @@ let restore_hart (cpu : Cpu.t) (h : hart_state) =
     given) and sync RAM to the captured image, so the write set
     accumulated afterwards is exactly "pages to revert". *)
 let capture ?runtime (machine : Machine.t) =
+  let host =
+    List.map (fun (d : Device.t) -> d.checkpoint ())
+      (Array.to_list machine.devices)
+    @ List.map
+        (fun (rh : Machine.rehost) -> rh.rh_checkpoint ())
+        (Option.to_list machine.rehost)
+    @ List.map Embsan_core.Runtime.checkpoint (Option.to_list runtime)
+  in
   {
     machine;
-    ram_image = Pages.capture machine.Machine.ram.Ram.mem;
-    harts = Array.map save_hart machine.Machine.harts;
-    devices =
-      Array.map
-        (fun (d : Device.t) -> (d.Device.name, d.Device.save ()))
-        machine.Machine.devices;
-    total_insns = machine.Machine.total_insns;
-    cost = machine.Machine.cost;
-    external_cost = machine.Machine.external_cost;
-    next_hart = machine.Machine.next_hart;
-    entry = machine.Machine.entry;
-    rehost =
-      Option.map
-        (fun (rh : Machine.rehost) -> rh.Machine.rh_save ())
-        machine.Machine.rehost;
-    runtime = Option.map (fun rt -> (rt, Embsan_core.Runtime.save rt)) runtime;
+    ram_image = Pages.capture machine.ram.Ram.mem;
+    harts = Array.map save_hart machine.harts;
+    total_insns = machine.total_insns;
+    cost = machine.cost;
+    external_cost = machine.external_cost;
+    next_hart = machine.next_hart;
+    entry = machine.entry;
+    irq_entry = machine.irq_entry;
+    host;
     restored = false;
   }
 
@@ -105,28 +108,13 @@ let restore t =
   let full = not (Pages.is_synced mem t.ram_image) in
   let pages = Pages.revert mem ~from:t.ram_image in
   Array.iteri (fun i h -> restore_hart m.Machine.harts.(i) h) t.harts;
-  Array.iteri
-    (fun i (name, blob) ->
-      let d = m.Machine.devices.(i) in
-      if d.Device.name <> name then
-        invalid_arg
-          (Printf.sprintf "Snap.restore: device %d is %s, snapshot has %s" i
-             d.Device.name name);
-      d.Device.restore blob)
-    t.devices;
   m.Machine.total_insns <- t.total_insns;
   m.Machine.cost <- t.cost;
   m.Machine.external_cost <- t.external_cost;
   m.Machine.next_hart <- t.next_hart;
   m.Machine.entry <- t.entry;
-  (* rehost-hook state (memo table, pending interrupts) reverts with the
-     machine; a hook installed only after capture keeps its live state *)
-  (match (m.Machine.rehost, t.rehost) with
-  | Some rh, Some blob -> rh.Machine.rh_restore blob
-  | _ -> ());
-  Option.iter
-    (fun (rt, st) -> Embsan_core.Runtime.restore rt st)
-    t.runtime;
+  m.Machine.irq_entry <- t.irq_entry;
+  List.iter (fun restore -> restore ()) t.host;
   if full || not t.restored then Machine.flush_tcg m
   else Machine.revalidate_tcg m;
   t.restored <- true;

@@ -1,15 +1,18 @@
 (** Machine checkpoint/restore service for persistent-mode fuzzing (see
     DESIGN.md "Snapshot service").
 
-    {!capture} checkpoints guest RAM, hart registers, device state, the
-    rehost-hook state (MMIO memo table and pending interrupts, via the
-    {!Embsan_emu.Machine.rehost} save/restore closures) and (optionally)
-    the host-side sanitizer runtime.  RAM and every sanitizer plane is an
-    {!Embsan_emu.Pages} store, synced to all-zero contents from the start
-    ({!Embsan_emu.Machine.load_image} re-syncs RAM to the firmware), so
-    a capture costs the pages written since the last sync and shares the
-    rest with the synced image: a post-boot snapshot holds privately only
-    what the loader and the boot wrote.
+    {!capture} checkpoints guest RAM, hart registers and machine
+    counters, and holds the restore closure of each component's
+    checkpoint: every device's, the rehost hook's (MMIO memo table and
+    pending interrupts, via {!Embsan_emu.Machine.rehost}'s
+    [rh_checkpoint]) and (optionally) the host-side sanitizer runtime's.
+    Each closure reverts the component it was captured from: a restore
+    reverts the hook installed at capture.  RAM and every sanitizer
+    plane is an {!Embsan_emu.Pages} store, synced to all-zero contents
+    from the start ({!Embsan_emu.Machine.load_image} re-syncs RAM to the
+    firmware), so a capture costs the pages written since the last sync
+    and shares the rest with the synced image: a post-boot snapshot
+    holds privately only what the loader and the boot wrote.
 
     {!restore} reverts in O(state written since capture): the dirty
     pages of each store, and a translation cache that is kept when no

@@ -1046,7 +1046,7 @@ let pending_allocs_bounded_and_restored () =
     | None -> Alcotest.fail "kmalloc not intercepted"
   in
   Alcotest.(check int) "idle" 0 (Runtime.pending_depth rt ~hart:0);
-  let snap = Runtime.save rt in
+  let restore = Runtime.checkpoint rt in
   (* allocator entries whose returns never happen (crash / tail call) *)
   let enter pc =
     Probe.fire_call m.probes ~pc ~target:kmalloc ~direct:true ~hart:0
@@ -1055,7 +1055,7 @@ let pending_allocs_bounded_and_restored () =
   enter 0x200;
   Alcotest.(check int) "two in flight" 2 (Runtime.pending_depth rt ~hart:0);
   (* a snapshot restore must not carry the abandoned entries over *)
-  Runtime.restore rt snap;
+  restore ();
   Alcotest.(check int) "restore clears in-flight" 0
     (Runtime.pending_depth rt ~hart:0);
   (* unbounded re-entry must saturate at the stack capacity, not grow *)
@@ -1074,13 +1074,7 @@ let pending_allocs_bounded_and_restored () =
     };
   Alcotest.(check int) "return pops"
     (Runtime.pending_capacity - 1)
-    (Runtime.pending_depth rt ~hart:0);
-  (* state is keyed to its runtime: cross-runtime restore is an error *)
-  let m2 = Embsan.make_machine session in
-  let rt2 = Embsan.attach session m2 in
-  match Runtime.restore rt2 snap with
-  | () -> Alcotest.fail "expected Invalid_argument on cross-runtime restore"
-  | exception Invalid_argument _ -> ()
+    (Runtime.pending_depth rt ~hart:0)
 
 (* A mem subscriber whose site is live everywhere and does nothing. *)
 let live_no_op_mem =
@@ -1463,7 +1457,7 @@ let embsan_ualign_fourth_sanitizer () =
       in
       syscall 1 0;
       Alcotest.(check int) "benign arg: clean" 0 (Report.count rt.sink);
-      let snap = Runtime.save rt in
+      let restore = Runtime.checkpoint rt in
       syscall 1 1;
       (match
          List.filter
@@ -1476,8 +1470,8 @@ let embsan_ualign_fourth_sanitizer () =
       | l ->
           Alcotest.failf "expected 1 unaligned-access report, got %d"
             (List.length l));
-      (* ualign state rides the plugin-keyed snapshot like the builtins *)
-      Runtime.restore rt snap;
+      (* ualign state rides the runtime's checkpoint like the builtins *)
+      restore ();
       Alcotest.(check int) "reports rewound" 0 (Report.count rt.sink);
       let unaligned_count =
         match List.assoc_opt "ualign" (Runtime.plugin_stats rt) with
@@ -1625,34 +1619,34 @@ let ftrace_irq_pseudo_lock () =
   Alcotest.(check int) "irq-off sections ordered" 0 (List.length (races sink))
 
 (* The planes follow the snapshot rule of every page store: restoring
-   the state saved last copies back the pages written since, restoring
-   it a second time does the same, and restoring an older state after a
-   newer save copies every page.  Each path must rewind exactly what was
-   recorded after the state was saved. *)
+   the state captured last copies back the pages written since,
+   restoring it a second time does the same, and restoring an older
+   state after a newer capture copies every page.  Each path must rewind
+   exactly what was recorded after the state was captured. *)
 let ftrace_state_roundtrip () =
   let t, sink = ft_create () in
   let count () = List.length (races sink) in
-  let s = Ftrace.save t in
+  let restore = Ftrace.checkpoint t in
   ft_write t ~hart:0 ~pc:0x100 0x1_0600;
-  Ftrace.restore t s;
+  restore ();
   (* the pre-restore write was rewound with the rest of the metadata *)
   ft_write t ~hart:1 ~pc:0x200 0x1_0600;
   Alcotest.(check int) "restored state forgets the detour" 0 (count ());
-  Ftrace.restore t s;
+  restore ();
   ft_write t ~hart:0 ~pc:0x300 0x1_0600;
   Alcotest.(check int) "restored twice, forgets the second detour" 0
     (count ());
-  (* a newer save syncs the planes to it; the older state is then a copy
-     of every page, and the newer one again after that *)
+  (* a newer capture syncs the planes to it; the older state is then a
+     copy of every page, and the newer one again after that *)
   ft_write t ~hart:1 ~pc:0x400 0x1_5000;
-  let newer = Ftrace.save t in
+  let restore_newer = Ftrace.checkpoint t in
   ft_write t ~hart:1 ~pc:0x500 0x1_9000;
-  Ftrace.restore t s;
+  restore ();
   ft_write t ~hart:0 ~pc:0x600 0x1_5000;
   ft_write t ~hart:0 ~pc:0x700 0x1_9000;
   Alcotest.(check int) "older state forgets what the newer one holds" 0
     (count ());
-  Ftrace.restore t newer;
+  restore_newer ();
   ft_write t ~hart:0 ~pc:0x800 0x1_5000;
   Alcotest.(check int) "newer state keeps its write" 1 (count ());
   ft_write t ~hart:0 ~pc:0x900 0x1_9000;

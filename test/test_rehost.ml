@@ -148,18 +148,35 @@ let snapshot_roundtrip () =
   Alcotest.(check bool) "plan drawn" true (pending0 > 0);
   let snap = Snap.capture ?runtime:inst.Replay.rt m in
   let r1 = run_call inst ~nr:56 ~args:[| 5; 9 |] in
-  Alcotest.(check bool) "memo grew" true (Rehost.memo_size ctl > 0);
-  ignore (Snap.restore snap);
-  Alcotest.(check int) "memo table reverted" 0 (Rehost.memo_size ctl);
-  Alcotest.(check int) "pending IRQs reverted" pending0
-    (Rehost.pending_irqs ctl);
-  Alcotest.(check bool) "in-flight interrupt reverted" false
-    (Rehost.in_irq ctl);
+  let memo1 = Rehost.memo_size ctl in
+  Alcotest.(check bool) "memo grew" true (memo1 > 0);
+  let reverted what snap ~memo ~pending =
+    ignore (Snap.restore snap);
+    Alcotest.(check int) (what ^ ": memo table reverted") memo
+      (Rehost.memo_size ctl);
+    Alcotest.(check int) (what ^ ": pending IRQs reverted") pending
+      (Rehost.pending_irqs ctl);
+    Alcotest.(check bool) (what ^ ": in-flight interrupt reverted") false
+      (Rehost.in_irq ctl)
+  in
+  reverted "restore" snap ~memo:0 ~pending:pending0;
   (* the campaign's per-exec pattern: restore + re-arm from the seed
      replays the identical trajectory *)
   arm ctl ~seed:9 ~irq_seed:2;
   let r2 = run_call inst ~nr:56 ~args:[| 5; 9 |] in
-  Alcotest.(check int) "restore + re-arm replays" r1 r2
+  Alcotest.(check int) "restore + re-arm replays" r1 r2;
+  (* a restore leaves its snapshot as it was: the memo the replay filled
+     in is gone again *)
+  reverted "second restore" snap ~memo:0 ~pending:pending0;
+  (* a newer capture holds its own memo; the older snapshot still
+     restores to an empty one, and the newer to its own after that *)
+  arm ctl ~seed:9 ~irq_seed:2;
+  ignore (run_call inst ~nr:56 ~args:[| 5; 9 |]);
+  let pending1 = Rehost.pending_irqs ctl in
+  let newer = Snap.capture ?runtime:inst.Replay.rt m in
+  ignore (run_call inst ~nr:58 ~args:[| 0 |]);
+  reverted "older after a newer capture" snap ~memo:0 ~pending:pending0;
+  reverted "newer" newer ~memo:memo1 ~pending:pending1
 
 (* --- zero-flush discipline ------------------------------------------------ *)
 
